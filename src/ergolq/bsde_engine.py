@@ -89,7 +89,7 @@ def backward_sweep(
 ) -> SweepResult:
     """One explicit backward pass over a single period.
 
-    drift(phase, prefix, value_next, integrand_est) must return an array
+    drift(node, prefix, value_next, integrand_est) must return an array
     broadcastable to (n_paths,) + value shape.  Matrix-valued sweeps keep
     every stored node value exactly symmetric.
     """
@@ -123,7 +123,7 @@ def backward_sweep(
         if is_matrix:
             l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
 
-        d = np.asarray(drift(phase, prefix, v_next, l_est), dtype=float)
+        d = np.asarray(drift(i, prefix, v_next, l_est), dtype=float)
         if d.ndim == len(vshape):
             d = d[None]
         target = flat_next + dt * d.reshape(d.shape[0], flat_dim)
@@ -258,13 +258,12 @@ def solution_coeff(solution: BsdeGridSolution) -> CoefficientFn:
     it acts as the out-of-sample regression surrogate.
     """
     shape = tuple(solution.fixed_point.shape)
-    bound = float(np.nanmax(np.abs(solution.values))) if solution.values.size else 0.0
     kind = "deterministic-periodic" if solution.basis.degree == 0 else "path-functional"
 
     def evaluator(phase, prefix):
         return solution.value_at(phase, prefix)
 
-    return composite_coeff(shape, solution.tau, kind, evaluator, max(bound, 1e-30))
+    return composite_coeff(shape, solution.tau, kind, evaluator)
 
 
 def _min_eig_batch(mats: np.ndarray) -> np.ndarray:
@@ -364,11 +363,12 @@ def solve_linear_matrix_bsde(
     """
     basis = basis or _default_basis(a_fn, c_fn, lam_fn)
     n = a_fn.shape[0]
+    a_at, c_at, lam_at = (bundle.bind(f) for f in (a_fn, c_fn, lam_fn))
 
-    def drift(phase, prefix, k_next, l_est):
-        a = a_fn.eval_batch(phase, prefix)
-        c = c_fn.eval_batch(phase, prefix)
-        lam = lam_fn.eval_batch(phase, prefix)
+    def drift(i, prefix, k_next, l_est):
+        a = a_at(i, prefix)
+        c = c_at(i, prefix)
+        lam = lam_at(i, prefix)
         ka = np.matmul(k_next, a)
         ckc = np.matmul(np.swapaxes(c, -1, -2), np.matmul(k_next, c))
         lc = np.matmul(l_est, c)
@@ -433,18 +433,18 @@ def solve_vector_bsde(
     if kl_solution.bundle_token != bundle.token():
         raise ValueError("vector solve must run on the matrix solution's bundle")
     n = a_fn.shape[0]
-    sp = bundle.steps_per_period
-    dt = bundle.dt
+    a_at, c_at, b_at, sigma_at, lam_at = (
+        bundle.bind(f) for f in (a_fn, c_fn, b_fn, sigma_fn, lam_fn)
+    )
 
-    def drift(phase, prefix, eta_next, zeta_est):
-        i = min(int(round(phase / dt)), sp - 1)
+    def drift(i, prefix, eta_next, zeta_est):
         k_i = kl_solution.values[:, i]
         l_i = kl_solution.integrand[:, i]
-        a = a_fn.eval_batch(phase, prefix)
-        c = c_fn.eval_batch(phase, prefix)
-        bd = b_fn.eval_batch(phase, prefix)
-        sg = sigma_fn.eval_batch(phase, prefix)
-        lam = lam_fn.eval_batch(phase, prefix)
+        a = a_at(i, prefix)
+        c = c_at(i, prefix)
+        bd = b_at(i, prefix)
+        sg = sigma_at(i, prefix)
+        lam = lam_at(i, prefix)
         at_eta = np.matmul(np.swapaxes(a, -1, -2), eta_next[..., None])[..., 0]
         ct_zeta = np.matmul(np.swapaxes(c, -1, -2), zeta_est[..., None])[..., 0]
         kb = np.matmul(k_i, np.broadcast_to(bd, eta_next.shape)[..., None])[..., 0]
@@ -501,6 +501,7 @@ def representation_check(
     acc = np.zeros((n_paths, n, n))
     n_steps = bundle.n_steps
     dt = bundle.dt
+    lam_at = bundle.bind(lam_fn)
 
     class _Coeffs:
         A = a_fn
@@ -508,7 +509,7 @@ def representation_check(
         n = a_fn.shape[0]
 
     def visit(k, phase, prefix, phi):
-        lam = lam_fn.eval_batch(phase, prefix)
+        lam = lam_at(k, prefix)
         integ = np.matmul(np.swapaxes(phi, -1, -2), np.matmul(lam, phi))
         weight = 0.5 * dt if (k == 0 or k == n_steps) else dt
         np.add(acc, weight * integ, out=acc)

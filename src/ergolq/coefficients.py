@@ -95,9 +95,8 @@ class CoefficientFn:
 
     kind is one of ``constant``, ``deterministic-periodic`` or
     ``path-functional``; ``shape`` is the matrix shape (vectors use a
-    length-1 tuple); ``bound`` is a declared essential sup of the entries.
-    ``evaluator(phase, prefix)`` returns either ``shape`` (path independent)
-    or ``(n_paths,) + shape``.
+    length-1 tuple).  ``evaluator(phase, prefix)`` returns either ``shape``
+    (path independent) or ``(n_paths,) + shape``.
 
     ``family``/``params`` are set for the serializable families and None for
     in-memory compositions.
@@ -106,7 +105,6 @@ class CoefficientFn:
     kind: str
     shape: tuple
     evaluator: Callable
-    bound: float
     tau: float
     family: Optional[str] = None
     params: Optional[dict] = None
@@ -215,7 +213,6 @@ def constant_coeff(value, tau: float, *, symmetrize: bool = False) -> Coefficien
         kind="constant",
         shape=shape,
         evaluator=evaluator,
-        bound=float(np.max(np.abs(arr))) if arr.size else 0.0,
         tau=tau,
         family="constant",
         params={"value": arr},
@@ -253,15 +250,11 @@ def harmonic_coeff(
             out += mat * math.cos(omega * order * phase)
         return out
 
-    bound = float(np.max(np.abs(base))) if base.size else 0.0
-    for mat in list(sin_terms.values()) + list(cos_terms.values()):
-        bound += float(np.max(np.abs(mat)))
     base.setflags(write=False)
     return CoefficientFn(
         kind="deterministic-periodic",
         shape=shape,
         evaluator=evaluator,
-        bound=bound,
         tau=tau,
         family="harmonic",
         params={"base": base, "sin": sin_terms, "cos": cos_terms},
@@ -282,8 +275,7 @@ def tanh_sum_coeff(
     """Path-functional coefficient driven by the within-period increment sum.
 
     value = base + amplitude * link(scale * S + offset) with S the partial
-    sum of the current period's increments.  The link is bounded by 1, so
-    the entrywise bound max|base| + max|amplitude| is exact.
+    sum of the current period's increments.
     """
     base = np.array(base, dtype=float)
     shape = base.shape
@@ -301,7 +293,6 @@ def tanh_sum_coeff(
         kind="path-functional",
         shape=shape,
         evaluator=evaluator,
-        bound=float(np.max(np.abs(base)) + np.max(np.abs(amp))) if base.size else 0.0,
         tau=tau,
         family="tanh_sum",
         params={
@@ -316,14 +307,13 @@ def tanh_sum_coeff(
 
 
 def composite_coeff(
-    shape, tau: float, kind: str, evaluator: Callable, bound: float, *, symmetrize: bool = False
+    shape, tau: float, kind: str, evaluator: Callable, *, symmetrize: bool = False
 ) -> CoefficientFn:
     """In-memory coefficient from a raw evaluator (not serializable)."""
     return CoefficientFn(
         kind=kind,
         shape=tuple(shape),
         evaluator=evaluator,
-        bound=float(bound),
         tau=tau,
         symmetrize=symmetrize,
     )
@@ -344,14 +334,14 @@ def cf_add(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     def evaluator(phase, prefix):
         return f.eval_batch(phase, prefix) + g.eval_batch(phase, prefix)
 
-    return composite_coeff(f.shape, f.tau, _join_kind(f, g), evaluator, f.bound + g.bound)
+    return composite_coeff(f.shape, f.tau, _join_kind(f, g), evaluator)
 
 
 def cf_scale(f: CoefficientFn, alpha: float) -> CoefficientFn:
     def evaluator(phase, prefix):
         return alpha * f.eval_batch(phase, prefix)
 
-    return composite_coeff(f.shape, f.tau, f.kind, evaluator, abs(alpha) * f.bound)
+    return composite_coeff(f.shape, f.tau, f.kind, evaluator)
 
 
 def cf_transpose(f: CoefficientFn) -> CoefficientFn:
@@ -361,7 +351,7 @@ def cf_transpose(f: CoefficientFn) -> CoefficientFn:
     def evaluator(phase, prefix):
         return np.swapaxes(f.eval_batch(phase, prefix), -1, -2)
 
-    return composite_coeff((f.shape[1], f.shape[0]), f.tau, f.kind, evaluator, f.bound)
+    return composite_coeff((f.shape[1], f.shape[0]), f.tau, f.kind, evaluator)
 
 
 def _matmul_shapes(fs, gs):
@@ -378,7 +368,6 @@ def _matmul_shapes(fs, gs):
 def cf_matmul(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     """Matrix product; a 1-d right factor is treated as a column vector."""
     shape = _matmul_shapes(f.shape, g.shape)
-    inner = f.shape[-1]
 
     def evaluator(phase, prefix):
         a = f.eval_batch(phase, prefix)
@@ -389,42 +378,33 @@ def cf_matmul(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
             out = np.matmul(a, bmat)
         return out
 
-    return composite_coeff(shape, f.tau, _join_kind(f, g), evaluator, inner * f.bound * g.bound)
+    return composite_coeff(shape, f.tau, _join_kind(f, g), evaluator)
+
+
+def rinv_apply(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """R^{-1} @ rhs for a stack of right-hand sides.
+
+    A path-independent R (no leading path axis) is inverted as one small
+    matrix; only a path-dependent R costs one linear solve per path.
+    """
+    if r.ndim == 2:
+        return np.matmul(np.linalg.inv(r), rhs)
+    return np.linalg.solve(r, rhs)
 
 
 def cf_rinv_mul(r_fn: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
-    """R^{-1} @ g evaluated by batched linear solves (R must stay invertible)."""
+    """R^{-1} @ g (R must stay invertible)."""
     shape = _matmul_shapes(r_fn.shape, g.shape)
+    vec = len(g.shape) == 1
 
     def evaluator(phase, prefix):
         r = r_fn.eval_batch(phase, prefix)
         rhs = g.eval_batch(phase, prefix)
-        vec = len(g.shape) == 1
         if vec:
-            rhs = rhs[..., None]
-        if r.ndim == 2 and rhs.ndim == 3:
-            r = np.broadcast_to(r, rhs.shape[:1] + r.shape)
-        out = np.linalg.solve(r, rhs)
-        return out[..., 0] if vec else out
+            return rinv_apply(r, rhs[..., None])[..., 0]
+        return rinv_apply(r, rhs)
 
-    # declared bound is a sampled estimate; exact bounds need min-eig knowledge
-    bound = _sampled_bound(shape, r_fn.tau, evaluator)
-    return composite_coeff(shape, r_fn.tau, _join_kind(r_fn, g), evaluator, bound)
-
-
-def _sampled_bound(shape, tau, evaluator, n_samples: int = 64, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        steps = int(rng.integers(0, 65))
-        phase = steps * tau / 64.0
-        if phase >= tau:
-            phase, steps = 0.0, 0
-        prefix = PathPrefix(rng.normal(0.0, math.sqrt(tau / 64.0), size=(1, steps)))
-        val = evaluator(phase, prefix)
-        if np.asarray(val).size:
-            worst = max(worst, float(np.max(np.abs(val))))
-    return 2.0 * worst
+    return composite_coeff(shape, r_fn.tau, _join_kind(r_fn, g), evaluator)
 
 
 # ---------------------------------------------------------------------------

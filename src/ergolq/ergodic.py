@@ -39,6 +39,7 @@ from .coefficients import (
     cf_scale,
     cf_transpose,
     perturbed_feedback,
+    rinv_apply,
 )
 from .riccati import RiccatiSolution, stabilizer_check
 from .sde_engine import (
@@ -53,15 +54,10 @@ class BurnInError(RuntimeError):
     """Raised when the reached state fails the stationarity audit."""
 
 
-def running_cost_values(
-    coeffs: PeriodicCoefficientSet, phase: float, prefix, x: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Per-path running cost x'Qx + 2u'Sx + u'Ru + 2q'x + 2rho'u."""
-    q = coeffs.Q.eval_batch(phase, prefix)
-    s = coeffs.S.eval_batch(phase, prefix)
-    r = coeffs.R.eval_batch(phase, prefix)
-    qlin = coeffs.q.eval_batch(phase, prefix)
-    rho = coeffs.rho.eval_batch(phase, prefix)
+_COST_FIELDS = ("Q", "S", "R", "q", "rho")
+
+
+def _quadratic_cost(q, s, r, qlin, rho, x, u):
     xc = x[..., None]
     uc = u[..., None]
     qx = np.matmul(q, xc)[..., 0]
@@ -75,12 +71,22 @@ def running_cost_values(
     return out
 
 
-def _control_values(feedback: FeedbackLaw, phase, prefix, x: np.ndarray) -> np.ndarray:
-    theta = feedback.Theta.eval_batch(phase, prefix)
-    vval = feedback.v.eval_batch(phase, prefix)
-    return np.matmul(theta, x[..., None])[..., 0] + np.broadcast_to(
-        vval, x.shape[:-1] + (theta.shape[-2],)
-    )
+def running_cost_values(
+    coeffs: PeriodicCoefficientSet, phase: float, prefix, x: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Per-path running cost x'Qx + 2u'Sx + u'Ru + 2q'x + 2rho'u."""
+    weights = (coeffs.coefficient(f).eval_batch(phase, prefix) for f in _COST_FIELDS)
+    return _quadratic_cost(*weights, x, u)
+
+
+def _bind_running_cost(coeffs: PeriodicCoefficientSet, bundle: PathBundle):
+    """running_cost_values with the weights bound to the bundle grid."""
+    weights_at = [bundle.bind(coeffs.coefficient(f)) for f in _COST_FIELDS]
+
+    def cost(k, prefix, x, u):
+        return _quadratic_cost(*(w(k, prefix) for w in weights_at), x, u)
+
+    return cost
 
 
 @dataclass
@@ -159,7 +165,7 @@ def burn_in_state(
     boundary_sq = np.full((n_paths, k_burn + 1), np.nan)
     final = np.empty((n_paths, coeffs.n))
 
-    def visit(k, phase, prefix, x):
+    def visit(k, phase, prefix, x, u):
         if k % sp == 0:
             boundary_sq[:, k // sp] = np.einsum("pi,pi->p", x, x)
         if k == n_steps:
@@ -207,24 +213,24 @@ def _accumulate_cost(coeffs, feedback, x0, bundle, start_node=0, extra_integrand
 
     Returns (cost integrals from start_node to the end, per path;
     extra integrals when an extra integrand is given; overflow mask).
-    The extra integrand is called as extra(phase, prefix, x, u).
+    The extra integrand is called as extra(k, prefix, x, u) at node k.
     """
     n_paths = bundle.n_paths
     n_steps = bundle.n_steps
     dt = bundle.dt
     acc = np.zeros(n_paths)
     extra_acc = np.zeros(n_paths) if extra_integrand is not None else None
+    running_cost = _bind_running_cost(coeffs, bundle)
 
-    def visit(k, phase, prefix, x):
+    def visit(k, phase, prefix, x, u):
         if k < start_node:
             return
-        u = _control_values(feedback, phase, prefix, x)
         weight = 0.5 * dt if k in (start_node, n_steps) else dt
         with np.errstate(invalid="ignore"):
-            f = running_cost_values(coeffs, phase, prefix, x, u)
+            f = running_cost(k, prefix, x, u)
             np.add(acc, weight * f, out=acc)
             if extra_acc is not None:
-                np.add(extra_acc, weight * extra_integrand(phase, prefix, x, u), out=extra_acc)
+                np.add(extra_acc, weight * extra_integrand(k, prefix, x, u), out=extra_acc)
 
     overflow = stream_closed_loop(coeffs, feedback, x0, bundle, visit)
     return acc, extra_acc, overflow
@@ -288,11 +294,11 @@ def finite_horizon_cost(
     acc = np.zeros(n_paths)
     f0 = np.zeros(n_paths)
     cp_values: Dict[int, np.ndarray] = {}
+    running_cost = _bind_running_cost(coeffs, bundle)
 
-    def visit(k, phase, prefix, x):
-        u = _control_values(feedback, phase, prefix, x)
+    def visit(k, phase, prefix, x, u):
         with np.errstate(invalid="ignore"):
-            f = running_cost_values(coeffs, phase, prefix, x, u)
+            f = running_cost(k, prefix, x, u)
             if k == 0:
                 f0[:] = f
             np.add(acc, dt * f, out=acc)
@@ -408,24 +414,22 @@ def value_function(opt: OptimalControl, bundle: PathBundle) -> ValueEstimate:
     sp, dt = es.steps_per_period, es.dt
     n_paths = bundle.n_paths
     acc = np.zeros(n_paths)
+    r_at, b_at, rho_at, drift_at, sigma_at = (
+        bundle.bind(f) for f in (coeffs.R, coeffs.B, coeffs.rho, coeffs.b, coeffs.sigma)
+    )
     for i in range(sp + 1):
-        phase = bundle.phase(i)
         prefix = bundle.prefix(i)
-        k_i = ks.values[:, min(i, sp)]
-        eta_i = es.values[:, min(i, sp)]
+        k_i = ks.values[:, i]
+        eta_i = es.values[:, i]
         zeta_i = es.integrand[:, i] if i < sp else es.integrand[:, 0]
-        r = coeffs.R.eval_batch(phase, prefix)
-        bmat = coeffs.B.eval_batch(phase, prefix)
-        rho = coeffs.rho.eval_batch(phase, prefix)
-        bd = coeffs.b.eval_batch(phase, prefix)
-        sg = coeffs.sigma.eval_batch(phase, prefix)
+        r = r_at(i, prefix)
+        bmat = b_at(i, prefix)
+        rho = rho_at(i, prefix)
+        bd = drift_at(i, prefix)
+        sg = sigma_at(i, prefix)
         g = np.matmul(np.swapaxes(bmat, -1, -2), eta_i[..., None])[..., 0]
         g = g + np.broadcast_to(rho, g.shape)
-        if r.ndim == 2:
-            r_b = np.broadcast_to(r, g.shape[:-1] + r.shape)
-        else:
-            r_b = r
-        rinv_g = np.linalg.solve(r_b, g[..., None])[..., 0]
+        rinv_g = rinv_apply(r, g[..., None])[..., 0]
         sg_b = np.broadcast_to(sg, eta_i.shape)
         k_sg = np.matmul(k_i, sg_b[..., None])[..., 0]
         rate = (
@@ -467,6 +471,19 @@ class CompletionReport:
         return abs(self.gap) / max(self.combined_se, 1e-300)
 
 
+def _bind_penalty(opt: OptimalControl, bundle: PathBundle):
+    """Quadratic control penalty (u - u*)' R (u - u*) against the optimal law."""
+    u_star_at = bundle.bind_law(opt.feedback)
+    r_at = bundle.bind(opt.coeffs.R)
+
+    def penalty(k, prefix, x, u):
+        du = u - u_star_at(k, prefix, x)
+        r_du = np.matmul(r_at(k, prefix), du[..., None])[..., 0]
+        return np.einsum("pi,pi->p", du, r_du)
+
+    return penalty
+
+
 def completion_of_square_check(
     opt: OptimalControl,
     feedback: FeedbackLaw,
@@ -492,15 +509,8 @@ def completion_of_square_check(
         tau=coeffs.tau,
     )
 
-    def penalty(phase, prefix, x, u):
-        u_star = _control_values(opt.feedback, phase, prefix, x)
-        du = u - u_star
-        r = coeffs.R.eval_batch(phase, prefix)
-        r_du = np.matmul(r, du[..., None])[..., 0]
-        return np.einsum("pi,pi->p", du, r_du)
-
     acc, pen, overflow = _accumulate_cost(
-        coeffs, feedback, state.samples, bundle, extra_integrand=penalty
+        coeffs, feedback, state.samples, bundle, extra_integrand=_bind_penalty(opt, bundle)
     )
     good = ~overflow
     stat = (acc[good] - pen[good]) / coeffs.tau
@@ -565,15 +575,8 @@ def completion_identity_check(
         derive_seed(seed, tag), n_paths, steps_per_period, 1, tau=coeffs.tau
     )
 
-    def penalty(phase, prefix, x, u):
-        u_star = _control_values(opt.feedback, phase, prefix, x)
-        du = u - u_star
-        r = coeffs.R.eval_batch(phase, prefix)
-        r_du = np.matmul(r, du[..., None])[..., 0]
-        return np.einsum("pi,pi->p", du, r_du)
-
     acc_u, pen, over_u = _accumulate_cost(
-        coeffs, feedback, state_u.samples, bundle, extra_integrand=penalty
+        coeffs, feedback, state_u.samples, bundle, extra_integrand=_bind_penalty(opt, bundle)
     )
     acc_opt, _, over_opt = _accumulate_cost(
         coeffs, opt.feedback, state_opt.samples, bundle

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coefficients import (
     CoefficientFn,
@@ -74,6 +73,9 @@ def explicit_phi_moment_1d(a, c, t: float) -> float:
     if t < 0:
         raise OracleError("time must be nonnegative")
     if callable(a) or callable(c):
+        # scipy costs most of the package import time; only this branch needs it
+        from scipy.integrate import quad
+
         a_fn = a if callable(a) else (lambda _t: a)
         c_fn = c if callable(c) else (lambda _t: c)
         integral, err = quad(

@@ -40,6 +40,7 @@ from .coefficients import (
     cf_scale,
     cf_transpose,
     constant_coeff,
+    rinv_apply,
 )
 from .sde_engine import (
     PathBundle,
@@ -349,26 +350,24 @@ def riccati_residual(solution: RiccatiSolution, bundle: PathBundle) -> ResidualR
     sp, dt = ks.steps_per_period, ks.dt
     n = coeffs.n
     defects = np.empty(sp)
+    a_at, c_at, q_at, b_at, s_at, r_at = (
+        bundle.bind(coeffs.coefficient(f)) for f in ("A", "C", "Q", "B", "S", "R")
+    )
     for i in range(sp):
-        phase = bundle.phase(i)
         prefix = bundle.prefix(i)
         k_next = ks.values[:, i + 1]
         l_est = ks.integrand[:, i]
-        a = coeffs.A.eval_batch(phase, prefix)
-        c = coeffs.C.eval_batch(phase, prefix)
-        q = coeffs.Q.eval_batch(phase, prefix)
-        bmat = coeffs.B.eval_batch(phase, prefix)
-        smat = coeffs.S.eval_batch(phase, prefix)
-        r = coeffs.R.eval_batch(phase, prefix)
+        a = a_at(i, prefix)
+        c = c_at(i, prefix)
+        q = q_at(i, prefix)
+        bmat = b_at(i, prefix)
+        smat = s_at(i, prefix)
+        r = r_at(i, prefix)
         ka = np.matmul(k_next, a)
         ckc = np.matmul(np.swapaxes(c, -1, -2), np.matmul(k_next, c))
         lc = np.matmul(l_est, c)
         g = np.matmul(np.swapaxes(bmat, -1, -2), k_next) + smat
-        if r.ndim == 2:
-            r_b = np.broadcast_to(r, g.shape[:-2] + r.shape)
-        else:
-            r_b = r
-        quad = np.matmul(np.swapaxes(g, -1, -2), np.linalg.solve(r_b, g))
+        quad = np.matmul(np.swapaxes(g, -1, -2), rinv_apply(r, g))
         drift = ka + np.swapaxes(ka, -1, -2) + ckc + lc + np.swapaxes(lc, -1, -2) + q - quad
         target = k_next + dt * drift
         diff = ks.values[:, i] - target

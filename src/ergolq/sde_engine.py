@@ -28,6 +28,8 @@ from .coefficients import (
     FeedbackLaw,
     PathPrefix,
     PeriodicCoefficientSet,
+    cf_add,
+    cf_matmul,
 )
 
 OVERFLOW_LIMIT = 1e12
@@ -87,19 +89,20 @@ class PathBundle:
         if antithetic and n_paths % 2:
             raise SimulationError("antithetic bundles need an even path count")
         n_steps = steps_per_period * n_periods
-        dt = tau / steps_per_period
-        root = math.sqrt(dt)
         out = np.empty((n_paths, n_steps))
+        # one generator re-keyed per path (or antithetic pair): the draws of
+        # row i depend only on (seed, i), exactly as for Philox(key=[seed, i])
+        bitgen = np.random.Philox(key=[seed, 0])
+        gen = np.random.Generator(bitgen)
+        fresh = bitgen.state
+        drawn = out[0::2] if antithetic else out
+        for i, row in enumerate(drawn):
+            fresh["state"]["key"][1] = i
+            bitgen.state = fresh
+            gen.standard_normal(n_steps, out=row)
+        drawn *= math.sqrt(tau / steps_per_period)
         if antithetic:
-            for pair in range(n_paths // 2):
-                gen = np.random.Generator(np.random.Philox(key=[seed, pair]))
-                row = root * gen.standard_normal(n_steps)
-                out[2 * pair] = row
-                out[2 * pair + 1] = -row
-        else:
-            for i in range(n_paths):
-                gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-                out[i] = root * gen.standard_normal(n_steps)
+            np.negative(drawn, out=out[1::2])
         return cls(
             tau=tau,
             steps_per_period=steps_per_period,
@@ -148,6 +151,34 @@ class PathBundle:
         return PathPrefix(
             self.increments[:, start:node], partial_sum=cs[:, node] - cs[:, start]
         )
+
+    def bind(self, fn: CoefficientFn) -> Callable:
+        """Bind a coefficient to this grid once; returns at(node, prefix).
+
+        A constant becomes one array and a deterministic-periodic
+        coefficient (composed trees included) a (steps_per_period, *shape)
+        table built from one evaluation per phase on a 1-path prefix, so
+        neither grows with the path count.  Only a path-functional
+        coefficient is evaluated at every node, on that node's prefix.
+        """
+        if fn.kind == "path-functional":
+            return lambda node, prefix: fn.eval_batch(self.phase(node), prefix)
+        one = PathPrefix.empty(1)
+        n_phases = 1 if fn.kind == "constant" else self.steps_per_period
+        table = np.stack(
+            [fn.eval_batch(self.phase(i), one).reshape(fn.shape) for i in range(n_phases)]
+        )
+        return lambda node, prefix: table[node % n_phases]
+
+    def bind_law(self, law: FeedbackLaw) -> Callable:
+        """Bind a feedback law; returns u(node, prefix, x) = Theta x + v for
+        vector states x of shape (n_paths, n)."""
+        theta_at, v_at = self.bind(law.Theta), self.bind(law.v)
+
+        def control(node, prefix, x):
+            return np.matmul(theta_at(node, prefix), x[..., None])[..., 0] + v_at(node, prefix)
+
+        return control
 
     def restrict(self, n_periods: int) -> "PathBundle":
         """View of the first n_periods periods (shares increment storage)."""
@@ -215,10 +246,61 @@ class StateTrajectory:
 # streaming drivers
 
 
-def _eval_feedback_matrices(coeffs, feedback, phase, prefix):
-    theta = feedback.Theta.eval_batch(phase, prefix)
-    vval = feedback.v.eval_batch(phase, prefix)
-    return theta, vval
+def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, c_fn, affine=None):
+    """The one Euler-Maruyama kernel behind every stream.
+
+    ``state`` is the start value, (n_paths, n) for a vector or
+    (n_paths, n, n) for the fundamental matrix; it is stepped as columns X by
+    X + (A X) dt + (C X) dW with coefficients at the left node.
+    ``affine = (coeffs, law)`` adds B u + b to the drift and sigma to the
+    diffusion, with u = Theta x + v; the visitor then receives u as a fifth
+    argument.  Homogeneous streams fold any feedback into ``a_fn`` instead.
+    Every coefficient is bound to the grid before the first step.
+
+    One overflow rule: a path whose state is not finite or exceeds
+    OVERFLOW_LIMIT in magnitude holds NaN from that node on and is flagged
+    in the returned mask.
+    """
+    vector = state.ndim == 2
+    x = state[..., None] if vector else state
+    a_at, c_at = bundle.bind(a_fn), bundle.bind(c_fn)
+    if affine is not None:
+        coeffs, law = affine
+        control = bundle.bind_law(law)
+        b_at, drift_at, sigma_at = (bundle.bind(f) for f in (coeffs.B, coeffs.b, coeffs.sigma))
+    dt = bundle.dt
+    overflow = np.zeros(bundle.n_paths, dtype=bool)
+    for k in range(bundle.n_steps + 1):
+        phase = bundle.phase(k)
+        prefix = bundle.prefix(k)
+        view = x[..., 0] if vector else x
+        if affine is None:
+            visit(k, phase, prefix, view)
+        else:
+            u = control(k, prefix, view)
+            visit(k, phase, prefix, view, u)
+        if k == bundle.n_steps:
+            break
+        drift = np.matmul(a_at(k, prefix), x)
+        diffusion = np.matmul(c_at(k, prefix), x)
+        if affine is not None:
+            drift = drift + np.matmul(b_at(k, prefix), u[..., None]) + drift_at(k, prefix)[..., None]
+            diffusion = diffusion + sigma_at(k, prefix)[..., None]
+        x = x + dt * drift + bundle.increments[:, k][:, None, None] * diffusion
+        with np.errstate(invalid="ignore"):
+            bad = ~(np.abs(x).max(axis=(1, 2)) <= OVERFLOW_LIMIT)
+        fresh = bad & ~overflow
+        if fresh.any():
+            x[fresh] = np.nan
+            overflow |= bad
+    return overflow
+
+
+def _homogeneous_drift(coeffs, feedback: Optional[FeedbackLaw]) -> CoefficientFn:
+    """A, or the closed-loop drift matrix A + B Theta under a feedback."""
+    if feedback is None:
+        return coeffs.A
+    return cf_add(coeffs.A, cf_matmul(coeffs.B, feedback.Theta))
 
 
 def stream_fundamental(
@@ -233,36 +315,9 @@ def stream_fundamental(
     visit(k, phase, prefix, Phi) is called at every node including both ends;
     Phi must not be mutated by the visitor.  Returns the overflow mask.
     """
-    n, n_paths = coeffs.n, bundle.n_paths
-    dt, sp = bundle.dt, bundle.steps_per_period
-    if start is None:
-        phi = np.broadcast_to(np.eye(n), (n_paths, n, n)).copy()
-    else:
-        phi = np.array(start, dtype=float)
-        if phi.ndim == 2:
-            phi = np.broadcast_to(phi, (n_paths, n, n)).copy()
-    overflow = np.zeros(n_paths, dtype=bool)
-    for k in range(bundle.n_steps + 1):
-        phase = bundle.phase(k)
-        prefix = bundle.prefix(k)
-        visit(k, phase, prefix, phi)
-        if k == bundle.n_steps:
-            break
-        a = coeffs.A.eval_batch(phase, prefix)
-        c = coeffs.C.eval_batch(phase, prefix)
-        if feedback is not None:
-            bmat = coeffs.B.eval_batch(phase, prefix)
-            theta = feedback.Theta.eval_batch(phase, prefix)
-            a = a + np.matmul(bmat, theta)
-        dwk = bundle.increments[:, k][:, None, None]
-        phi = phi + dt * np.matmul(a, phi) + dwk * np.matmul(c, phi)
-        with np.errstate(invalid="ignore"):
-            bad = ~np.isfinite(phi).all(axis=(1, 2))
-            bad |= np.abs(np.nan_to_num(phi, posinf=np.inf)).max(axis=(1, 2)) > OVERFLOW_LIMIT
-        if np.any(bad & ~overflow):
-            phi[bad & ~overflow] = np.nan
-            overflow |= bad
-    return overflow
+    shape = (bundle.n_paths, coeffs.n, coeffs.n)
+    phi = np.broadcast_to(np.eye(coeffs.n) if start is None else np.asarray(start, float), shape)
+    return _euler_stream(bundle, phi, visit, _homogeneous_drift(coeffs, feedback), coeffs.C)
 
 
 def stream_closed_loop(
@@ -272,71 +327,27 @@ def stream_closed_loop(
     bundle: PathBundle,
     visit: Callable,
 ):
-    """Drive the controlled state X through the grid; visitor as above."""
-    n, n_paths = coeffs.n, bundle.n_paths
-    dt = bundle.dt
+    """Drive the controlled state X through the grid.
+
+    visit(k, phase, prefix, x, u) sees the state and the control applied at
+    every node; neither may be mutated.  Returns the overflow mask.
+    """
     x = np.asarray(x0, dtype=float)
     if x.ndim == 1:
-        x = np.broadcast_to(x, (n_paths, n)).copy()
-    else:
-        x = x.copy()
-    if x.shape != (n_paths, n):
-        raise SimulationError(f"x0 shape {x.shape} incompatible with ({n_paths}, {n})")
-    overflow = np.zeros(n_paths, dtype=bool)
-    for k in range(bundle.n_steps + 1):
-        phase = bundle.phase(k)
-        prefix = bundle.prefix(k)
-        visit(k, phase, prefix, x)
-        if k == bundle.n_steps:
-            break
-        a = coeffs.A.eval_batch(phase, prefix)
-        bmat = coeffs.B.eval_batch(phase, prefix)
-        c = coeffs.C.eval_batch(phase, prefix)
-        bdrift = coeffs.b.eval_batch(phase, prefix)
-        sig = coeffs.sigma.eval_batch(phase, prefix)
-        theta, vval = _eval_feedback_matrices(coeffs, feedback, phase, prefix)
-        xc = x[..., None]
-        u = np.matmul(theta, xc)[..., 0] + vval
-        drift = np.matmul(a, xc)[..., 0] + np.matmul(bmat, u[..., None])[..., 0] + bdrift
-        diffusion = np.matmul(c, xc)[..., 0] + sig
-        x = x + dt * drift + bundle.increments[:, k][:, None] * diffusion
-        with np.errstate(invalid="ignore"):
-            bad = ~np.isfinite(x).all(axis=1)
-            bad |= np.abs(np.nan_to_num(x, posinf=np.inf)).max(axis=1) > OVERFLOW_LIMIT
-        if np.any(bad & ~overflow):
-            x[bad & ~overflow] = np.nan
-            overflow |= bad
-    return overflow
+        x = np.broadcast_to(x, (bundle.n_paths, coeffs.n))
+    if x.shape != (bundle.n_paths, coeffs.n):
+        raise SimulationError(
+            f"x0 shape {x.shape} incompatible with ({bundle.n_paths}, {coeffs.n})"
+        )
+    return _euler_stream(bundle, x, visit, coeffs.A, coeffs.C, affine=(coeffs, feedback))
 
 
 def _difference_step_stream(coeffs, feedback, delta0, bundle, visit):
     # the difference of two closed-loop solutions on the same increments
     # satisfies the homogeneous recursion exactly, so it is simulated
     # directly; b, sigma and v cannot enter by construction
-    n, n_paths = coeffs.n, bundle.n_paths
-    dt = bundle.dt
-    d = np.broadcast_to(np.asarray(delta0, dtype=float), (n_paths, n)).copy()
-    overflow = np.zeros(n_paths, dtype=bool)
-    for k in range(bundle.n_steps + 1):
-        phase = bundle.phase(k)
-        prefix = bundle.prefix(k)
-        visit(k, phase, prefix, d)
-        if k == bundle.n_steps:
-            break
-        a = coeffs.A.eval_batch(phase, prefix)
-        bmat = coeffs.B.eval_batch(phase, prefix)
-        theta = feedback.Theta.eval_batch(phase, prefix)
-        c = coeffs.C.eval_batch(phase, prefix)
-        acl = a + np.matmul(bmat, theta)
-        dc = d[..., None]
-        d = d + dt * np.matmul(acl, dc)[..., 0] + bundle.increments[:, k][:, None] * (
-            np.matmul(c, dc)[..., 0]
-        )
-        bad = ~np.isfinite(d).all(axis=1)
-        if np.any(bad & ~overflow):
-            d[bad & ~overflow] = np.nan
-            overflow |= bad
-    return overflow
+    d = np.broadcast_to(np.asarray(delta0, dtype=float), (bundle.n_paths, coeffs.n))
+    return _euler_stream(bundle, d, visit, _homogeneous_drift(coeffs, feedback), coeffs.C)
 
 
 def simulate_brownian(bundle: PathBundle) -> StateTrajectory:
@@ -380,7 +391,7 @@ def simulate_closed_loop(
     """Controlled state under u = Theta x + v from x0 (vector or per-path)."""
     values = np.empty((bundle.n_paths, bundle.n_steps + 1, coeffs.n))
 
-    def visit(k, phase, prefix, x):
+    def visit(k, phase, prefix, x, u):
         values[:, k] = x
 
     overflow = stream_closed_loop(coeffs, feedback, x0, bundle, visit)

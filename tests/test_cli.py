@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import ergolq
 from ergolq import cli
 from ergolq.coefficients import builtin_scenarios, save_scenario
 
@@ -278,3 +281,14 @@ def test_verify_scenario_battery(tmp_path):
     assert ids == ["S1", "S2", "S3", "S4", "S5", "S6", "A1"]
     assert summary["passed"] is True
     assert summary["n_failed"] == 0
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is the bulk of start-up time and only the quadrature oracle needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergolq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ergolq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -49,7 +49,6 @@ def test_constant_coeff_evaluates_everywhere():
     assert out.shape == (2, 2)
     np.testing.assert_array_equal(out, [[2.0, -1.0], [0.0, 3.0]])
     assert fn.kind == "constant"
-    assert fn.bound == 3.0
 
 
 def test_harmonic_coeff_matches_trig_polynomial():
@@ -62,7 +61,6 @@ def test_harmonic_coeff_matches_trig_polynomial():
         assert got.shape == (1, 1)
         assert abs(got[0, 0] - want) < 1e-14
     assert fn.kind == "deterministic-periodic"
-    assert fn.bound == pytest.approx(1.75)
 
 
 def test_harmonic_coeff_rejects_bad_order():

@@ -16,6 +16,7 @@ from ergolq.coefficients import (
 from ergolq.sde_engine import (
     PathBundle,
     SimulationError,
+    _difference_step_stream,
     contraction_check,
     derive_seed,
     estimate_gram_lower_bound,
@@ -55,6 +56,32 @@ def test_bundle_paths_are_counter_indexed():
     small = PathBundle.generate(9, 2, 8, 2)
     big = PathBundle.generate(9, 6, 8, 2)
     np.testing.assert_array_equal(big.increments[:2], small.increments)
+
+
+def _per_path_increments(seed, n_paths, n_steps, antithetic=False):
+    # reference construction: one fresh Philox(key=[seed, i]) per path or pair
+    root = math.sqrt(1.0 / 16)
+    rows = []
+    for i in range(n_paths // 2 if antithetic else n_paths):
+        row = root * np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal(n_steps)
+        rows.extend([row, -row] if antithetic else [row])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_bundle_equals_per_path_generators(antithetic):
+    for seed in (0, 5, 2**62 + 3):
+        bundle = PathBundle.generate(seed, 10, 16, 3, antithetic=antithetic)
+        np.testing.assert_array_equal(
+            bundle.increments, _per_path_increments(seed, 10, 48, antithetic)
+        )
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_first_half_of_a_doubled_bundle_is_the_smaller_bundle(antithetic):
+    small = PathBundle.generate(13, 6, 16, 2, antithetic=antithetic)
+    big = PathBundle.generate(13, 12, 16, 2, antithetic=antithetic)
+    np.testing.assert_array_equal(big.increments[:6], small.increments)
 
 
 def test_antithetic_pairs_negate():
@@ -175,6 +202,28 @@ def test_overflow_paths_are_flagged_and_nan():
     assert np.isnan(traj.values[:, -1, 0]).all()
     with pytest.raises(SimulationError):
         estimate_second_moment_decay(traj)  # all paths excluded
+
+
+def test_every_stream_applies_the_same_overflow_rule():
+    # |x| grows like 1.3e15 over the horizon: finite, but past OVERFLOW_LIMIT
+    scen = builtin_scenarios()["scalar-constant"]
+    runaway = constant_feedback(scen, [[6.0]])
+    bundle = PathBundle.generate(2, 3, 16, 8)
+    last = []
+
+    def visit(k, phase, prefix, d):
+        if k == bundle.n_steps:
+            last.append(d.copy())
+
+    overflow = _difference_step_stream(scen, runaway, np.array([2.0]), bundle, visit)
+    assert overflow.all()
+    assert np.isnan(last[0]).all()
+    report = contraction_check(scen, runaway, np.array([1.0]), np.array([-1.0]), bundle)
+    assert report.overflow_paths == 3
+    assert not report.stable
+    phi = simulate_fundamental(scen, bundle, feedback=runaway)
+    assert phi.overflow.all()
+    assert np.isnan(phi.values[:, -1]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .coefficients import CoefficientFn, PathPrefix, as_prefix, composite_coeff
-from .sde_engine import PathBundle, mean_se, poly_design, stream_fundamental
+from .sde_engine import RIDGE, PathBundle, mean_se, poly_design, stream_fundamental
 
 
 class RegressionError(RuntimeError):
@@ -45,7 +45,6 @@ class RegressionBasis:
     """Polynomial basis in the within-period increment partial sum."""
 
     degree: int = 2
-    ridge: float = 1e-8
 
     def design(self, prefix: PathPrefix, phase: float) -> np.ndarray:
         if not 0 <= self.degree <= 6:
@@ -76,7 +75,6 @@ class SweepResult:
     values: np.ndarray          # (P, sp+1) + vshape
     integrand: np.ndarray       # (P, sp) + vshape
     value_coeffs: List[np.ndarray]
-    integrand_coeffs: List[np.ndarray]
     node0_target: np.ndarray    # (P, prod(vshape)) regression target at node 0
     max_cond: float
 
@@ -106,7 +104,6 @@ def backward_sweep(
     integrand = np.empty((n_paths, sp) + vshape)
     values[:, sp] = terminal
     value_coeffs: List[Optional[np.ndarray]] = [None] * sp
-    integrand_coeffs: List[Optional[np.ndarray]] = [None] * sp
     node0_target = None
     max_cond = 0.0
 
@@ -118,7 +115,7 @@ def backward_sweep(
         flat_next = v_next.reshape(n_paths, flat_dim)
 
         dw = bundle.increments[:, i] / dt
-        beta_l, cond_l = ridge_solve(design, flat_next * dw[:, None], basis.ridge)
+        beta_l, cond_l = ridge_solve(design, flat_next * dw[:, None], RIDGE)
         l_est = (design @ beta_l).reshape((n_paths,) + vshape)
         if is_matrix:
             l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
@@ -127,14 +124,13 @@ def backward_sweep(
         if d.ndim == len(vshape):
             d = d[None]
         target = flat_next + dt * d.reshape(d.shape[0], flat_dim)
-        beta_v, cond_v = ridge_solve(design, target, basis.ridge)
+        beta_v, cond_v = ridge_solve(design, target, RIDGE)
         fitted = (design @ beta_v).reshape((n_paths,) + vshape)
         if is_matrix:
             fitted = 0.5 * (fitted + np.swapaxes(fitted, -1, -2))
         values[:, i] = fitted
         integrand[:, i] = l_est
         value_coeffs[i] = beta_v
-        integrand_coeffs[i] = beta_l
         max_cond = max(max_cond, cond_l, cond_v)
         if i == 0:
             node0_target = np.broadcast_to(target, (n_paths, flat_dim)).copy()
@@ -143,7 +139,6 @@ def backward_sweep(
         values=values,
         integrand=integrand,
         value_coeffs=value_coeffs,
-        integrand_coeffs=integrand_coeffs,
         node0_target=node0_target,
         max_cond=max_cond,
     )
@@ -152,8 +147,6 @@ def backward_sweep(
 @dataclass
 class IterationTrace:
     updates: List[float] = field(default_factory=list)
-    update_ses: List[float] = field(default_factory=list)
-    fixed_points: List[np.ndarray] = field(default_factory=list)
     stop_reason: str = ""
     diagnostics: dict = field(default_factory=dict)
 
@@ -180,8 +173,8 @@ class BsdeGridSolution:
 
     values holds the per-path node samples (deterministic at phase 0);
     integrand holds the martingale coefficient estimates at nodes 0..sp-1.
-    value_coeffs / integrand_coeffs are the per-node regression weights that
-    define out-of-sample surrogates.
+    value_coeffs are the per-node regression weights that define the
+    out-of-sample value surrogate.
     """
 
     kind: str                 # "matrix" or "vector"
@@ -190,7 +183,6 @@ class BsdeGridSolution:
     values: np.ndarray
     integrand: np.ndarray
     value_coeffs: List[np.ndarray]
-    integrand_coeffs: List[np.ndarray]
     terminal: np.ndarray
     fixed_point: np.ndarray
     fixed_point_se: float
@@ -206,28 +198,15 @@ class BsdeGridSolution:
     def periodic_residual(self) -> float:
         return float(np.linalg.norm(self.fixed_point - self.terminal))
 
-    def _node_for_phase(self, phase: float) -> int:
-        return int(round(phase / self.dt))
-
     def value_at(self, phase: float, prefix) -> np.ndarray:
         """Surrogate value at the node nearest to phase, on fresh prefixes."""
-        node = min(max(self._node_for_phase(phase), 0), self.steps_per_period)
+        node = min(max(int(round(phase / self.dt)), 0), self.steps_per_period)
         prefix = as_prefix(prefix)
         if node == self.steps_per_period or node == 0:
             anchor = self.terminal if node == self.steps_per_period else self.fixed_point
             reps = (prefix.n_paths,) + (1,) * anchor.ndim
             return np.tile(anchor, reps)
         beta = self.value_coeffs[node]
-        design = poly_design(prefix, node * self.dt, self.basis.degree)
-        out = (design @ beta).reshape((prefix.n_paths,) + self.fixed_point.shape)
-        if self.kind == "matrix":
-            out = 0.5 * (out + np.swapaxes(out, -1, -2))
-        return out
-
-    def integrand_at(self, phase: float, prefix) -> np.ndarray:
-        node = min(max(self._node_for_phase(phase), 0), self.steps_per_period - 1)
-        prefix = as_prefix(prefix)
-        beta = self.integrand_coeffs[node]
         design = poly_design(prefix, node * self.dt, self.basis.degree)
         out = (design @ beta).reshape((prefix.n_paths,) + self.fixed_point.shape)
         if self.kind == "matrix":
@@ -288,7 +267,7 @@ def _outer_fixed_point(
     tol: float,
     max_iter: int,
     initial_terminal: Optional[np.ndarray] = None,
-) -> tuple:
+) -> BsdeGridSolution:
     if initial_terminal is None:
         terminal = np.zeros(shape)
     else:
@@ -297,8 +276,6 @@ def _outer_fixed_point(
             raise ValueError(f"warm start shape {terminal.shape}, expected {shape}")
     trace = IterationTrace()
     prev_target = None
-    sweep = None
-    scale = 1.0
     for _ in range(max_iter):
         sweep = backward_sweep(drift, terminal, bundle, basis)
         fixed = sweep.values[0, 0].copy()
@@ -310,8 +287,6 @@ def _outer_fixed_point(
             se_norm = float(np.linalg.norm(se))
         prev_target = sweep.node0_target
         trace.updates.append(update)
-        trace.update_ses.append(se_norm)
-        trace.fixed_points.append(fixed)
         scale = max(1.0, float(np.linalg.norm(fixed)))
         stopped = update < max(tol * scale, 0.5 * se_norm)
         old_terminal = terminal
@@ -322,7 +297,20 @@ def _outer_fixed_point(
             )
             _, fp_se = mean_se(sweep.node0_target, bundle.antithetic)
             fp_se_norm = float(np.linalg.norm(fp_se))
-            return sweep, old_terminal, fixed, math.hypot(update, fp_se_norm), trace
+            return BsdeGridSolution(
+                kind="matrix" if len(shape) == 2 else "vector",
+                tau=bundle.tau,
+                steps_per_period=bundle.steps_per_period,
+                values=sweep.values,
+                integrand=sweep.integrand,
+                value_coeffs=sweep.value_coeffs,
+                terminal=old_terminal,
+                fixed_point=fixed,
+                fixed_point_se=math.hypot(update, fp_se_norm),
+                trace=trace,
+                basis=basis,
+                bundle_token=bundle.token(),
+            )
     ratio = trace.contraction_ratio
     raise ConvergenceError(
         f"no fixed point in {max_iter} outer iterations "
@@ -375,38 +363,21 @@ def solve_linear_matrix_bsde(
         out = ka + np.swapaxes(ka, -1, -2) + ckc + lc + np.swapaxes(lc, -1, -2)
         return out + lam
 
-    sweep, terminal, fixed, fp_se, trace = _outer_fixed_point(
-        drift, (n, n), bundle, basis, tol, max_iter, initial_terminal
-    )
+    solution = _outer_fixed_point(drift, (n, n), bundle, basis, tol, max_iter, initial_terminal)
 
     if psd_source is None:
         psd_source = _sample_psd(lam_fn, bundle.tau)
     if psd_source:
-        eps = 1e-8 * max(1.0, float(np.linalg.norm(fixed)))
-        lows = _min_eig_batch(sweep.values)
+        eps = 1e-8 * max(1.0, float(np.linalg.norm(solution.fixed_point)))
+        lows = _min_eig_batch(solution.values)
         worst = float(lows.min())
-        trace.diagnostics["min_sample_eig"] = worst
+        solution.trace.diagnostics["min_sample_eig"] = worst
         if worst < -eps:
-            trace.diagnostics["positivity_violation"] = worst
+            solution.trace.diagnostics["positivity_violation"] = worst
         shift = np.clip(-lows, 0.0, eps)
         if np.any(shift > 0.0):
-            sweep.values += shift[..., None, None] * np.eye(n)
-
-    return BsdeGridSolution(
-        kind="matrix",
-        tau=bundle.tau,
-        steps_per_period=bundle.steps_per_period,
-        values=sweep.values,
-        integrand=sweep.integrand,
-        value_coeffs=sweep.value_coeffs,
-        integrand_coeffs=sweep.integrand_coeffs,
-        terminal=terminal,
-        fixed_point=fixed,
-        fixed_point_se=fp_se,
-        trace=trace,
-        basis=basis,
-        bundle_token=bundle.token(),
-    )
+            solution.values += shift[..., None, None] * np.eye(n)
+    return solution
 
 
 def solve_vector_bsde(
@@ -453,24 +424,7 @@ def solve_vector_bsde(
         lsig = np.matmul(l_i, np.broadcast_to(sg, eta_next.shape)[..., None])[..., 0]
         return at_eta + ct_zeta + kb + ct_ksig + lsig + lam
 
-    sweep, terminal, fixed, fp_se, trace = _outer_fixed_point(
-        drift, (n,), bundle, basis, tol, max_iter
-    )
-    return BsdeGridSolution(
-        kind="vector",
-        tau=bundle.tau,
-        steps_per_period=bundle.steps_per_period,
-        values=sweep.values,
-        integrand=sweep.integrand,
-        value_coeffs=sweep.value_coeffs,
-        integrand_coeffs=sweep.integrand_coeffs,
-        terminal=terminal,
-        fixed_point=fixed,
-        fixed_point_se=fp_se,
-        trace=trace,
-        basis=basis,
-        bundle_token=bundle.token(),
-    )
+    return _outer_fixed_point(drift, (n,), bundle, basis, tol, max_iter)
 
 
 @dataclass
@@ -480,7 +434,6 @@ class RepresentationReport:
     reference: np.ndarray
     residual: float
     rel_residual: float
-    tail_note: str = ""
 
 
 def representation_check(

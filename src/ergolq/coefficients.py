@@ -413,6 +413,13 @@ def cf_rinv_mul(r_fn: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
 _COEFF_FIELDS = ("A", "B", "C", "b", "sigma", "Q", "S", "R", "q", "rho")
 
 
+def _coeff_shapes(n: int, m: int) -> dict:
+    return {
+        "A": (n, n), "B": (n, m), "C": (n, n), "b": (n,), "sigma": (n,),
+        "Q": (n, n), "S": (m, n), "R": (m, m), "q": (n,), "rho": (m,),
+    }
+
+
 @dataclass(eq=False)
 class PeriodicCoefficientSet:
     """All model data of one control problem over one period.
@@ -440,12 +447,7 @@ class PeriodicCoefficientSet:
     def __post_init__(self):
         if self.tau <= 0:
             raise CoefficientError("tau must be positive")
-        n, m = self.n, self.m
-        expected = {
-            "A": (n, n), "B": (n, m), "C": (n, n), "b": (n,), "sigma": (n,),
-            "Q": (n, n), "S": (m, n), "R": (m, m), "q": (n,), "rho": (m,),
-        }
-        for key, shape in expected.items():
+        for key, shape in _coeff_shapes(self.n, self.m).items():
             fn = getattr(self, key)
             if fn.shape != shape:
                 raise CoefficientError(f"{key} has shape {fn.shape}, expected {shape}")
@@ -697,13 +699,6 @@ def _parse_matrix(text: str, shape) -> np.ndarray:
     if arr.shape != tuple(shape):
         raise ScenarioFormatError(f"expected shape {tuple(shape)}, got {arr.shape}")
     return arr
-
-
-def _coeff_shapes(n: int, m: int) -> dict:
-    return {
-        "A": (n, n), "B": (n, m), "C": (n, n), "b": (n,), "sigma": (n,),
-        "Q": (n, n), "S": (m, n), "R": (m, m), "q": (n,), "rho": (m,),
-    }
 
 
 def serialize_scenario(coeffs: PeriodicCoefficientSet) -> str:

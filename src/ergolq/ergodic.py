@@ -23,12 +23,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .bsde_engine import (
-    BsdeGridSolution,
-    RegressionBasis,
-    solution_coeff,
-    solve_vector_bsde,
-)
+from .bsde_engine import BsdeGridSolution, solution_coeff, solve_vector_bsde
 from .coefficients import (
     CoefficientFn,
     FeedbackLaw,
@@ -51,7 +46,11 @@ from .sde_engine import (
 
 
 class BurnInError(RuntimeError):
-    """Raised when the reached state fails the stationarity audit."""
+    """Raised when a law has no certified decay or the reached state fails
+    the stationarity audit."""
+
+
+MAX_BURN_PERIODS = 400
 
 
 _COST_FIELDS = ("Q", "S", "R", "q", "rho")
@@ -121,19 +120,45 @@ class RandomPeriodicState:
         return self.samples.shape[0]
 
 
+def _burn_in_periods(
+    coeffs: PeriodicCoefficientSet,
+    law: FeedbackLaw,
+    lambda_hat: Optional[float],
+    target_efold: float,
+    seed: int,
+    cert_paths: int,
+    steps_per_period: int,
+    slack: float = 1.0,
+) -> tuple:
+    """(lambda_hat, k_burn) with k_burn = target_efold / (lambda_hat tau) in
+    2..MAX_BURN_PERIODS; without a rate, slack times the rate certified on
+    cert_paths fresh paths is used, and an uncertified law raises BurnInError.
+    """
+    if lambda_hat is None:
+        report = stabilizer_check(
+            coeffs, law, seed, n_paths=cert_paths, steps_per_period=steps_per_period
+        )
+        if not report.stable:
+            raise BurnInError(
+                f"law {law.label!r} is not mean-square stable (decay {report.lambda_hat:.4f}, "
+                f"95% low {report.ci_low:.4f}); no steady state to reach"
+            )
+        lambda_hat = slack * report.lambda_hat
+    k_burn = int(np.clip(math.ceil(target_efold / (lambda_hat * coeffs.tau)), 2, MAX_BURN_PERIODS))
+    return lambda_hat, k_burn
+
+
 def burn_in_state(
     coeffs: PeriodicCoefficientSet,
     feedback: FeedbackLaw,
     seed: int,
     n_paths: int,
     steps_per_period: int = 64,
-    x0=None,
     lambda_hat: Optional[float] = None,
     target_efold: float = 10.0,
-    max_periods: int = 400,
     antithetic: bool = False,
 ) -> RandomPeriodicState:
-    """Run the closed loop to its random-periodic steady state.
+    """Run the closed loop from zero to its random-periodic steady state.
 
     The number of discarded periods is target_efold / (lambda_hat tau),
     with the decay rate measured on auxiliary paths when not supplied.
@@ -141,21 +166,10 @@ def burn_in_state(
     three paired standard errors (plus a small absolute slack); otherwise
     a BurnInError suggests doubling the burn-in.
     """
-    if lambda_hat is None:
-        report = stabilizer_check(
-            coeffs,
-            feedback,
-            derive_seed(seed, "burn-decay"),
-            n_paths=min(n_paths, 4000),
-            steps_per_period=steps_per_period,
-        )
-        if not report.stable:
-            raise BurnInError(
-                f"law is not mean-square stable (decay {report.lambda_hat:.4f}, "
-                f"95% low {report.ci_low:.4f}); no steady state to reach"
-            )
-        lambda_hat = report.lambda_hat
-    k_burn = int(np.clip(math.ceil(target_efold / (lambda_hat * coeffs.tau)), 2, max_periods))
+    lambda_hat, k_burn = _burn_in_periods(
+        coeffs, feedback, lambda_hat, target_efold,
+        derive_seed(seed, "burn-decay"), min(n_paths, 4000), steps_per_period,
+    )
 
     bundle = PathBundle.generate(
         seed, n_paths, steps_per_period, k_burn, tau=coeffs.tau, antithetic=antithetic
@@ -171,9 +185,7 @@ def burn_in_state(
         if k == n_steps:
             final[:] = x
 
-    overflow = stream_closed_loop(
-        coeffs, feedback, np.zeros(coeffs.n) if x0 is None else x0, bundle, visit
-    )
+    overflow = stream_closed_loop(coeffs, feedback, np.zeros(coeffs.n), bundle, visit)
     if overflow.any():
         raise BurnInError(
             f"{int(overflow.sum())} of {n_paths} paths overflowed during burn-in; "
@@ -351,7 +363,6 @@ def optimal_feedback(
     riccati: RiccatiSolution,
     bundle: PathBundle,
     tol: float = 1e-6,
-    basis: Optional[RegressionBasis] = None,
 ) -> OptimalControl:
     """Solve the affine offset on the Riccati solve bundle and assemble u*.
 
@@ -370,7 +381,7 @@ def optimal_feedback(
         coeffs.sigma,
         lam,
         bundle,
-        basis=basis or riccati.k_solution.basis,
+        basis=riccati.k_solution.basis,
         tol=tol,
     )
     eta_fn = solution_coeff(eta_solution)
@@ -484,51 +495,6 @@ def _bind_penalty(opt: OptimalControl, bundle: PathBundle):
     return penalty
 
 
-def completion_of_square_check(
-    opt: OptimalControl,
-    feedback: FeedbackLaw,
-    state: RandomPeriodicState,
-    value: ValueEstimate,
-    tag: str = "completion",
-) -> CompletionReport:
-    """Verify the quadratic penalty identity on common noise.
-
-    One period is simulated under ``feedback`` from its steady state; on the
-    same paths the running cost and the penalty (u - u*)' R (u - u*) are
-    integrated, with u* read off the optimal law's surrogates.  The
-    difference of their averages must match the predicted optimal value.
-    """
-    coeffs = opt.coeffs
-    if state.feedback_token != feedback.token:
-        raise ValueError("state was burned in under a different feedback law")
-    bundle = PathBundle.generate(
-        derive_seed(state.seed, tag),
-        state.n_paths,
-        state.steps_per_period,
-        1,
-        tau=coeffs.tau,
-    )
-
-    acc, pen, overflow = _accumulate_cost(
-        coeffs, feedback, state.samples, bundle, extra_integrand=_bind_penalty(opt, bundle)
-    )
-    good = ~overflow
-    stat = (acc[good] - pen[good]) / coeffs.tau
-    mean, se = mean_se(stat)
-    combined = math.hypot(float(se), value.se)
-    return CompletionReport(
-        lhs=float(mean),
-        lhs_se=float(se),
-        value=value.value,
-        value_se=value.se,
-        gap=float(mean) - value.value,
-        combined_se=combined,
-        n_overflow=int(overflow.sum()),
-        min_penalty=float(pen[good].min()) if good.any() else math.nan,
-        mean_penalty=float(pen[good].mean() / coeffs.tau) if good.any() else math.nan,
-    )
-
-
 def completion_identity_check(
     opt: OptimalControl,
     feedback: FeedbackLaw,
@@ -551,16 +517,11 @@ def completion_identity_check(
     penalty together, leaving only O(d * (law - optimum)) in the gap.
     """
     coeffs = opt.coeffs
-    if lambda_hat is None:
-        report = stabilizer_check(
-            coeffs,
-            opt.feedback,
-            derive_seed(seed, "identity-decay"),
-            steps_per_period=steps_per_period,
-        )
-        if not report.stable:
-            raise BurnInError("optimal law failed its decay certificate")
-        lambda_hat = 0.7 * report.lambda_hat  # slack for the perturbed law
+    # a certified rate of the optimum is scaled by 0.7: slack for the perturbed law
+    lambda_hat, _ = _burn_in_periods(
+        coeffs, opt.feedback, lambda_hat, target_efold,
+        derive_seed(seed, "identity-decay"), 4000, steps_per_period, slack=0.7,
+    )
     state_u = burn_in_state(
         coeffs, feedback, seed, n_paths,
         steps_per_period=steps_per_period,
@@ -614,7 +575,6 @@ class ScanResult:
     diff: np.ndarray
     diff_se: np.ndarray
     n_overflow: np.ndarray
-    eps_star: float
     k_burn: int
     seed: int
     n_paths: int
@@ -623,6 +583,11 @@ class ScanResult:
     def argmin_index(self) -> int:
         masked = np.where(self.n_overflow > 0, np.inf, self.cost)
         return int(np.argmin(masked))
+
+    @property
+    def eps_star(self) -> float:
+        """Grid point of least cost among those without overflow."""
+        return float(self.eps[self.argmin_index])
 
 
 def optimality_scan(
@@ -636,38 +601,30 @@ def optimality_scan(
     steps_per_period: int = 64,
     lambda_hat: Optional[float] = None,
     target_efold: float = 10.0,
-    x0=None,
 ) -> ScanResult:
     """Estimate the ergodic cost of base + eps (d_theta, d_v) over a grid.
 
     All candidates run on one common increment bundle: burn-in periods are
     discarded, the final period is cost-averaged, and differences against
     eps = 0 are paired per path, which is what makes neighbor contrasts on
-    the grid sharp enough to locate the minimizer.  The grid must contain 0.
+    the grid sharp enough to locate the minimizer.  The grid must contain 0
+    and every candidate starts from zero.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     zero_pos = int(np.argmin(np.abs(eps_grid)))
     if abs(eps_grid[zero_pos]) > 0:
         raise ValueError("the scan grid must contain eps = 0")
 
-    if lambda_hat is None:
-        report = stabilizer_check(
-            coeffs,
-            base,
-            derive_seed(seed, "scan-decay"),
-            n_paths=min(n_paths, 4000),
-            steps_per_period=steps_per_period,
-        )
-        if not report.stable:
-            raise ValueError("base law is not mean-square stable; nothing to scan")
-        lambda_hat = report.lambda_hat
-    k_burn = int(np.clip(math.ceil(target_efold / (lambda_hat * coeffs.tau)), 2, 400))
+    _, k_burn = _burn_in_periods(
+        coeffs, base, lambda_hat, target_efold,
+        derive_seed(seed, "scan-decay"), min(n_paths, 4000), steps_per_period,
+    )
 
     bundle = PathBundle.generate(
         derive_seed(seed, "scan"), n_paths, steps_per_period, k_burn + 1, tau=coeffs.tau
     )
     start_node = k_burn * steps_per_period
-    x_start = np.zeros(coeffs.n) if x0 is None else x0
+    x_start = np.zeros(coeffs.n)
 
     per_path = np.empty((len(eps_grid), n_paths))
     n_over = np.zeros(len(eps_grid), dtype=int)
@@ -697,8 +654,6 @@ def optimality_scan(
         dm, ds = mean_se(vals[both] - base_vals[both])
         diff[j], diff_se[j] = float(dm), float(ds)
 
-    masked = np.where(n_over > 0, np.inf, cost)
-    eps_star = float(eps_grid[int(np.argmin(masked))])
     return ScanResult(
         eps=eps_grid,
         cost=cost,
@@ -706,7 +661,6 @@ def optimality_scan(
         diff=diff,
         diff_se=diff_se,
         n_overflow=n_over,
-        eps_star=eps_star,
         k_burn=k_burn,
         seed=seed,
         n_paths=n_paths,

@@ -15,12 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import (
-    CoefficientFn,
-    PathPrefix,
-    PeriodicCoefficientSet,
-    constant_coeff,
-)
+from .coefficients import CoefficientFn, PathPrefix, PeriodicCoefficientSet
 
 
 class OracleError(RuntimeError):
@@ -326,8 +321,3 @@ def periodic_linear_ode_eta(
         shooting_iterations=iters,
         diagnostics={"k_consistency": k_check},
     )
-
-
-def constant_matrix_fn(value, tau: float) -> CoefficientFn:
-    """Convenience wrapper so callers can pass plain arrays as Lambda."""
-    return constant_coeff(np.asarray(value, dtype=float), tau)

@@ -52,6 +52,9 @@ from .sde_engine import (
 )
 
 
+MAX_POLICY_ITER = 30
+
+
 def reduce_cross_term(coeffs: PeriodicCoefficientSet):
     """Remove the state-control cross weight by an exact change of gain.
 
@@ -191,18 +194,16 @@ def kleinman_solve(
     stabilizer: FeedbackLaw,
     bundle: PathBundle,
     tol: float = 1e-6,
-    max_policy_iter: int = 30,
-    basis: Optional[RegressionBasis] = None,
 ) -> tuple:
     """Policy iteration on a frozen bundle; returns the last solution and
     the per-policy gap/floor/monotonicity records."""
-    basis = basis or RegressionBasis(degree=0 if reduced.is_deterministic else 3)
+    basis = RegressionBasis(degree=0 if reduced.is_deterministic else 3)
     solution = None
     theta = stabilizer.Theta
     gaps: List[float] = []
     floors: List[float] = []
     mono: List[float] = []
-    for _ in range(max_policy_iter):
+    for _ in range(MAX_POLICY_ITER):
         a_cl, lam = _policy_problem(reduced, theta)
         new_solution = solve_linear_matrix_bsde(
             a_cl,
@@ -229,7 +230,7 @@ def kleinman_solve(
             solution = new_solution
         theta = _policy_gain(reduced, solution_coeff(solution))
     raise ConvergenceError(
-        f"policy iteration did not settle in {max_policy_iter} rounds "
+        f"policy iteration did not settle in {MAX_POLICY_ITER} rounds "
         f"(last gap {gaps[-1] if gaps else float('nan'):.3e})"
     )
 
@@ -238,12 +239,8 @@ def solve_stochastic_riccati(
     coeffs: PeriodicCoefficientSet,
     bundle: PathBundle,
     tol: float = 1e-6,
-    max_policy_iter: int = 30,
-    basis: Optional[RegressionBasis] = None,
     stabilizer: Optional[FeedbackLaw] = None,
     require_stable: bool = True,
-    stability_paths: int = 4000,
-    stability_periods: int = 12,
 ) -> RiccatiSolution:
     """Solve the periodic Riccati equation and certify the optimal gain.
 
@@ -264,10 +261,7 @@ def solve_stochastic_riccati(
             seed=derive_seed(bundle.seed, "stabilizer"),
             steps_per_period=bundle.steps_per_period,
         )
-    k_solution, gaps, floors, mono = kleinman_solve(
-        reduced, stabilizer, bundle, tol=tol,
-        max_policy_iter=max_policy_iter, basis=basis,
-    )
+    k_solution, gaps, floors, mono = kleinman_solve(reduced, stabilizer, bundle, tol=tol)
 
     scale = max(1.0, float(np.linalg.norm(k_solution.fixed_point)))
     fp_low = float(_min_eig_batch(k_solution.fixed_point[None])[0])
@@ -292,8 +286,6 @@ def solve_stochastic_riccati(
             coeffs,
             law,
             derive_seed(bundle.seed, "stability"),
-            n_paths=stability_paths,
-            n_periods=stability_periods,
             steps_per_period=bundle.steps_per_period,
         )
         if not stability.stable:

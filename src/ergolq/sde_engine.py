@@ -33,6 +33,11 @@ from .coefficients import (
 )
 
 OVERFLOW_LIMIT = 1e12
+# ridge added to the non-constant columns of every regression normal matrix
+RIDGE = 1e-8
+# the Gram estimate's feature degree and its allowed truncation tail
+GRAM_DEGREE = 2
+GRAM_TAIL_TOL = 1e-3
 
 
 class SimulationError(RuntimeError):
@@ -442,18 +447,13 @@ def _loglinear_fit(times: np.ndarray, moments: np.ndarray):
     return slope, intercept, slope_se, r2
 
 
-def estimate_second_moment_decay(traj: StateTrajectory) -> StabilityReport:
-    """Fit log E|X|^2 against time at period boundaries.
+def _decay_report(tau: float, moments: np.ndarray, **fields) -> StabilityReport:
+    """Fit log moments against time at period ends (one per period, from 0).
 
-    Requires at least 3 simulated periods.  lambda_hat is the negated slope;
-    the 95% interval uses the OLS standard error of the slope.
+    lambda_hat is the negated slope; the 95% interval uses the OLS standard
+    error of the slope.  ``fields`` fills the remaining report fields.
     """
-    if traj.n_periods < 3:
-        raise SimulationError("decay fit needs a trajectory spanning >= 3 periods")
-    moments = traj.period_end_moments()
-    if np.any(moments <= 0.0):
-        raise SimulationError("nonpositive moment at a period boundary")
-    times = traj.tau * np.arange(len(moments))
+    times = tau * np.arange(len(moments))
     slope, intercept, slope_se, r2 = _loglinear_fit(times, moments)
     lam = -slope
     return StabilityReport(
@@ -464,6 +464,23 @@ def estimate_second_moment_decay(traj: StateTrajectory) -> StabilityReport:
         ci_high=lam + 1.96 * slope_se,
         r_squared=r2,
         n_points=len(moments),
+        **fields,
+    )
+
+
+def estimate_second_moment_decay(traj: StateTrajectory) -> StabilityReport:
+    """Fit log E|X|^2 against time at period boundaries.
+
+    Requires at least 3 simulated periods.
+    """
+    if traj.n_periods < 3:
+        raise SimulationError("decay fit needs a trajectory spanning >= 3 periods")
+    moments = traj.period_end_moments()
+    if np.any(moments <= 0.0):
+        raise SimulationError("nonpositive moment at a period boundary")
+    return _decay_report(
+        traj.tau,
+        moments,
         overflow_paths=int(traj.overflow.sum()),
         diagnostics={"period_end_moments": moments},
     )
@@ -491,9 +508,6 @@ def estimate_gram_lower_bound(
     bundle: PathBundle,
     feedback: Optional[FeedbackLaw] = None,
     r_nodes: Optional[Sequence[int]] = None,
-    degree: int = 2,
-    ridge: float = 1e-8,
-    tail_tol: float = 1e-3,
 ) -> StabilityReport:
     """Regression proxy for the conditional Gram lower bound.
 
@@ -538,18 +552,14 @@ def estimate_gram_lower_bound(
     if overflow.any():
         raise SimulationError(f"{int(overflow.sum())} paths overflowed in Gram estimate")
 
-    times = bundle.tau * np.arange(len(boundary_moments))
-    slope, intercept, slope_se, r2 = _loglinear_fit(times, np.array(boundary_moments))
-    lam = -slope
-
     worst = math.inf
     worst_se = math.nan
     for r in r_nodes:
         phase = bundle.phase(r)
-        design = poly_design(anchors[r], phase, degree)
+        design = poly_design(anchors[r], phase, GRAM_DEGREE)
         nfeat = design.shape[1]
         gram = design.T @ design / n_paths
-        gram[np.arange(1, nfeat), np.arange(1, nfeat)] += ridge
+        gram[np.arange(1, nfeat), np.arange(1, nfeat)] += RIDGE
         target = grams[r].reshape(n_paths, -1)
         beta = np.linalg.solve(gram, design.T @ target / n_paths)
         fitted = (design @ beta).reshape(n_paths, n, n)
@@ -566,24 +576,20 @@ def estimate_gram_lower_bound(
             wmat = np.outer(vecs, vecs).reshape(-1) ** 2
             worst_se = math.sqrt(max(lever * float(wmat @ sig2), 0.0))
 
-    horizon = bundle.duration - bundle.phase(max(r_nodes))
-    tail = math.exp(intercept) * math.exp(-lam * horizon) / max(lam, 1e-12) if lam > 0 else math.inf
-    report = StabilityReport(
-        lambda_hat=lam,
-        beta_hat=math.exp(intercept),
-        lambda_se=slope_se,
-        ci_low=lam - 1.96 * slope_se,
-        ci_high=lam + 1.96 * slope_se,
-        r_squared=r2,
-        n_points=len(boundary_moments),
-        overflow_paths=0,
+    report = _decay_report(
+        bundle.tau,
+        np.array(boundary_moments),
         delta_hat=max(worst, 0.0),
         delta_se=worst_se,
-        diagnostics={"delta_raw": worst, "tail_bound": tail, "r_nodes": list(r_nodes)},
+        diagnostics={"delta_raw": worst, "r_nodes": list(r_nodes)},
     )
-    if tail > tail_tol:
+    lam = report.lambda_hat
+    horizon = bundle.duration - bundle.phase(max(r_nodes))
+    tail = report.beta_hat * math.exp(-lam * horizon) / max(lam, 1e-12) if lam > 0 else math.inf
+    report.diagnostics["tail_bound"] = tail
+    if tail > GRAM_TAIL_TOL:
         report.diagnostics["tail_warning"] = (
-            f"truncation tail estimate {tail:.2e} exceeds {tail_tol:.1e}; extend the horizon"
+            f"truncation tail estimate {tail:.2e} exceeds {GRAM_TAIL_TOL:.1e}; extend the horizon"
         )
     return report
 
@@ -620,23 +626,11 @@ def contraction_check(
         )
     if bundle.n_periods < 3:
         raise SimulationError("contraction fit needs >= 3 periods")
-    times = bundle.tau * np.arange(len(moments_arr))
-    slope, intercept, slope_se, r2 = _loglinear_fit(times, moments_arr)
-    lam = -slope
-    return StabilityReport(
-        lambda_hat=lam,
-        beta_hat=math.exp(intercept),
-        lambda_se=slope_se,
-        ci_low=lam - 1.96 * slope_se,
-        ci_high=lam + 1.96 * slope_se,
-        r_squared=r2,
-        n_points=len(moments_arr),
+    return _decay_report(
+        bundle.tau,
+        moments_arr,
         overflow_paths=int(overflow.sum()),
-        diagnostics={
-            "identically_zero": False,
-            "period_end_moments": moments_arr,
-            "slope_per_period": slope * bundle.tau,
-        },
+        diagnostics={"identically_zero": False, "period_end_moments": moments_arr},
     )
 
 

@@ -39,6 +39,8 @@ from .ergodic import (
     value_function,
 )
 from .riccati import (
+    _policy_gain,
+    _policy_problem,
     default_stabilizer,
     riccati_residual,
     solve_stochastic_riccati,
@@ -191,13 +193,18 @@ def check_a2_bsde_vs_ode(ctx: AcceptanceContext) -> CheckOutcome:
     )
 
 
+def _monotone(ric) -> bool:
+    """Policy values decrease up to three solver floors (or 1e-8)."""
+    slack = [max(1e-8, 3.0 * f) for f in ric.policy_floors]
+    return all(g >= -s for g, s in zip(ric.monotone_gaps, slack))
+
+
 def _riccati_outcome(ctx, check_id, name, target, rel_tol, t0) -> CheckOutcome:
     _, ric = ctx.riccati(name)
     k0 = float(ric.fixed_point[0, 0])
     rel = abs(k0 - target) / target
     iter_ok = ric.n_policies <= 10
-    slack = [max(1e-8, 3.0 * f) for f in ric.policy_floors]
-    mono_ok = all(g >= -s for g, s in zip(ric.monotone_gaps, slack))
+    mono_ok = _monotone(ric)
     ok = rel < rel_tol and iter_ok and mono_ok
     detail = (
         f"K0={k0:.6f} vs {target:.6f} (rel {rel:.2e} < {rel_tol}); "
@@ -533,8 +540,7 @@ def run_scenario_checks(
         )
         ric = solve_stochastic_riccati(scen, bundle, tol=tol)
         res = riccati_residual(ric, bundle)
-        slack = [max(1e-8, 3.0 * f) for f in ric.policy_floors]
-        mono_ok = all(g >= -s for g, s in zip(ric.monotone_gaps, slack))
+        mono_ok = _monotone(ric)
         res_ok = res.rel_max_defect < 1e-3 and res.periodic_gap < 1e-3
         push(
             _outcome(
@@ -572,9 +578,9 @@ def run_scenario_checks(
     )
 
     t0 = time.time()
-    theta = ric.theta
-    lam = _closed_loop_cost_fn(scen, theta)
-    a_cl = _closed_loop_drift_fn(scen, theta)
+    # closed-loop drift and cost weight of the solved policy on the
+    # cross-term-free problem, which has the same closed loop and cost
+    a_cl, lam = _policy_problem(ric.reduced, _policy_gain(ric.reduced, ric.k_fn))
     audit = PathBundle.generate(
         derive_seed(seed, "s5"), 4000, 64, 12, tau=scen.tau, antithetic=True
     )
@@ -605,21 +611,3 @@ def run_scenario_checks(
         )
     )
     return outcomes
-
-
-def _closed_loop_drift_fn(scen, theta):
-    from .coefficients import cf_add, cf_matmul
-
-    return cf_add(scen.A, cf_matmul(scen.B, theta))
-
-
-def _closed_loop_cost_fn(scen, theta):
-    from .coefficients import cf_add, cf_matmul, cf_transpose
-
-    st_theta = cf_matmul(cf_transpose(scen.S), theta)
-    lam = cf_add(
-        cf_add(scen.Q, cf_matmul(cf_transpose(theta), cf_matmul(scen.R, theta))),
-        cf_add(st_theta, cf_transpose(st_theta)),
-    )
-    lam.symmetrize = True
-    return lam

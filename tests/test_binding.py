@@ -13,7 +13,7 @@ from ergolq.coefficients import (
     harmonic_coeff,
     perturbed_feedback,
 )
-from ergolq.ergodic import optimal_feedback
+from ergolq.ergodic import _accumulate_cost, optimal_feedback
 from ergolq.riccati import default_stabilizer, solve_stochastic_riccati
 from ergolq.sde_engine import (
     PathBundle,
@@ -135,3 +135,28 @@ def test_deterministic_composed_gain_is_tabulated_once_per_phase(n_periods):
         phases.clear()
         run()
         assert 0 < len(phases) <= SP
+
+
+@pytest.mark.parametrize(
+    "laws", ["scalar-random-periodic", "planar-deterministic-periodic"], indirect=True
+)
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_paths_do_not_change_when_the_ensemble_grows(laws, antithetic):
+    # path i is driven by the same increments at any path count, so its
+    # states, controls and cost integral must not move by a single bit
+    scen, by_name = laws
+    x0 = np.linspace(-1.0, 1.0, scen.n)
+    n_small = 38
+
+    def run(law, n_paths):
+        bundle = PathBundle.generate(47, n_paths, SP, 3, antithetic=antithetic)
+        states, controls = [], []
+        stream_closed_loop(
+            scen, law, x0, bundle, lambda k, phase, prefix, x, u: (states.append(x), controls.append(u))
+        )
+        cost, _, _ = _accumulate_cost(scen, law, x0, bundle)
+        return np.stack(states, axis=1), np.stack(controls, axis=1), cost
+
+    for law in by_name.values():
+        for small, big in zip(run(law, n_small), run(law, 2 * n_small)):
+            np.testing.assert_array_equal(small, big[:n_small])

@@ -85,19 +85,21 @@ def test_verify_checks_conflicts_with_scenario(tmp_path, capsys):
 
 
 def test_indefinite_scenario_rejected_before_output(tmp_path):
+    # an indefinite state weight, a singular and an indefinite control weight
     scen = builtin_scenarios()["scalar-constant"]
     from ergolq.coefficients import PeriodicCoefficientSet, constant_coeff
 
-    kwargs = {k: getattr(scen, k) for k in
-              ("tau", "n", "m", "A", "B", "C", "b", "sigma", "S", "R", "q", "rho")}
-    kwargs["Q"] = constant_coeff([[-1.0]], scen.tau)
-    bad = PeriodicCoefficientSet(**kwargs, name="indefinite")
-    path = tmp_path / "bad.ini"
-    save_scenario(bad, path)
-    out = tmp_path / "x"
-    rc = cli.main(["simulate", "--scenario", str(path), "--out", str(out)])
-    assert rc == 2
-    assert not out.exists()
+    for weight, value in (("Q", -1.0), ("R", 0.0), ("R", -1.0)):
+        kwargs = {k: getattr(scen, k) for k in
+                  ("tau", "n", "m", "A", "B", "C", "b", "sigma", "Q", "S", "R", "q", "rho")}
+        kwargs[weight] = constant_coeff([[value]], scen.tau)
+        bad = PeriodicCoefficientSet(**kwargs, name="indefinite")
+        path = tmp_path / f"bad-{weight}{value:g}.ini"
+        save_scenario(bad, path)
+        out = tmp_path / "x"
+        rc = cli.main(["simulate", "--scenario", str(path), "--out", str(out)])
+        assert rc == 2, (weight, value)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

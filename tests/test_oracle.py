@@ -14,7 +14,6 @@ from ergolq.coefficients import (
 from ergolq.oracle import (
     OracleError,
     algebraic_riccati_scalar,
-    constant_matrix_fn,
     explicit_phi_moment_1d,
     periodic_linear_ode_eta,
     periodic_lyapunov_ode,
@@ -89,7 +88,7 @@ def test_lyapunov_constant_coefficients_are_flat():
     sol = periodic_lyapunov_ode(
         constant_coeff([[-1.0]], tau),
         constant_coeff([[0.0]], tau),
-        constant_matrix_fn([[1.0]], tau),
+        constant_coeff([[1.0]], tau),
         tau,
         nodes_per_period=256,
     )
@@ -101,7 +100,7 @@ def test_lyapunov_constant_coefficients_are_flat():
 def test_lyapunov_planar_identity_weight():
     scen = builtin_scenarios()["planar-deterministic-periodic"]
     sol = periodic_lyapunov_ode(
-        scen.A, scen.C, constant_matrix_fn(np.eye(2), scen.tau), scen.tau,
+        scen.A, scen.C, constant_coeff(np.eye(2), scen.tau), scen.tau,
         nodes_per_period=512,
     )
     assert sol.periodic_residual < 1e-10

@@ -50,7 +50,8 @@ class PathPrefix:
 
     Wraps the ``(n_paths, k)`` array of increments observed since the last
     period boundary and caches the partial sum, which is the only statistic
-    the built-in families and regression bases consume.
+    the built-in families and regression bases consume.  ``partial_sum`` is
+    an array or a zero-argument callable (default: the row sums) run on first read.
     """
 
     __slots__ = ("increments", "_partial_sum")
@@ -62,7 +63,7 @@ class PathPrefix:
         if arr.ndim != 2:
             raise CoefficientError("prefix must be a 1-d or 2-d increment array")
         self.increments = arr
-        self._partial_sum = partial_sum
+        self._partial_sum = (lambda: arr.sum(axis=1)) if partial_sum is None else partial_sum
 
     @property
     def n_paths(self) -> int:
@@ -74,8 +75,8 @@ class PathPrefix:
 
     @property
     def partial_sum(self) -> np.ndarray:
-        if self._partial_sum is None:
-            self._partial_sum = self.increments.sum(axis=1)
+        if callable(self._partial_sum):
+            self._partial_sum = self._partial_sum()
         return self._partial_sum
 
     @staticmethod

@@ -48,11 +48,12 @@ from .sde_engine import (
     derive_seed,
     estimate_second_moment_decay,
     mean_se,
-    simulate_fundamental,
 )
 
 
 MAX_POLICY_ITER = 30
+# the gains -kappa B' tried, in order, by the stabilizer search
+STABILIZER_KAPPAS = (0.0, 1.0, 4.0, 16.0)
 
 
 def reduce_cross_term(coeffs: PeriodicCoefficientSet):
@@ -99,11 +100,8 @@ def stabilizer_check(
     steps_per_period: int = 64,
 ) -> StabilityReport:
     """Closed-loop mean-square decay estimate on a fresh bundle."""
-    bundle = PathBundle.generate(
-        seed, n_paths, steps_per_period, n_periods, tau=coeffs.tau
-    )
-    traj = simulate_fundamental(coeffs, bundle, feedback=feedback)
-    return estimate_second_moment_decay(traj)
+    bundle = PathBundle.generate(seed, n_paths, steps_per_period, n_periods, tau=coeffs.tau)
+    return estimate_second_moment_decay(coeffs, bundle, feedback=feedback)
 
 
 def default_stabilizer(
@@ -112,12 +110,11 @@ def default_stabilizer(
     steps_per_period: int = 64,
     n_paths: int = 2000,
     n_periods: int = 12,
-    kappas=(0.0, 1.0, 4.0, 16.0),
 ) -> FeedbackLaw:
-    """First gain of the form -kappa B' that is mean-square stabilizing."""
+    """First gain -kappa B', kappa in STABILIZER_KAPPAS, that is mean-square stabilizing."""
     v_zero = constant_coeff(np.zeros(coeffs.m), coeffs.tau)
     reports = {}
-    for kappa in kappas:
+    for kappa in STABILIZER_KAPPAS:
         theta = cf_scale(cf_transpose(coeffs.B), -float(kappa))
         law = FeedbackLaw(Theta=theta, v=v_zero, label=f"stabilizer-kappa={kappa:g}")
         report = stabilizer_check(
@@ -132,8 +129,8 @@ def default_stabilizer(
         if report.stable:
             return law
     raise ConvergenceError(
-        "no gain of the form -kappa B' stabilizes the state; supply an "
-        f"explicit stabilizer (decay estimates: {reports})"
+        "no gain of the form -kappa B' stabilizes the state "
+        f"(decay estimates: {reports})"
     )
 
 
@@ -239,7 +236,6 @@ def solve_stochastic_riccati(
     coeffs: PeriodicCoefficientSet,
     bundle: PathBundle,
     tol: float = 1e-6,
-    stabilizer: Optional[FeedbackLaw] = None,
     require_stable: bool = True,
 ) -> RiccatiSolution:
     """Solve the periodic Riccati equation and certify the optimal gain.
@@ -255,12 +251,11 @@ def solve_stochastic_riccati(
             f"cost weights lack a positivity margin (min eig {positivity.min_eig_cost:.3e})"
         )
     reduced, shift = reduce_cross_term(coeffs)
-    if stabilizer is None:
-        stabilizer = default_stabilizer(
-            reduced,
-            seed=derive_seed(bundle.seed, "stabilizer"),
-            steps_per_period=bundle.steps_per_period,
-        )
+    stabilizer = default_stabilizer(
+        reduced,
+        seed=derive_seed(bundle.seed, "stabilizer"),
+        steps_per_period=bundle.steps_per_period,
+    )
     k_solution, gaps, floors, mono = kleinman_solve(reduced, stabilizer, bundle, tol=tol)
 
     scale = max(1.0, float(np.linalg.norm(k_solution.fixed_point)))

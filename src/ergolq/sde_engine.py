@@ -6,6 +6,11 @@ Paths are driven by counter-based random streams: the increments of path i
 depend only on (seed, i), never on how many paths are drawn or in which
 order, so ensembles are reproducible and trivially parallel.
 
+Memory rule: a stream holds the bundle's increments plus O(n_paths x state)
+working state; estimators reduce inside their visitors, the partial-sum
+table is built on the first read of a prefix sum, and only ``simulate_*``
+store whole trajectories.
+
 Stability diagnostics follow the moment characterization of the dynamics:
 a feedback is accepted as stabilizing when the fitted exponential decay
 rate of the second moment of the fundamental solution is positive with a
@@ -19,6 +24,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -138,24 +144,25 @@ class PathBundle:
 
     def _sums(self) -> np.ndarray:
         if self._cumsum is None:
-            cs = np.empty((self.n_paths, self.n_steps + 1))
-            cs[:, 0] = 0.0
-            np.cumsum(self.increments, axis=1, out=cs[:, 1:])
-            self._cumsum = cs
+            self._cumsum = np.zeros((self.n_paths, self.n_steps + 1))
+            np.cumsum(self.increments, axis=1, out=self._cumsum[:, 1:])
         return self._cumsum
 
     def phase(self, node: int) -> float:
         return (node % self.steps_per_period) * self.dt
 
     def prefix(self, node: int) -> PathPrefix:
-        """Within-period prefix at a global grid node (empty at boundaries)."""
+        """Within-period prefix at a global grid node (empty at boundaries); its
+        partial sum is computed on first read from the bundle's cumulative sums."""
         if not 0 <= node <= self.n_steps:
             raise SimulationError(f"node {node} outside grid 0..{self.n_steps}")
         start = (node // self.steps_per_period) * self.steps_per_period
-        cs = self._sums()
-        return PathPrefix(
-            self.increments[:, start:node], partial_sum=cs[:, node] - cs[:, start]
-        )
+
+        def partial_sum():
+            cs = self._sums()
+            return cs[:, node] - cs[:, start]
+
+        return PathPrefix(self.increments[:, start:node], partial_sum=partial_sum)
 
     def bind(self, fn: CoefficientFn) -> Callable:
         """Bind a coefficient to this grid once; returns at(node, prefix).
@@ -222,10 +229,6 @@ class StateTrajectory:
         return self.values.shape[1]
 
     @property
-    def n_periods(self) -> int:
-        return (self.n_nodes - 1) // self.steps_per_period
-
-    @property
     def dt(self) -> float:
         return self.tau / self.steps_per_period
 
@@ -237,14 +240,11 @@ class StateTrajectory:
         flat = self.values.reshape(self.values.shape[:2] + (-1,))
         return np.einsum("pkc,pkc->pk", flat, flat)
 
-    def period_end_moments(self) -> np.ndarray:
-        """E|X|^2 at period boundaries, overflowed paths excluded."""
-        sq = self.squared_norms()
-        idx = np.arange(0, self.n_nodes, self.steps_per_period)
-        good = ~self.overflow
-        if not np.any(good):
-            raise SimulationError("all paths overflowed")
-        return sq[good][:, idx].mean(axis=0)
+
+def path_squared_norms(x: np.ndarray) -> np.ndarray:
+    """Per-path squared Frobenius norm of a (n_paths, ...) batch."""
+    flat = x.reshape(x.shape[0], -1)
+    return np.einsum("pc,pc->p", flat, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,20 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
             x[fresh] = np.nan
             overflow |= bad
     return overflow
+
+
+def fundamental_squared_norms(
+    coeffs: PeriodicCoefficientSet, bundle: PathBundle, nodes, feedback: Optional[FeedbackLaw] = None
+):
+    """Stream the fundamental solution keeping only its per-path squared
+    norms at ``nodes``; returns ({node: (n_paths,) array}, overflow mask)."""
+    kept = {}
+
+    def visit(k, phase, prefix, phi):
+        if k in nodes:
+            kept[k] = path_squared_norms(phi)
+
+    return kept, stream_fundamental(coeffs, bundle, visit, feedback=feedback)
 
 
 def _homogeneous_drift(coeffs, feedback: Optional[FeedbackLaw]) -> CoefficientFn:
@@ -360,50 +374,34 @@ def simulate_brownian(bundle: PathBundle) -> StateTrajectory:
     w = np.concatenate(
         [np.zeros((bundle.n_paths, 1)), np.cumsum(bundle.increments, axis=1)], axis=1
     )
-    return StateTrajectory(
-        values=w[..., None],
-        tau=bundle.tau,
-        steps_per_period=bundle.steps_per_period,
-        overflow=np.zeros(bundle.n_paths, dtype=bool),
-    )
+    overflow = np.zeros(bundle.n_paths, dtype=bool)
+    return StateTrajectory(w[..., None], bundle.tau, bundle.steps_per_period, overflow)
+
+
+def _stored(bundle: PathBundle, shape: tuple, stream: Callable) -> StateTrajectory:
+    """Run stream(visit) and keep the state at every node."""
+    values = np.empty((bundle.n_paths, bundle.n_steps + 1) + shape)
+
+    def visit(k, phase, prefix, x, *u):
+        values[:, k] = x
+
+    return StateTrajectory(values, bundle.tau, bundle.steps_per_period, stream(visit))
 
 
 def simulate_fundamental(
-    coeffs: PeriodicCoefficientSet,
-    bundle: PathBundle,
-    feedback: Optional[FeedbackLaw] = None,
+    coeffs: PeriodicCoefficientSet, bundle: PathBundle, feedback: Optional[FeedbackLaw] = None
 ) -> StateTrajectory:
     """Fundamental matrix solution from the identity at node 0."""
-    n = coeffs.n
-    values = np.empty((bundle.n_paths, bundle.n_steps + 1, n, n))
-
-    def visit(k, phase, prefix, phi):
-        values[:, k] = phi
-
-    overflow = stream_fundamental(coeffs, bundle, visit, feedback=feedback)
-    return StateTrajectory(
-        values=values, tau=bundle.tau, steps_per_period=bundle.steps_per_period,
-        overflow=overflow,
-    )
+    stream = partial(stream_fundamental, coeffs, bundle, feedback=feedback)
+    return _stored(bundle, (coeffs.n, coeffs.n), stream)
 
 
 def simulate_closed_loop(
-    coeffs: PeriodicCoefficientSet,
-    feedback: FeedbackLaw,
-    x0,
-    bundle: PathBundle,
+    coeffs: PeriodicCoefficientSet, feedback: FeedbackLaw, x0, bundle: PathBundle
 ) -> StateTrajectory:
     """Controlled state under u = Theta x + v from x0 (vector or per-path)."""
-    values = np.empty((bundle.n_paths, bundle.n_steps + 1, coeffs.n))
-
-    def visit(k, phase, prefix, x, u):
-        values[:, k] = x
-
-    overflow = stream_closed_loop(coeffs, feedback, x0, bundle, visit)
-    return StateTrajectory(
-        values=values, tau=bundle.tau, steps_per_period=bundle.steps_per_period,
-        overflow=overflow,
-    )
+    stream = partial(stream_closed_loop, coeffs, feedback, x0, bundle)
+    return _stored(bundle, (coeffs.n,), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +466,29 @@ def _decay_report(tau: float, moments: np.ndarray, **fields) -> StabilityReport:
     )
 
 
-def estimate_second_moment_decay(traj: StateTrajectory) -> StabilityReport:
-    """Fit log E|X|^2 against time at period boundaries.
+def estimate_second_moment_decay(
+    coeffs: PeriodicCoefficientSet, bundle: PathBundle, feedback: Optional[FeedbackLaw] = None
+) -> StabilityReport:
+    """Fit log E|Phi|^2 of the fundamental solution at period boundaries.
 
-    Requires at least 3 simulated periods.
+    Only per-path squared norms at period ends are kept while streaming;
+    overflowed paths are excluded.  Requires at least 3 periods.
     """
-    if traj.n_periods < 3:
+    if bundle.n_periods < 3:
         raise SimulationError("decay fit needs a trajectory spanning >= 3 periods")
-    moments = traj.period_end_moments()
+    ends = range(0, bundle.n_steps + 1, bundle.steps_per_period)
+    columns, overflow = fundamental_squared_norms(coeffs, bundle, ends, feedback)
+    if overflow.all():
+        raise SimulationError("all paths overflowed")
+    # each period end's surviving paths reduced as one contiguous row: the
+    # same pairwise sums numpy takes over a stored trajectory's columns
+    moments = np.stack([columns[k][~overflow] for k in ends]).mean(axis=1)
     if np.any(moments <= 0.0):
         raise SimulationError("nonpositive moment at a period boundary")
     return _decay_report(
-        traj.tau,
+        bundle.tau,
         moments,
-        overflow_paths=int(traj.overflow.sum()),
+        overflow_paths=int(overflow.sum()),
         diagnostics={"period_end_moments": moments},
     )
 
@@ -536,8 +543,7 @@ def estimate_gram_lower_bound(
 
     def visit(k, phase, prefix, phi):
         if k % sp == 0:
-            flat = phi.reshape(n_paths, -1)
-            boundary_moments.append(np.einsum("pc,pc->p", flat, flat).mean())
+            boundary_moments.append(path_squared_norms(phi).mean())
         if k in grams and k not in inv_at:
             anchors[k] = prefix
             inv_at[k] = np.linalg.inv(phi)
@@ -613,7 +619,7 @@ def contraction_check(
 
     def visit(k, phase, prefix, d):
         if k % sp == 0:
-            moments.append(float(np.einsum("pc,pc->p", d, d).mean()))
+            moments.append(float(path_squared_norms(d).mean()))
 
     overflow = _difference_step_stream(coeffs, feedback, delta0, bundle, visit)
     moments_arr = np.array(moments)

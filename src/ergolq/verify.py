@@ -51,8 +51,8 @@ from .sde_engine import (
     contraction_check,
     derive_seed,
     estimate_gram_lower_bound,
+    fundamental_squared_norms,
     mean_se,
-    simulate_fundamental,
 )
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
@@ -145,17 +145,15 @@ def check_a1_moment_decay(ctx: AcceptanceContext) -> CheckOutcome:
     """E|Phi_t|^2 against the explicit rate exp((2a+c^2)t), a=-1, c=0.5."""
     t0 = time.time()
     scen = ctx.scenarios["scalar-moment-decay"]
-    bundle = PathBundle.generate(
-        derive_seed(ctx.seed, "a1"), 100_000, 64, 1, tau=scen.tau
-    )
-    traj = simulate_fundamental(scen, bundle)
-    sq = traj.squared_norms()
+    bundle = PathBundle.generate(derive_seed(ctx.seed, "a1"), 100_000, 64, 1, tau=scen.tau)
+    nodes = {32: 0.5, 64: 1.0}
+    sq, _ = fundamental_squared_norms(scen, bundle, nodes)
     parts = []
     ok = True
     metrics = {}
-    for t_query, node in ((0.5, 32), (1.0, 64)):
+    for node, t_query in nodes.items():
         ref = oracle.explicit_phi_moment_1d(-1.0, 0.5, t_query)
-        mc, se = mean_se(sq[:, node])
+        mc, se = mean_se(sq[node])
         gap = abs(float(mc) - ref)
         allow = max(0.02 * ref, 3.0 * float(se))
         ok &= gap <= allow

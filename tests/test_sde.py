@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ergolq.coefficients import (
 from ergolq.sde_engine import (
     PathBundle,
     SimulationError,
+    _decay_report,
     _difference_step_stream,
     contraction_check,
     derive_seed,
@@ -28,7 +30,9 @@ from ergolq.sde_engine import (
     simulate_brownian,
     simulate_closed_loop,
     simulate_fundamental,
+    stream_fundamental,
 )
+from ergolq.riccati import stabilizer_check
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +117,42 @@ def test_phase_wraps_and_prefix_resets_at_boundaries():
     np.testing.assert_allclose(pre.partial_sum, bundle.increments[:, 8:11].sum(axis=1))
     with pytest.raises(SimulationError):
         bundle.prefix(17)
+
+
+def test_streams_that_read_no_prefix_sum_leave_the_table_unbuilt(monkeypatch):
+    # constant coefficients read no partial sum, so neither a direct stream
+    # nor the decay certificate may allocate the (n_paths, n_steps + 1) table
+    scen = builtin_scenarios()["scalar-moment-decay"]
+    bundle = PathBundle.generate(5, 8, 16, 3)
+    stream_fundamental(scen, bundle, lambda k, phase, prefix, phi: None)
+    assert bundle._cumsum is None
+
+    def refuse(self):
+        raise AssertionError("partial-sum table built")
+
+    monkeypatch.setattr(PathBundle, "_sums", refuse)
+    assert stabilizer_check(scen, zero_feedback(scen), seed=3, n_paths=16).stable
+
+
+def test_prefix_sums_are_cumsum_differences_bit_for_bit():
+    # nodes in periods 0, 1 and 2, read during the stream and again after it
+    scen = builtin_scenarios()["scalar-random-periodic"]
+    bundle = PathBundle.generate(31, 64, 64, 3)
+    nodes = (40, 64 + 50, 128 + 33)
+    seen = {}
+
+    def visit(k, phase, prefix, phi):
+        if k in nodes:
+            seen[k] = (prefix, prefix.partial_sum.copy())
+
+    stream_fundamental(scen, bundle, visit)
+    cs = np.zeros((bundle.n_paths, bundle.n_steps + 1))
+    cs[:, 1:] = np.cumsum(bundle.increments, axis=1)
+    for node in nodes:
+        start = node - node % bundle.steps_per_period
+        prefix, during = seen[node]
+        np.testing.assert_array_equal(during, cs[:, node] - cs[:, start])
+        np.testing.assert_array_equal(prefix.partial_sum, during)
 
 
 def test_restrict_shares_increments():
@@ -200,8 +240,8 @@ def test_overflow_paths_are_flagged_and_nan():
     traj = simulate_closed_loop(scen, runaway, np.array([1.0]), bundle)
     assert traj.overflow.all()
     assert np.isnan(traj.values[:, -1, 0]).all()
-    with pytest.raises(SimulationError):
-        estimate_second_moment_decay(traj)  # all paths excluded
+    with pytest.raises(SimulationError, match="all paths overflowed"):
+        estimate_second_moment_decay(scen, bundle, runaway)  # all paths excluded
 
 
 def test_every_stream_applies_the_same_overflow_rule():
@@ -233,8 +273,7 @@ def test_every_stream_applies_the_same_overflow_rule():
 def test_decay_estimate_matches_discrete_rate():
     scen = builtin_scenarios()["scalar-moment-decay"]
     bundle = PathBundle.generate(17, 20000, 64, 4, antithetic=True)
-    traj = simulate_fundamental(scen, bundle)
-    report = estimate_second_moment_decay(traj)
+    report = estimate_second_moment_decay(scen, bundle)
     dt = 1.0 / 64
     discrete = -math.log((1.0 - dt) ** 2 + 0.25 * dt) / dt
     assert report.stable
@@ -245,9 +284,59 @@ def test_decay_estimate_matches_discrete_rate():
 def test_decay_estimate_needs_three_periods():
     scen = builtin_scenarios()["scalar-moment-decay"]
     bundle = PathBundle.generate(17, 16, 16, 2)
-    traj = simulate_fundamental(scen, bundle)
     with pytest.raises(SimulationError):
-        estimate_second_moment_decay(traj)
+        estimate_second_moment_decay(scen, bundle)
+
+
+def _runaway_scalar(a=5.0, c=2.0):
+    tau = 1.0
+    mat = lambda v: constant_coeff([[v]], tau)
+    vec = lambda v: constant_coeff([v], tau)
+    return PeriodicCoefficientSet(
+        tau=tau, n=1, m=1, A=mat(a), B=mat(0.0), C=mat(c), b=vec(0.0),
+        sigma=vec(0.0), Q=mat(1.0), S=mat(0.0), R=mat(1.0), q=vec(0.0),
+        rho=vec(0.0), name="runaway",
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["scalar-moment-decay", "planar-deterministic-periodic", "runaway"]
+)
+def test_decay_certificate_equals_the_stored_trajectory_reduction(name):
+    # the streamed certificate against the reduction of a stored trajectory:
+    # squared norms of every node, period ends of the surviving paths, mean
+    if name == "runaway":
+        scen, bundle = _runaway_scalar(), PathBundle.generate(41, 200, 16, 8)
+    else:
+        scen, bundle = builtin_scenarios()[name], PathBundle.generate(43, 300, 32, 4)
+    traj = simulate_fundamental(scen, bundle)
+    if name == "runaway":
+        assert 0 < traj.overflow.sum() < bundle.n_paths
+    idx = np.arange(0, traj.n_nodes, bundle.steps_per_period)
+    moments = traj.squared_norms()[~traj.overflow][:, idx].mean(axis=0)
+    want = _decay_report(
+        bundle.tau, moments, overflow_paths=int(traj.overflow.sum()),
+        diagnostics={"period_end_moments": moments},
+    )
+    got = estimate_second_moment_decay(scen, bundle)
+    np.testing.assert_array_equal(
+        got.diagnostics.pop("period_end_moments"), want.diagnostics.pop("period_end_moments")
+    )
+    assert got == want
+
+
+def test_decay_certificate_memory_stays_near_the_increments():
+    # 4000 paths x 12 periods x 64 steps: the certificate may hold the
+    # increments plus per-path working state, not a trajectory or its norms
+    scen = builtin_scenarios()["scalar-moment-decay"]
+    increment_bytes = 4000 * 12 * 64 * 8
+    tracemalloc.start()
+    try:
+        stabilizer_check(scen, zero_feedback(scen), seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * increment_bytes
 
 
 def test_contraction_deterministic_dynamics_fits_exactly():

@@ -318,17 +318,12 @@ def _outer_fixed_point(
     )
 
 
-def _sample_psd(lam_fn: CoefficientFn, tau: float, seed: int = 11) -> bool:
-    rng = np.random.default_rng(seed)
-    dt = tau / 64.0
-    for _ in range(16):
-        steps = int(rng.integers(0, 64))
-        prefix = PathPrefix(rng.normal(0.0, math.sqrt(dt), size=(4, steps)))
-        val = lam_fn.eval_batch(steps * dt, prefix)
-        mats = val if val.ndim == 3 else val[None]
-        if float(_min_eig_batch(mats).min()) < -1e-10:
-            return False
-    return True
+def _lyapunov_drift(k, a, c, l):
+    """K A + A'K + C'K C + L C + C'L, added left to right."""
+    ka = np.matmul(k, a)
+    ckc = np.matmul(np.swapaxes(c, -1, -2), np.matmul(k, c))
+    lc = np.matmul(l, c)
+    return ka + np.swapaxes(ka, -1, -2) + ckc + lc + np.swapaxes(lc, -1, -2)
 
 
 def solve_linear_matrix_bsde(
@@ -339,44 +334,35 @@ def solve_linear_matrix_bsde(
     basis: Optional[RegressionBasis] = None,
     tol: float = 1e-6,
     max_iter: int = 200,
-    psd_source: Optional[bool] = None,
     initial_terminal: Optional[np.ndarray] = None,
 ) -> BsdeGridSolution:
     """Periodic matrix equation with drift K A + A'K + C'K C + L C + C'L + Lam.
 
-    Iterates the terminal map from zero on a frozen bundle.  When the source
-    is (sampled as) positive semidefinite, returned samples are cleaned to
-    min eigenvalue >= -1e-8 relative; deeper violations are recorded in the
-    trace diagnostics instead of silently clipped.
+    Iterates the terminal map from zero on a frozen bundle.  The source Lam
+    must be positive semidefinite (every caller's is), so the solution is
+    too: returned samples are cleaned to min eigenvalue >= -1e-8 relative,
+    and deeper violations are recorded in the trace diagnostics instead of
+    silently clipped.
     """
     basis = basis or _default_basis(a_fn, c_fn, lam_fn)
     n = a_fn.shape[0]
     a_at, c_at, lam_at = (bundle.bind(f) for f in (a_fn, c_fn, lam_fn))
 
     def drift(i, prefix, k_next, l_est):
-        a = a_at(i, prefix)
-        c = c_at(i, prefix)
-        lam = lam_at(i, prefix)
-        ka = np.matmul(k_next, a)
-        ckc = np.matmul(np.swapaxes(c, -1, -2), np.matmul(k_next, c))
-        lc = np.matmul(l_est, c)
-        out = ka + np.swapaxes(ka, -1, -2) + ckc + lc + np.swapaxes(lc, -1, -2)
-        return out + lam
+        out = _lyapunov_drift(k_next, a_at(i, prefix), c_at(i, prefix), l_est)
+        return out + lam_at(i, prefix)
 
     solution = _outer_fixed_point(drift, (n, n), bundle, basis, tol, max_iter, initial_terminal)
 
-    if psd_source is None:
-        psd_source = _sample_psd(lam_fn, bundle.tau)
-    if psd_source:
-        eps = 1e-8 * max(1.0, float(np.linalg.norm(solution.fixed_point)))
-        lows = _min_eig_batch(solution.values)
-        worst = float(lows.min())
-        solution.trace.diagnostics["min_sample_eig"] = worst
-        if worst < -eps:
-            solution.trace.diagnostics["positivity_violation"] = worst
-        shift = np.clip(-lows, 0.0, eps)
-        if np.any(shift > 0.0):
-            solution.values += shift[..., None, None] * np.eye(n)
+    eps = 1e-8 * max(1.0, float(np.linalg.norm(solution.fixed_point)))
+    lows = _min_eig_batch(solution.values)
+    worst = float(lows.min())
+    solution.trace.diagnostics["min_sample_eig"] = worst
+    if worst < -eps:
+        solution.trace.diagnostics["positivity_violation"] = worst
+    shift = np.clip(-lows, 0.0, eps)
+    if np.any(shift > 0.0):
+        solution.values += shift[..., None, None] * np.eye(n)
     return solution
 
 
@@ -388,19 +374,13 @@ def solve_vector_bsde(
     sigma_fn: CoefficientFn,
     lam_fn: CoefficientFn,
     bundle: PathBundle,
-    basis: Optional[RegressionBasis] = None,
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> BsdeGridSolution:
     """Periodic vector equation with drift A'eta + C'zeta + K b + C'K sigma
     + L sigma + lam, where (K, L) are the matrix solution's samples on the
-    same bundle (enforced by token).
+    same bundle (enforced by token), regressed on the matrix solution's basis.
     """
-    basis = basis or (
-        kl_solution.basis
-        if kl_solution.basis.degree > 0
-        else _default_basis(a_fn, c_fn, b_fn, sigma_fn, lam_fn)
-    )
     if kl_solution.bundle_token != bundle.token():
         raise ValueError("vector solve must run on the matrix solution's bundle")
     n = a_fn.shape[0]
@@ -424,7 +404,7 @@ def solve_vector_bsde(
         lsig = np.matmul(l_i, np.broadcast_to(sg, eta_next.shape)[..., None])[..., 0]
         return at_eta + ct_zeta + kb + ct_ksig + lsig + lam
 
-    return _outer_fixed_point(drift, (n,), bundle, basis, tol, max_iter)
+    return _outer_fixed_point(drift, (n,), bundle, kl_solution.basis, tol, max_iter)
 
 
 @dataclass

@@ -410,14 +410,13 @@ def _cmd_scan(cfg: RunConfig, scen, out_dir: str) -> int:
         steps_per_period=cfg.steps_per_period,
         lambda_hat=ric.stability.lambda_hat,
     )
+    export_scan_csv(scan, os.path.join(out_dir, "scan.csv"))
     try:
         fit = fit_quadratic_excess(scan)
     except ValueError as exc:
         # overflowed points can thin a valid grid below the fit's minimum
-        export_scan_csv(scan, os.path.join(out_dir, "scan.csv"))
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    export_scan_csv(scan, os.path.join(out_dir, "scan.csv"))
     body = {
         "direction": direction,
         "eps_star": scan.eps_star,

@@ -22,7 +22,6 @@ supported for solver internals; those are not serializable.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import re
 import uuid
@@ -141,53 +140,6 @@ class CoefficientFn:
             and self.params is not None
             and not np.any(self.params["value"])
         )
-
-    def signature(self):
-        """Plain structure for serialization equality; None for composites."""
-        if self.family is None or self.params is None:
-            return None
-        plain = {}
-        for key, val in self.params.items():
-            if isinstance(val, np.ndarray):
-                plain[key] = val.tolist()
-            elif isinstance(val, dict):
-                plain[key] = {k: np.asarray(v).tolist() for k, v in val.items()}
-            else:
-                plain[key] = val
-        return (self.family, self.kind, self.shape, self.tau, plain)
-
-
-def eval_coeff(fn: CoefficientFn, phase: float, prefix) -> np.ndarray:
-    """Evaluate a coefficient on a single path prefix.
-
-    ``prefix`` is the 1-d array of within-period increments accumulated up
-    to ``phase`` (its length is the caller's responsibility; the evaluator
-    only consumes the partial sum).  Returns an array of ``fn.shape``.
-    """
-    prefix = as_prefix(prefix)
-    if prefix.n_paths != 1:
-        raise CoefficientError("eval_coeff expects a single path; use eval_batch")
-    out = fn.eval_batch(phase, prefix)
-    if out.ndim == len(fn.shape):
-        return out
-    return out[0]
-
-
-def theta_shift(path, k: int, steps_per_period: int):
-    """Drop the first k periods of a discretized increment sequence.
-
-    Realizes the measure-preserving shift on grid paths: the returned view
-    starts at the increment following node ``k * steps_per_period``.
-    """
-    arr = np.asarray(path)
-    if k < 0:
-        raise CoefficientError("shift count must be nonnegative")
-    drop = k * steps_per_period
-    if drop > arr.shape[-1]:
-        raise CoefficientError(
-            f"cannot shift {k} periods: path holds {arr.shape[-1]} increments"
-        )
-    return arr[..., drop:]
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +414,6 @@ class PeriodicCoefficientSet:
             raise CoefficientError(f"unknown coefficient {name!r}")
         return getattr(self, name)
 
-    @property
-    def is_deterministic(self) -> bool:
-        """True when no coefficient depends on the driving path."""
-        return all(
-            getattr(self, k).kind != "path-functional" for k in _COEFF_FIELDS
-        )
-
-    def signature(self):
-        return {
-            "tau": self.tau,
-            "n": self.n,
-            "m": self.m,
-            "name": self.name,
-            "coefficients": {k: getattr(self, k).signature() for k in _COEFF_FIELDS},
-        }
-
 
 @dataclass(eq=False)
 class FeedbackLaw:
@@ -491,14 +427,6 @@ class FeedbackLaw:
     v: CoefficientFn
     label: str = ""
     token: str = field(default_factory=lambda: uuid.uuid4().hex)
-
-
-def zero_feedback(coeffs: PeriodicCoefficientSet, label: str = "zero") -> FeedbackLaw:
-    return FeedbackLaw(
-        Theta=constant_coeff(np.zeros((coeffs.m, coeffs.n)), coeffs.tau),
-        v=constant_coeff(np.zeros(coeffs.m), coeffs.tau),
-        label=label,
-    )
 
 
 def constant_feedback(coeffs: PeriodicCoefficientSet, theta, v=None, label: str = "") -> FeedbackLaw:
@@ -534,7 +462,6 @@ def perturbed_feedback(
 class PositivityReport:
     min_eig_R: float
     min_eig_cost: float
-    n_samples: int
 
     @property
     def margin(self) -> float:
@@ -545,19 +472,18 @@ class PositivityReport:
         return self.margin > 0.0
 
 
-def check_positivity(
-    coeffs: PeriodicCoefficientSet, n_samples: int = 64, seed: int = 0
-) -> PositivityReport:
-    """Sample R and Q - S^T R^{-1} S over random (phase, prefix) draws.
+def check_positivity(coeffs: PeriodicCoefficientSet) -> PositivityReport:
+    """Sample R and Q - S^T R^{-1} S over 64 random (phase, prefix) draws
+    (seed 0, so every caller audits the same samples).
 
     Raises CoefficientError on an asymmetric Q/R sample (beyond 1e-12) or a
     numerically singular R sample; otherwise reports the worst eigenvalues.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dt = coeffs.tau / 64.0
     min_r = math.inf
     min_cost = math.inf
-    for _ in range(n_samples):
+    for _ in range(64):
         steps = int(rng.integers(0, 64))
         phase = steps * dt
         prefix = PathPrefix(rng.normal(0.0, math.sqrt(dt), size=(1, steps)))
@@ -578,7 +504,7 @@ def check_positivity(
             raise CoefficientError(
                 f"asymmetric sample: max asymmetry {fn.diagnostics['max_asymmetry']:.3e}"
             )
-    return PositivityReport(min_eig_R=min_r, min_eig_cost=min_cost, n_samples=n_samples)
+    return PositivityReport(min_eig_R=min_r, min_eig_cost=min_cost)
 
 
 # ---------------------------------------------------------------------------

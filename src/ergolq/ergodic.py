@@ -2,8 +2,8 @@
 
 The ergodic cost of a feedback law is estimated as the expected running
 cost over one period started from the law's random-periodic steady state.
-Burn-in length is derived from the certified mean-square decay rate (ten
-e-foldings by default) and the reached state is audited by comparing the
+Burn-in length is derived from the certified mean-square decay rate
+(TARGET_EFOLD e-foldings) and the reached state is audited by comparing the
 last two period-boundary second moments at paired-path resolution.
 
 The optimal law is assembled from the Riccati gain plus the affine offset
@@ -51,6 +51,8 @@ class BurnInError(RuntimeError):
 
 
 MAX_BURN_PERIODS = 400
+# burn-in discards this many e-foldings of the certified decay rate
+TARGET_EFOLD = 10.0
 
 
 _COST_FIELDS = ("Q", "S", "R", "q", "rho")
@@ -70,16 +72,9 @@ def _quadratic_cost(q, s, r, qlin, rho, x, u):
     return out
 
 
-def running_cost_values(
-    coeffs: PeriodicCoefficientSet, phase: float, prefix, x: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Per-path running cost x'Qx + 2u'Sx + u'Ru + 2q'x + 2rho'u."""
-    weights = (coeffs.coefficient(f).eval_batch(phase, prefix) for f in _COST_FIELDS)
-    return _quadratic_cost(*weights, x, u)
-
-
 def _bind_running_cost(coeffs: PeriodicCoefficientSet, bundle: PathBundle):
-    """running_cost_values with the weights bound to the bundle grid."""
+    """Per-path running cost x'Qx + 2u'Sx + u'Ru + 2q'x + 2rho'u, with the
+    weights bound to the bundle grid."""
     weights_at = [bundle.bind(coeffs.coefficient(f)) for f in _COST_FIELDS]
 
     def cost(k, prefix, x, u):
@@ -124,13 +119,12 @@ def _burn_in_periods(
     coeffs: PeriodicCoefficientSet,
     law: FeedbackLaw,
     lambda_hat: Optional[float],
-    target_efold: float,
     seed: int,
     cert_paths: int,
     steps_per_period: int,
     slack: float = 1.0,
 ) -> tuple:
-    """(lambda_hat, k_burn) with k_burn = target_efold / (lambda_hat tau) in
+    """(lambda_hat, k_burn) with k_burn = TARGET_EFOLD / (lambda_hat tau) in
     2..MAX_BURN_PERIODS; without a rate, slack times the rate certified on
     cert_paths fresh paths is used, and an uncertified law raises BurnInError.
     """
@@ -144,7 +138,7 @@ def _burn_in_periods(
                 f"95% low {report.ci_low:.4f}); no steady state to reach"
             )
         lambda_hat = slack * report.lambda_hat
-    k_burn = int(np.clip(math.ceil(target_efold / (lambda_hat * coeffs.tau)), 2, MAX_BURN_PERIODS))
+    k_burn = int(np.clip(math.ceil(TARGET_EFOLD / (lambda_hat * coeffs.tau)), 2, MAX_BURN_PERIODS))
     return lambda_hat, k_burn
 
 
@@ -155,19 +149,18 @@ def burn_in_state(
     n_paths: int,
     steps_per_period: int = 64,
     lambda_hat: Optional[float] = None,
-    target_efold: float = 10.0,
     antithetic: bool = False,
 ) -> RandomPeriodicState:
     """Run the closed loop from zero to its random-periodic steady state.
 
-    The number of discarded periods is target_efold / (lambda_hat tau),
+    The number of discarded periods is TARGET_EFOLD / (lambda_hat tau),
     with the decay rate measured on auxiliary paths when not supplied.
     The last two period boundaries must agree in second moment within
     three paired standard errors (plus a small absolute slack); otherwise
-    a BurnInError suggests doubling the burn-in.
+    BurnInError is raised.
     """
     lambda_hat, k_burn = _burn_in_periods(
-        coeffs, feedback, lambda_hat, target_efold,
+        coeffs, feedback, lambda_hat,
         derive_seed(seed, "burn-decay"), min(n_paths, 4000), steps_per_period,
     )
 
@@ -199,8 +192,7 @@ def burn_in_state(
     if abs(float(d_mean)) > slack:
         raise BurnInError(
             f"second moment still drifting after {k_burn} periods "
-            f"(change {float(d_mean):.4e} vs allowance {slack:.4e}); "
-            f"retry with target_efold={2 * target_efold:g}"
+            f"(change {float(d_mean):.4e} vs allowance {slack:.4e})"
         )
     return RandomPeriodicState(
         samples=final,
@@ -252,8 +244,6 @@ def single_period_cost(
     coeffs: PeriodicCoefficientSet,
     feedback: FeedbackLaw,
     state: RandomPeriodicState,
-    tag: str = "cost-period",
-    keep_per_path: bool = False,
 ) -> CostEstimate:
     """Ergodic cost estimate: one period of running cost from steady state.
 
@@ -264,7 +254,7 @@ def single_period_cost(
     if state.feedback_token != feedback.token:
         raise ValueError("state was burned in under a different feedback law")
     bundle = PathBundle.generate(
-        derive_seed(state.seed, tag),
+        derive_seed(state.seed, "cost-period"),
         state.n_paths,
         state.steps_per_period,
         1,
@@ -280,7 +270,7 @@ def single_period_cost(
         n_paths=state.n_paths,
         n_overflow=int(overflow.sum()),
         duration=coeffs.tau,
-        per_path=per_path if keep_per_path else None,
+        per_path=per_path,
     )
 
 
@@ -350,7 +340,6 @@ class OptimalControl:
     coeffs: PeriodicCoefficientSet
     riccati: RiccatiSolution
     eta_solution: BsdeGridSolution
-    eta_fn: CoefficientFn
     v_fn: CoefficientFn
     feedback: FeedbackLaw
 
@@ -381,7 +370,6 @@ def optimal_feedback(
         coeffs.sigma,
         lam,
         bundle,
-        basis=riccati.k_solution.basis,
         tol=tol,
     )
     eta_fn = solution_coeff(eta_solution)
@@ -392,7 +380,6 @@ def optimal_feedback(
         coeffs=coeffs,
         riccati=riccati,
         eta_solution=eta_solution,
-        eta_fn=eta_fn,
         v_fn=v_fn,
         feedback=feedback,
     )
@@ -467,8 +454,6 @@ def value_function(opt: OptimalControl, bundle: PathBundle) -> ValueEstimate:
 class CompletionReport:
     """Pathwise check of cost(law) - penalty(law) = optimal value."""
 
-    lhs: float
-    lhs_se: float
     value: float
     value_se: float
     gap: float
@@ -502,7 +487,6 @@ def completion_identity_check(
     n_paths: int = 20000,
     steps_per_period: int = 64,
     lambda_hat: Optional[float] = None,
-    target_efold: float = 10.0,
     tag: str = "completion",
 ) -> CompletionReport:
     """Paired form of the quadratic penalty identity.
@@ -519,18 +503,14 @@ def completion_identity_check(
     coeffs = opt.coeffs
     # a certified rate of the optimum is scaled by 0.7: slack for the perturbed law
     lambda_hat, _ = _burn_in_periods(
-        coeffs, opt.feedback, lambda_hat, target_efold,
+        coeffs, opt.feedback, lambda_hat,
         derive_seed(seed, "identity-decay"), 4000, steps_per_period, slack=0.7,
     )
     state_u = burn_in_state(
-        coeffs, feedback, seed, n_paths,
-        steps_per_period=steps_per_period,
-        lambda_hat=lambda_hat, target_efold=target_efold,
+        coeffs, feedback, seed, n_paths, steps_per_period=steps_per_period, lambda_hat=lambda_hat
     )
     state_opt = burn_in_state(
-        coeffs, opt.feedback, seed, n_paths,
-        steps_per_period=steps_per_period,
-        lambda_hat=lambda_hat, target_efold=target_efold,
+        coeffs, opt.feedback, seed, n_paths, steps_per_period=steps_per_period, lambda_hat=lambda_hat
     )
     bundle = PathBundle.generate(
         derive_seed(seed, tag), n_paths, steps_per_period, 1, tau=coeffs.tau
@@ -545,12 +525,9 @@ def completion_identity_check(
     good = ~(over_u | over_opt)
     lhs = (acc_u[good] - pen[good]) / coeffs.tau
     anchor = acc_opt[good] / coeffs.tau
-    lhs_mean, lhs_se = mean_se(lhs)
     anchor_mean, anchor_se = mean_se(anchor)
     gap_mean, gap_se = mean_se(lhs - anchor)
     return CompletionReport(
-        lhs=float(lhs_mean),
-        lhs_se=float(lhs_se),
         value=float(anchor_mean),
         value_se=float(anchor_se),
         gap=float(gap_mean),
@@ -600,7 +577,6 @@ def optimality_scan(
     n_paths: int = 20000,
     steps_per_period: int = 64,
     lambda_hat: Optional[float] = None,
-    target_efold: float = 10.0,
 ) -> ScanResult:
     """Estimate the ergodic cost of base + eps (d_theta, d_v) over a grid.
 
@@ -616,7 +592,7 @@ def optimality_scan(
         raise ValueError("the scan grid must contain eps = 0")
 
     _, k_burn = _burn_in_periods(
-        coeffs, base, lambda_hat, target_efold,
+        coeffs, base, lambda_hat,
         derive_seed(seed, "scan-decay"), min(n_paths, 4000), steps_per_period,
     )
 

@@ -24,7 +24,8 @@ import numpy as np
 from .bsde_engine import (
     BsdeGridSolution,
     ConvergenceError,
-    RegressionBasis,
+    _default_basis,
+    _lyapunov_drift,
     _min_eig_batch,
     solution_coeff,
     solve_linear_matrix_bsde,
@@ -33,6 +34,7 @@ from .coefficients import (
     CoefficientFn,
     FeedbackLaw,
     PeriodicCoefficientSet,
+    _COEFF_FIELDS,
     check_positivity,
     cf_add,
     cf_matmul,
@@ -194,7 +196,7 @@ def kleinman_solve(
 ) -> tuple:
     """Policy iteration on a frozen bundle; returns the last solution and
     the per-policy gap/floor/monotonicity records."""
-    basis = RegressionBasis(degree=0 if reduced.is_deterministic else 3)
+    basis = _default_basis(*(reduced.coefficient(f) for f in _COEFF_FIELDS))
     solution = None
     theta = stabilizer.Theta
     gaps: List[float] = []
@@ -209,7 +211,6 @@ def kleinman_solve(
             bundle,
             basis=basis,
             tol=tol,
-            psd_source=True,
             initial_terminal=None if solution is None else solution.fixed_point,
         )
         if solution is not None:
@@ -312,7 +313,6 @@ def solve_stochastic_riccati(
 class ResidualReport:
     node_defects: np.ndarray
     max_defect: float
-    mean_defect: float
     periodic_gap: float
     scale: float
 
@@ -350,12 +350,9 @@ def riccati_residual(solution: RiccatiSolution, bundle: PathBundle) -> ResidualR
         bmat = b_at(i, prefix)
         smat = s_at(i, prefix)
         r = r_at(i, prefix)
-        ka = np.matmul(k_next, a)
-        ckc = np.matmul(np.swapaxes(c, -1, -2), np.matmul(k_next, c))
-        lc = np.matmul(l_est, c)
         g = np.matmul(np.swapaxes(bmat, -1, -2), k_next) + smat
         quad = np.matmul(np.swapaxes(g, -1, -2), rinv_apply(r, g))
-        drift = ka + np.swapaxes(ka, -1, -2) + ckc + lc + np.swapaxes(lc, -1, -2) + q - quad
+        drift = _lyapunov_drift(k_next, a, c, l_est) + q - quad
         target = k_next + dt * drift
         diff = ks.values[:, i] - target
         mean_diff, _ = mean_se(diff.reshape(diff.shape[0], -1), bundle.antithetic)
@@ -364,7 +361,6 @@ def riccati_residual(solution: RiccatiSolution, bundle: PathBundle) -> ResidualR
     return ResidualReport(
         node_defects=defects,
         max_defect=float(defects.max()),
-        mean_defect=float(defects.mean()),
         periodic_gap=ks.periodic_residual,
         scale=scale,
     )

@@ -8,8 +8,8 @@ order, so ensembles are reproducible and trivially parallel.
 
 Memory rule: a stream holds the bundle's increments plus O(n_paths x state)
 working state; estimators reduce inside their visitors, the partial-sum
-table is built on the first read of a prefix sum, and only ``simulate_*``
-store whole trajectories.
+table is built on the first read of a prefix sum, and only
+``simulate_closed_loop`` stores a whole trajectory.
 
 Stability diagnostics follow the moment characterization of the dynamics:
 a feedback is accepted as stabilizing when the fitted exponential decay
@@ -24,7 +24,6 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,20 +55,21 @@ def derive_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-def mean_se(values: np.ndarray, antithetic: bool = False, axis: int = 0):
-    """Sample mean and standard error, aggregating antithetic pairs first."""
+def mean_se(values: np.ndarray, antithetic: bool = False):
+    """Sample mean and standard error over the first axis, aggregating
+    antithetic pairs first.  An empty sample gives (nan, inf)."""
     vals = np.asarray(values, dtype=float)
     if antithetic:
-        if vals.shape[axis] % 2:
+        if vals.shape[0] % 2:
             raise SimulationError("antithetic ensemble must have even path count")
-        vals = np.moveaxis(vals, axis, 0)
         vals = 0.5 * (vals[0::2] + vals[1::2])
-        vals = np.moveaxis(vals, 0, axis)
-    n = vals.shape[axis]
-    mean = vals.mean(axis=axis)
+    n = vals.shape[0]
+    if n == 0:
+        return math.nan, math.inf
+    mean = vals.mean(axis=0)
     if n < 2:
         return mean, np.full_like(np.asarray(mean, dtype=float), np.inf)
-    se = vals.std(axis=axis, ddof=1) / math.sqrt(n)
+    se = vals.std(axis=0, ddof=1) / math.sqrt(n)
     return mean, se
 
 
@@ -327,15 +327,14 @@ def stream_fundamental(
     bundle: PathBundle,
     visit: Callable,
     feedback: Optional[FeedbackLaw] = None,
-    start: Optional[np.ndarray] = None,
 ):
-    """Drive the fundamental (matrix) solution through the grid.
+    """Drive the fundamental (matrix) solution from the identity through the grid.
 
     visit(k, phase, prefix, Phi) is called at every node including both ends;
     Phi must not be mutated by the visitor.  Returns the overflow mask.
     """
     shape = (bundle.n_paths, coeffs.n, coeffs.n)
-    phi = np.broadcast_to(np.eye(coeffs.n) if start is None else np.asarray(start, float), shape)
+    phi = np.broadcast_to(np.eye(coeffs.n), shape)
     return _euler_stream(bundle, phi, visit, _homogeneous_drift(coeffs, feedback), coeffs.C)
 
 
@@ -369,39 +368,18 @@ def _difference_step_stream(coeffs, feedback, delta0, bundle, visit):
     return _euler_stream(bundle, d, visit, _homogeneous_drift(coeffs, feedback), coeffs.C)
 
 
-def simulate_brownian(bundle: PathBundle) -> StateTrajectory:
-    """Cumulative Brownian paths on the grid (diagnostic helper)."""
-    w = np.concatenate(
-        [np.zeros((bundle.n_paths, 1)), np.cumsum(bundle.increments, axis=1)], axis=1
-    )
-    overflow = np.zeros(bundle.n_paths, dtype=bool)
-    return StateTrajectory(w[..., None], bundle.tau, bundle.steps_per_period, overflow)
-
-
-def _stored(bundle: PathBundle, shape: tuple, stream: Callable) -> StateTrajectory:
-    """Run stream(visit) and keep the state at every node."""
-    values = np.empty((bundle.n_paths, bundle.n_steps + 1) + shape)
-
-    def visit(k, phase, prefix, x, *u):
-        values[:, k] = x
-
-    return StateTrajectory(values, bundle.tau, bundle.steps_per_period, stream(visit))
-
-
-def simulate_fundamental(
-    coeffs: PeriodicCoefficientSet, bundle: PathBundle, feedback: Optional[FeedbackLaw] = None
-) -> StateTrajectory:
-    """Fundamental matrix solution from the identity at node 0."""
-    stream = partial(stream_fundamental, coeffs, bundle, feedback=feedback)
-    return _stored(bundle, (coeffs.n, coeffs.n), stream)
-
-
 def simulate_closed_loop(
     coeffs: PeriodicCoefficientSet, feedback: FeedbackLaw, x0, bundle: PathBundle
 ) -> StateTrajectory:
-    """Controlled state under u = Theta x + v from x0 (vector or per-path)."""
-    stream = partial(stream_closed_loop, coeffs, feedback, x0, bundle)
-    return _stored(bundle, (coeffs.n,), stream)
+    """Controlled state under u = Theta x + v from x0 (vector or per-path),
+    kept at every node."""
+    values = np.empty((bundle.n_paths, bundle.n_steps + 1, coeffs.n))
+
+    def visit(k, phase, prefix, x, u):
+        values[:, k] = x
+
+    overflow = stream_closed_loop(coeffs, feedback, x0, bundle, visit)
+    return StateTrajectory(values, bundle.tau, bundle.steps_per_period, overflow)
 
 
 # ---------------------------------------------------------------------------

@@ -136,14 +136,14 @@ def _outcome(check_id, label, passed, detail, t0, metrics=None) -> CheckOutcome:
         label=label,
         passed=bool(passed),
         detail=detail,
-        elapsed_s=time.time() - t0,
+        elapsed_s=time.perf_counter() - t0,
         metrics={k: float(v) for k, v in (metrics or {}).items()},
     )
 
 
 def check_a1_moment_decay(ctx: AcceptanceContext) -> CheckOutcome:
     """E|Phi_t|^2 against the explicit rate exp((2a+c^2)t), a=-1, c=0.5."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     scen = ctx.scenarios["scalar-moment-decay"]
     bundle = PathBundle.generate(derive_seed(ctx.seed, "a1"), 100_000, 64, 1, tau=scen.tau)
     nodes = {32: 0.5, 64: 1.0}
@@ -166,7 +166,7 @@ def check_a1_moment_decay(ctx: AcceptanceContext) -> CheckOutcome:
 
 def check_a2_bsde_vs_ode(ctx: AcceptanceContext) -> CheckOutcome:
     """Matrix equation with unit source against the periodic ODE oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     scen = ctx.scenarios["planar-deterministic-periodic"]
     lam = constant_coeff(np.eye(scen.n), scen.tau, symmetrize=True)
     bundle = PathBundle.generate(
@@ -219,18 +219,18 @@ def _riccati_outcome(ctx, check_id, name, target, rel_tol, t0) -> CheckOutcome:
 
 
 def check_a3_riccati_constant(ctx: AcceptanceContext) -> CheckOutcome:
-    t0 = time.time()
+    t0 = time.perf_counter()
     return _riccati_outcome(ctx, "A3", "scalar-constant", SQRT2_M1, 0.03, t0)
 
 
 def check_a4_riccati_noisy(ctx: AcceptanceContext) -> CheckOutcome:
-    t0 = time.time()
+    t0 = time.perf_counter()
     return _riccati_outcome(ctx, "A4", "scalar-noisy", GOLDEN_M1, 0.05, t0)
 
 
 def check_a5_stabilizer_certificate(ctx: AcceptanceContext) -> CheckOutcome:
     """The solved gains must certify mean-square stability on fresh paths."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     parts = []
     ok = True
     metrics = {}
@@ -252,7 +252,7 @@ def check_a5_stabilizer_certificate(ctx: AcceptanceContext) -> CheckOutcome:
 
 def check_a6_ergodic_equivalence(ctx: AcceptanceContext) -> CheckOutcome:
     """Finite-horizon averages approach the stationary one-period average."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     scen = ctx.scenarios["scalar-constant"]
     opt, _ = ctx.optimum("scalar-constant")
     state = ctx.steady_state("scalar-constant")
@@ -301,7 +301,7 @@ def check_a6_ergodic_equivalence(ctx: AcceptanceContext) -> CheckOutcome:
 
 def check_a7_value_formula(ctx: AcceptanceContext) -> CheckOutcome:
     """Predicted value against the closed form and against simulation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     scen = ctx.scenarios["scalar-constant"]
     opt, val = ctx.optimum("scalar-constant")
     # fine simulation grid: the Euler stationary variance carries an O(dt)
@@ -336,7 +336,7 @@ def check_a7_value_formula(ctx: AcceptanceContext) -> CheckOutcome:
 
 def check_a8_optimality_scan(ctx: AcceptanceContext) -> CheckOutcome:
     """Cost along a gain perturbation line: minimum at 0, convex, above V."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     scen = ctx.scenarios["scalar-constant"]
     _, ric = ctx.riccati("scalar-constant")
     opt, val = ctx.optimum("scalar-constant")
@@ -379,7 +379,7 @@ def check_a8_optimality_scan(ctx: AcceptanceContext) -> CheckOutcome:
 
 def check_a9_contraction(ctx: AcceptanceContext) -> CheckOutcome:
     """Two-start coupling decays exponentially on every catalog scenario."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     parts = []
     ok = True
     metrics = {}
@@ -407,7 +407,7 @@ def check_a10_completion_of_square(ctx: AcceptanceContext) -> CheckOutcome:
     common random numbers (see completion_identity_check); the predicted
     value from the solved pair is reported alongside for reference.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     name = "scalar-random-periodic"
     _, ric = ctx.riccati(name, n_paths=16384, tol=1e-6)
     opt, val = ctx.optimum(name, n_paths=16384, tol=1e-6)
@@ -500,7 +500,7 @@ def run_scenario_checks(
         if echo is not None:
             echo(out.line())
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     pos = check_positivity(scen)
     push(
         _outcome(
@@ -513,7 +513,7 @@ def run_scenario_checks(
         )
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         law = default_stabilizer(scen, seed=derive_seed(seed, "s2"))
         report = stabilizer_check(scen, law, derive_seed(seed, "s2-check"))
@@ -531,7 +531,7 @@ def run_scenario_checks(
         push(_outcome("S2", "stabilizer search", False, str(exc), t0))
         return outcomes
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         bundle = PathBundle.generate(
             derive_seed(seed, "s3"), n_paths, 64, 1, tau=scen.tau, antithetic=True
@@ -560,7 +560,7 @@ def run_scenario_checks(
         push(_outcome("S3", "Riccati solve", False, str(exc), t0))
         return outcomes
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     law = ric.gain_feedback()
     cbundle = PathBundle.generate(derive_seed(seed, "s4"), 4000, 64, 10, tau=scen.tau)
     creport = contraction_check(scen, law, np.ones(scen.n), -np.ones(scen.n), cbundle)
@@ -575,7 +575,7 @@ def run_scenario_checks(
         )
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     # closed-loop drift and cost weight of the solved policy on the
     # cross-term-free problem, which has the same closed loop and cost
     a_cl, lam = _policy_problem(ric.reduced, _policy_gain(ric.reduced, ric.k_fn))
@@ -595,7 +595,7 @@ def run_scenario_checks(
         )
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     gram = estimate_gram_lower_bound(scen, cbundle.restrict(4), law)
     delta_raw = gram.diagnostics["delta_raw"]
     push(

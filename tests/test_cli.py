@@ -1,10 +1,12 @@
 """Command line front door: config layering, artifacts, exit codes."""
 
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -187,6 +189,24 @@ def test_scan_artifacts(tmp_path):
         rows = fh.readlines()
     assert rows[0].startswith("eps,")
     assert len(rows) == 6
+
+
+def test_scan_with_an_all_overflowed_point_fails_quietly(tmp_path):
+    # eps = 40 sends every path past the overflow limit, which leaves two
+    # usable off-center points: too few to fit, so exit 1 after scan.csv
+    out = tmp_path / "scan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([
+            "scan", "--scenario", "scalar-constant", "--paths", "200",
+            "--eps-grid=-0.1,0,0.1,40", "--out", str(out),
+        ])
+    assert rc == 1
+    with open(out / "scan.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["eps"]) for r in rows] == [-0.1, 0.0, 0.1, 40.0]
+    assert int(rows[3]["n_overflow"]) == 200
+    assert not (out / "summary.json").exists()
 
 
 def test_default_out_root_env(tmp_path, monkeypatch):

@@ -10,11 +10,11 @@ from ergolq.coefficients import (
     PathPrefix,
     builtin_scenarios,
     constant_feedback,
-    eval_coeff,
 )
 from ergolq.ergodic import (
     BurnInError,
     ScanResult,
+    _quadratic_cost,
     burn_in_state,
     completion_identity_check,
     export_scan_csv,
@@ -22,7 +22,6 @@ from ergolq.ergodic import (
     fit_quadratic_excess,
     optimal_feedback,
     optimality_scan,
-    running_cost_values,
     single_period_cost,
     value_function,
 )
@@ -53,7 +52,8 @@ def test_running_cost_matches_hand_formula():
     phase = 11 / 64
     x = rng.normal(size=(5, 1))
     u = rng.normal(size=(5, 1))
-    got = running_cost_values(scen, phase, pre, x, u)
+    weights = [scen.coefficient(f).eval_batch(phase, pre) for f in ("Q", "S", "R", "q", "rho")]
+    got = _quadratic_cost(*weights, x, u)
     q = scen.Q.eval_batch(phase, pre)[:, 0, 0]
     s = scen.S.eval_batch(phase, pre)[0, 0]
     r = scen.R.eval_batch(phase, pre)[0, 0]
@@ -115,7 +115,7 @@ def test_single_period_cost_matches_discrete_stationary_law():
     m2 = (2.0 * alpha * beta * m1 + beta**2 + dt) / (1.0 - alpha**2)
     want = (1.0 + theta**2) * m2
     state = burn_in_state(scen, law, seed=44, n_paths=40000, lambda_hat=2.8)
-    cost = single_period_cost(scen, law, state, keep_per_path=True)
+    cost = single_period_cost(scen, law, state)
     assert cost.n_overflow == 0
     assert abs(cost.value - want) < 4.0 * cost.se
     assert cost.per_path.shape == (40000,)
@@ -142,8 +142,8 @@ def test_finite_horizon_checkpoints_are_paired():
 def test_optimal_feedback_recovers_constant_chain(scalar_optimum):
     scen, bundle, ric, opt = scalar_optimum
     empty = PathPrefix.empty()
-    theta0 = eval_coeff(opt.theta, 0.25, empty)[0, 0]
-    v0 = eval_coeff(opt.v_fn, 0.25, empty)[0]
+    theta0 = opt.theta.eval_batch(0.25, empty).item()
+    v0 = opt.v_fn.eval_batch(0.25, empty).item()
     assert abs(theta0 + SQRT2_M1) < 1e-7
     assert abs(v0 + ETA) < 1e-7
     assert opt.feedback.label == "optimal"

@@ -11,7 +11,6 @@ from ergolq.coefficients import (
     PeriodicCoefficientSet,
     builtin_scenarios,
     constant_coeff,
-    eval_coeff,
 )
 from ergolq.oracle import periodic_riccati_ode
 from ergolq.riccati import (
@@ -71,7 +70,7 @@ def test_default_stabilizer_prefers_smallest_gain():
     scen = builtin_scenarios()["scalar-constant"]
     law = default_stabilizer(scen, seed=3)
     # the uncontrolled loop is already stable, so kappa = 0 wins
-    assert eval_coeff(law.Theta, 0.0, PathPrefix.empty())[0, 0] == 0.0
+    assert law.Theta.eval_batch(0.0, PathPrefix.empty()).item() == 0.0
     report = stabilizer_check(scen, law, derive_seed(3, "audit"))
     assert report.stable
 
@@ -104,7 +103,7 @@ def test_scalar_constant_gain_matches_algebraic_root():
     scen = builtin_scenarios()["scalar-constant"]
     ric = solve_stochastic_riccati(scen, solve_bundle(101), tol=1e-9)
     assert abs(ric.fixed_point[0, 0] - SQRT2_M1) < 1e-8
-    theta0 = eval_coeff(ric.theta, 0.0, PathPrefix.empty())[0, 0]
+    theta0 = ric.theta.eval_batch(0.0, PathPrefix.empty()).item()
     assert abs(theta0 + SQRT2_M1) < 1e-8
     assert ric.n_policies <= 10
     assert all(g >= -1e-9 for g in ric.monotone_gaps)
@@ -169,4 +168,4 @@ def test_gain_feedback_carries_custom_offset():
     offset = constant_coeff([0.25], scen.tau)
     law = ric.gain_feedback(v=offset, label="shifted")
     assert law.label == "shifted"
-    assert eval_coeff(law.v, 0.5, PathPrefix.empty())[0] == 0.25
+    assert law.v.eval_batch(0.5, PathPrefix.empty()).item() == 0.25

@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from ergolq.coefficients import (
     builtin_scenarios,
     constant_coeff,
     constant_feedback,
-    zero_feedback,
 )
 from ergolq.sde_engine import (
     PathBundle,
     SimulationError,
+    StateTrajectory,
     _decay_report,
     _difference_step_stream,
     contraction_check,
@@ -27,12 +28,23 @@ from ergolq.sde_engine import (
     export_trajectory_csv,
     mean_se,
     poly_design,
-    simulate_brownian,
     simulate_closed_loop,
-    simulate_fundamental,
+    stream_closed_loop,
     stream_fundamental,
 )
-from ergolq.riccati import stabilizer_check
+from ergolq.riccati import default_stabilizer, stabilizer_check
+
+
+def simulate_fundamental(coeffs, bundle, feedback=None):
+    """Reference for the streamed certificates: the fundamental solution
+    kept at every node."""
+    values = np.empty((bundle.n_paths, bundle.n_steps + 1, coeffs.n, coeffs.n))
+
+    def visit(k, phase, prefix, phi):
+        values[:, k] = phi
+
+    overflow = stream_fundamental(coeffs, bundle, visit, feedback=feedback)
+    return StateTrajectory(values, bundle.tau, bundle.steps_per_period, overflow)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +143,7 @@ def test_streams_that_read_no_prefix_sum_leave_the_table_unbuilt(monkeypatch):
         raise AssertionError("partial-sum table built")
 
     monkeypatch.setattr(PathBundle, "_sums", refuse)
-    assert stabilizer_check(scen, zero_feedback(scen), seed=3, n_paths=16).stable
+    assert stabilizer_check(scen, constant_feedback(scen, [[0.0]]), seed=3, n_paths=16).stable
 
 
 def test_prefix_sums_are_cumsum_differences_bit_for_bit():
@@ -179,6 +191,11 @@ def test_mean_se_plain_and_antithetic():
     pair_means = np.array([2.0, 3.0])
     assert m2 == pytest.approx(2.5)
     assert se2 == pytest.approx(pair_means.std(ddof=1) / math.sqrt(2.0))
+    # an empty sample (every path overflowed) is answered without numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, se = mean_se(np.array([]))
+    assert math.isnan(m) and se == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +219,7 @@ def test_closed_loop_step_matches_hand_recursion():
 def test_multiplicative_noise_step_is_exact():
     scen = builtin_scenarios()["scalar-moment-decay"]
     bundle = PathBundle.generate(4, 3, 32, 1)
-    traj = simulate_closed_loop(scen, zero_feedback(scen), np.array([1.0]), bundle)
+    traj = simulate_closed_loop(scen, constant_feedback(scen, [[0.0]]), np.array([1.0]), bundle)
     factors = 1.0 + (-1.0) * bundle.dt + 0.5 * bundle.increments
     want = np.cumprod(factors, axis=1)
     np.testing.assert_allclose(traj.values[:, 1:, 0], want, rtol=1e-13)
@@ -212,7 +229,7 @@ def test_fundamental_agrees_with_state_for_linear_dynamics():
     scen = builtin_scenarios()["scalar-moment-decay"]
     bundle = PathBundle.generate(13, 4, 16, 2)
     phi = simulate_fundamental(scen, bundle)
-    state = simulate_closed_loop(scen, zero_feedback(scen), np.array([1.0]), bundle)
+    state = simulate_closed_loop(scen, constant_feedback(scen, [[0.0]]), np.array([1.0]), bundle)
     np.testing.assert_allclose(phi.values[:, :, 0, 0], state.values[:, :, 0], atol=1e-13)
 
 
@@ -224,13 +241,36 @@ def test_planar_fundamental_starts_at_identity():
     np.testing.assert_array_equal(phi.values[:, 0], np.broadcast_to(np.eye(2), (2, 2, 2)))
 
 
-def test_brownian_trajectory_is_cumsum():
-    bundle = PathBundle.generate(8, 3, 8, 2)
-    traj = simulate_brownian(bundle)
-    np.testing.assert_allclose(
-        traj.values[:, 1:, 0], np.cumsum(bundle.increments, axis=1), atol=1e-15
+def _closed_loop_states(scen, law, x0, bundle):
+    states = []
+    stream_closed_loop(scen, law, x0, bundle, lambda k, phase, prefix, x, u: states.append(x.copy()))
+    return np.stack(states, axis=1)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_closed_loop_is_random_periodic_under_the_shift(name):
+    # X(t + 2 tau, omega) = X(t, theta_{2 tau} omega) on the grid: restarting
+    # at node 2 sp from the reached state on the increments that follow must
+    # continue the same paths
+    scen = builtin_scenarios()[name]
+    law = default_stabilizer(scen, seed=3)
+    sp = 16
+    full = PathBundle.generate(23, 50, sp, 4, tau=scen.tau)
+    first = _closed_loop_states(scen, law, np.ones(scen.n), full)
+    shifted = PathBundle(
+        tau=full.tau, steps_per_period=sp, n_periods=2, seed=full.seed,
+        increments=full.increments[:, 2 * sp:],
     )
-    assert traj.values[:, 0, 0].max() == 0.0
+    second = _closed_loop_states(scen, law, first[:, 2 * sp], shifted)
+    tail = first[:, 2 * sp:]
+    if name != "scalar-random-periodic":
+        np.testing.assert_array_equal(second, tail)
+    else:
+        # the path-functional coefficients read within-period sums, which
+        # are differences of the bundle's running cumulative sum: the full
+        # bundle's sums after period 0 carry the rounding of its first
+        # periods, the shifted bundle's restart at zero
+        assert np.abs(second - tail).max() <= 1e-12 * np.abs(tail).max()
 
 
 def test_overflow_paths_are_flagged_and_nan():
@@ -332,7 +372,7 @@ def test_decay_certificate_memory_stays_near_the_increments():
     increment_bytes = 4000 * 12 * 64 * 8
     tracemalloc.start()
     try:
-        stabilizer_check(scen, zero_feedback(scen), seed=3)
+        stabilizer_check(scen, constant_feedback(scen, [[0.0]]), seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -401,7 +441,7 @@ def test_gram_lower_bound_on_constant_scenario():
 def test_trajectory_csv_round_trip(tmp_path):
     scen = builtin_scenarios()["scalar-constant"]
     bundle = PathBundle.generate(23, 3, 8, 1)
-    traj = simulate_closed_loop(scen, zero_feedback(scen), np.zeros(1), bundle)
+    traj = simulate_closed_loop(scen, constant_feedback(scen, [[0.0]]), np.zeros(1), bundle)
     out = tmp_path / "traj.csv"
     export_trajectory_csv(traj, out, max_paths=2)
     with open(out, newline="") as fh:
@@ -416,7 +456,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 def test_moments_csv_matches_trajectory(tmp_path):
     scen = builtin_scenarios()["scalar-constant"]
     bundle = PathBundle.generate(23, 16, 8, 1)
-    traj = simulate_closed_loop(scen, zero_feedback(scen), np.zeros(1), bundle)
+    traj = simulate_closed_loop(scen, constant_feedback(scen, [[0.0]]), np.zeros(1), bundle)
     out = tmp_path / "moments.csv"
     export_moments_csv(traj, out)
     with open(out, newline="") as fh:

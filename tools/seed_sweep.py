@@ -1,16 +1,17 @@
 """Pass rates of the statistical checks across master seeds.
 
-Runs acceptance check A1 and the scenario checks S1-S6 of
+Runs the acceptance battery A1-A10 and the scenario checks S1-S6 of
 ``run_scenario_checks`` (CLI defaults: 4096 paths, tol 1e-7) on every
 catalog scenario for master seeds 1-20, prints every failure as it happens,
-then one line per check and scenario with its pass count.  Gates and seeds
-are those of ``ergolq verify``; nothing is tuned here.  A check that a
-failed earlier step skipped counts as not run, not as failed.
+then one line per check and scenario with its pass count and a 95%
+Clopper-Pearson interval on the failure rate.  Gates and seeds are those
+of ``ergolq verify``; nothing is tuned here.  A check that raised, or that
+a failed earlier step skipped, counts as not run, not as failed.
 
     PYTHONPATH=src python3 tools/seed_sweep.py
 
-Takes about eight minutes (25 s a seed) on a 2-core x86-64 VM.  Not part
-of the test suite.
+Takes about 21 minutes (65 s a seed) on a 2-core x86-64 VM.  Not part of
+the test suite.
 """
 
 from __future__ import annotations
@@ -18,10 +19,20 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from scipy.stats import beta
+
 from ergolq.coefficients import builtin_scenarios
-from ergolq.verify import run_acceptance, run_scenario_checks
+from ergolq.verify import ALL_CHECKS, CHECK_IDS, AcceptanceContext, run_scenario_checks
 
 SEEDS = range(1, 21)
+
+
+def failure_interval(failed: int, n: int, level: float = 0.95) -> tuple:
+    """Clopper-Pearson interval for a binomial failure rate."""
+    alpha = 1.0 - level
+    low = 0.0 if failed == 0 else float(beta.ppf(alpha / 2, failed, n - failed + 1))
+    high = 1.0 if failed == n else float(beta.ppf(1 - alpha / 2, failed + 1, n - failed))
+    return low, high
 
 
 def main() -> None:
@@ -29,7 +40,14 @@ def main() -> None:
     runs, passes, errors = Counter(), Counter(), Counter()
     t0 = time.time()
     for seed in SEEDS:
-        results = [("scalar-moment-decay", out) for out in run_acceptance(seed, only=["A1"])]
+        results = []
+        ctx = AcceptanceContext(seed)
+        for check_id, check in zip(CHECK_IDS, ALL_CHECKS):
+            try:
+                results.append(("battery", check(ctx)))
+            except Exception as exc:  # counts as not run
+                print(f"seed {seed} {check_id}: error {type(exc).__name__}: {exc}")
+                errors[check_id] += 1
         for name, scen in scenarios.items():
             try:
                 results += [(name, out) for out in run_scenario_checks(scen, seed=seed)]
@@ -43,12 +61,17 @@ def main() -> None:
                 print(f"seed {seed} {name}: {out.line()}")
         print(f"seed {seed} done [{time.time() - t0:.0f}s]", flush=True)
 
-    print(f"\n{'check':<6} {'scenario':<30} {'passed':>6} {'run':>4} {'not run':>7}")
-    for check_id, name in sorted(runs):
+    print(
+        f"\n{'check':<6} {'scenario':<30} {'passed':>6} {'run':>4} {'not run':>7}"
+        f"  failure rate 95% CI"
+    )
+    for check_id, name in sorted(runs, key=lambda key: (key[0][0], int(key[0][1:]), key[1])):
         n_run = runs[(check_id, name)]
+        n_pass = passes[(check_id, name)]
+        low, high = failure_interval(n_run - n_pass, n_run)
         print(
-            f"{check_id:<6} {name:<30} {passes[(check_id, name)]:>6} {n_run:>4} "
-            f"{len(SEEDS) - n_run:>7}"
+            f"{check_id:<6} {name:<30} {n_pass:>6} {n_run:>4} {len(SEEDS) - n_run:>7}"
+            f"  [{low:.3f}, {high:.3f}]"
         )
     for name, count in sorted(errors.items()):
         print(f"{name}: {count} run(s) raised")

@@ -7,7 +7,7 @@ equation (the first-order correction) are both solved by the same scheme:
   the martingale integrand is estimated as the regression of
   ``K_{i+1} dW_i / dt`` on polynomial features of the within-period
   increment partial sum, and the node value as the regression of
-  ``K_{i+1} + drift(t_i, path, K_{i+1}, L_i) dt``;
+  ``K_{i+1} + drift(i, K_{i+1}, L_i) dt``;
 * the periodic solution is the fixed point of the map sending a terminal
   value to the resulting time-0 value.  Under mean-square stability the map
   contracts at a rate comparable to E|Phi_tau|^2 < 1, so plain iteration
@@ -28,7 +28,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientFn, PathPrefix, as_prefix, composite_coeff
+from .coefficients import CoefficientFn, composite_coeff
 from .sde_engine import RIDGE, PathBundle, mean_se, poly_design, stream_fundamental
 
 
@@ -46,10 +46,13 @@ class RegressionBasis:
 
     degree: int = 2
 
-    def design(self, prefix: PathPrefix, phase: float) -> np.ndarray:
+    def design(self, bundle: PathBundle, node: int) -> np.ndarray:
+        """Features at a grid node; degree 0 never reads the partial sums."""
         if not 0 <= self.degree <= 6:
             raise RegressionError("basis degree must lie in 0..6")
-        return poly_design(prefix, phase, self.degree)
+        if self.degree == 0:
+            return np.ones((bundle.n_paths, 1))
+        return poly_design(bundle.partial_sum(node), bundle.phase(node), self.degree)
 
 
 def ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float):
@@ -87,7 +90,7 @@ def backward_sweep(
 ) -> SweepResult:
     """One explicit backward pass over a single period.
 
-    drift(node, prefix, value_next, integrand_est) must return an array
+    drift(node, value_next, integrand_est) must return an array
     broadcastable to (n_paths,) + value shape.  Matrix-valued sweeps keep
     every stored node value exactly symmetric.
     """
@@ -108,9 +111,7 @@ def backward_sweep(
     max_cond = 0.0
 
     for i in range(sp - 1, -1, -1):
-        phase = bundle.phase(i)
-        prefix = bundle.prefix(i)
-        design = basis.design(prefix, phase)
+        design = basis.design(bundle, i)
         v_next = values[:, i + 1]
         flat_next = v_next.reshape(n_paths, flat_dim)
 
@@ -120,7 +121,7 @@ def backward_sweep(
         if is_matrix:
             l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
 
-        d = np.asarray(drift(i, prefix, v_next, l_est), dtype=float)
+        d = np.asarray(drift(i, v_next, l_est), dtype=float)
         if d.ndim == len(vshape):
             d = d[None]
         target = flat_next + dt * d.reshape(d.shape[0], flat_dim)
@@ -198,17 +199,17 @@ class BsdeGridSolution:
     def periodic_residual(self) -> float:
         return float(np.linalg.norm(self.fixed_point - self.terminal))
 
-    def value_at(self, phase: float, prefix) -> np.ndarray:
-        """Surrogate value at the node nearest to phase, on fresh prefixes."""
+    def value_at(self, phase: float, partial_sum: np.ndarray) -> np.ndarray:
+        """Surrogate value at the node nearest to phase, on fresh (n_paths,)
+        within-period partial sums."""
         node = min(max(int(round(phase / self.dt)), 0), self.steps_per_period)
-        prefix = as_prefix(prefix)
+        n_paths = partial_sum.shape[0]
         if node == self.steps_per_period or node == 0:
             anchor = self.terminal if node == self.steps_per_period else self.fixed_point
-            reps = (prefix.n_paths,) + (1,) * anchor.ndim
-            return np.tile(anchor, reps)
+            return np.tile(anchor, (n_paths,) + (1,) * anchor.ndim)
         beta = self.value_coeffs[node]
-        design = poly_design(prefix, node * self.dt, self.basis.degree)
-        out = (design @ beta).reshape((prefix.n_paths,) + self.fixed_point.shape)
+        design = poly_design(partial_sum, node * self.dt, self.basis.degree)
+        out = (design @ beta).reshape((n_paths,) + self.fixed_point.shape)
         if self.kind == "matrix":
             out = 0.5 * (out + np.swapaxes(out, -1, -2))
         return out
@@ -232,17 +233,13 @@ def _default_basis(*fns: CoefficientFn) -> RegressionBasis:
 def solution_coeff(solution: BsdeGridSolution) -> CoefficientFn:
     """Wrap a grid solution as a coefficient for composition and reuse.
 
-    On the solve bundle's own prefixes the wrapper reproduces the stored
-    node samples bit for bit (same design, same weights); on fresh prefixes
-    it acts as the out-of-sample regression surrogate.
+    On the solve bundle's own partial sums the wrapper reproduces the stored
+    node samples bit for bit (same design, same weights); on fresh paths it
+    acts as the out-of-sample regression surrogate.
     """
     shape = tuple(solution.fixed_point.shape)
     kind = "deterministic-periodic" if solution.basis.degree == 0 else "path-functional"
-
-    def evaluator(phase, prefix):
-        return solution.value_at(phase, prefix)
-
-    return composite_coeff(shape, solution.tau, kind, evaluator)
+    return composite_coeff(shape, solution.tau, kind, solution.value_at)
 
 
 def _min_eig_batch(mats: np.ndarray) -> np.ndarray:
@@ -348,9 +345,8 @@ def solve_linear_matrix_bsde(
     n = a_fn.shape[0]
     a_at, c_at, lam_at = (bundle.bind(f) for f in (a_fn, c_fn, lam_fn))
 
-    def drift(i, prefix, k_next, l_est):
-        out = _lyapunov_drift(k_next, a_at(i, prefix), c_at(i, prefix), l_est)
-        return out + lam_at(i, prefix)
+    def drift(i, k_next, l_est):
+        return _lyapunov_drift(k_next, a_at(i), c_at(i), l_est) + lam_at(i)
 
     solution = _outer_fixed_point(drift, (n, n), bundle, basis, tol, max_iter, initial_terminal)
 
@@ -388,14 +384,10 @@ def solve_vector_bsde(
         bundle.bind(f) for f in (a_fn, c_fn, b_fn, sigma_fn, lam_fn)
     )
 
-    def drift(i, prefix, eta_next, zeta_est):
+    def drift(i, eta_next, zeta_est):
         k_i = kl_solution.values[:, i]
         l_i = kl_solution.integrand[:, i]
-        a = a_at(i, prefix)
-        c = c_at(i, prefix)
-        bd = b_at(i, prefix)
-        sg = sigma_at(i, prefix)
-        lam = lam_at(i, prefix)
+        a, c, bd, sg, lam = a_at(i), c_at(i), b_at(i), sigma_at(i), lam_at(i)
         at_eta = np.matmul(np.swapaxes(a, -1, -2), eta_next[..., None])[..., 0]
         ct_zeta = np.matmul(np.swapaxes(c, -1, -2), zeta_est[..., None])[..., 0]
         kb = np.matmul(k_i, np.broadcast_to(bd, eta_next.shape)[..., None])[..., 0]
@@ -441,8 +433,8 @@ def representation_check(
         C = c_fn
         n = a_fn.shape[0]
 
-    def visit(k, phase, prefix, phi):
-        lam = lam_at(k, prefix)
+    def visit(k, phi):
+        lam = lam_at(k)
         integ = np.matmul(np.swapaxes(phi, -1, -2), np.matmul(lam, phi))
         weight = 0.5 * dt if (k == 0 or k == n_steps) else dt
         np.add(acc, weight * integ, out=acc)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bsde_engine import ConvergenceError, RegressionError, export_node_table_csv
+from .bsde_engine import export_node_table_csv
 from .coefficients import (
     CoefficientError,
     ScenarioFormatError,
@@ -39,7 +39,6 @@ from .coefficients import (
     serialize_scenario,
 )
 from .ergodic import (
-    BurnInError,
     burn_in_state,
     export_scan_csv,
     fit_quadratic_excess,
@@ -56,13 +55,12 @@ from .riccati import (
 )
 from .sde_engine import (
     PathBundle,
-    SimulationError,
     derive_seed,
     export_moments_csv,
     export_trajectory_csv,
     simulate_closed_loop,
 )
-from .verify import CHECK_IDS, run_acceptance, run_scenario_checks
+from .verify import CHECK_IDS, RUN_ERRORS, run_acceptance, run_scenario_checks
 
 SUMMARY_SCHEMA = "ergolq-summary/1"
 MANIFEST_SCHEMA = "ergolq-run/1"
@@ -544,7 +542,7 @@ def main(argv=None) -> int:
     _write_manifest(out_dir, cfg)
     try:
         return runner(cfg, scen, out_dir)
-    except (ConvergenceError, RegressionError, SimulationError, BurnInError) as exc:
+    except RUN_ERRORS as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,12 @@
 """Coefficient processes with a built-in period.
 
-Every model coefficient is a functional of two things only: the phase
-``t mod tau`` inside the current period, and the Brownian increments
-accumulated since the last period boundary.  Restricting coefficients to
-this form makes the shift identity ``f(t + tau, W) = f(t, shifted W)``
-hold by construction instead of by assumption, so downstream solvers can
-treat one period as the whole problem.
+Every model coefficient is a function of two things only: the phase
+``t mod tau`` inside the current period, and the within-period partial
+sum, the Brownian increments summed since the last period boundary.
+Restricting coefficients to this form makes the shift identity
+``f(t + tau, W) = f(t, shifted W)`` hold by construction instead of by
+assumption, so downstream solvers can treat one period as the whole
+problem.
 
 Three concrete families are provided and are exactly the families the
 scenario file grammar can express:
@@ -44,59 +45,15 @@ class ScenarioFormatError(ValueError):
     """Raised when a scenario definition file cannot be parsed or written."""
 
 
-class PathPrefix:
-    """Within-period increment history of a path batch.
-
-    Wraps the ``(n_paths, k)`` array of increments observed since the last
-    period boundary and caches the partial sum, which is the only statistic
-    the built-in families and regression bases consume.  ``partial_sum`` is
-    an array or a zero-argument callable (default: the row sums) run on first read.
-    """
-
-    __slots__ = ("increments", "_partial_sum")
-
-    def __init__(self, increments, partial_sum=None):
-        arr = np.asarray(increments, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2:
-            raise CoefficientError("prefix must be a 1-d or 2-d increment array")
-        self.increments = arr
-        self._partial_sum = (lambda: arr.sum(axis=1)) if partial_sum is None else partial_sum
-
-    @property
-    def n_paths(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[1]
-
-    @property
-    def partial_sum(self) -> np.ndarray:
-        if callable(self._partial_sum):
-            self._partial_sum = self._partial_sum()
-        return self._partial_sum
-
-    @staticmethod
-    def empty(n_paths: int = 1) -> "PathPrefix":
-        return PathPrefix(np.zeros((n_paths, 0)), partial_sum=np.zeros(n_paths))
-
-
-def as_prefix(prefix) -> PathPrefix:
-    if isinstance(prefix, PathPrefix):
-        return prefix
-    return PathPrefix(prefix)
-
-
 @dataclass(eq=False)
 class CoefficientFn:
     """A single model coefficient.
 
     kind is one of ``constant``, ``deterministic-periodic`` or
     ``path-functional``; ``shape`` is the matrix shape (vectors use a
-    length-1 tuple).  ``evaluator(phase, prefix)`` returns either ``shape``
-    (path independent) or ``(n_paths,) + shape``.
+    length-1 tuple).  ``evaluator(phase, s)`` takes the ``(n_paths,)``
+    within-period partial sums ``s`` and returns either ``shape`` (path
+    independent) or ``(n_paths,) + shape``.
 
     ``family``/``params`` are set for the serializable families and None for
     in-memory compositions.
@@ -111,14 +68,13 @@ class CoefficientFn:
     symmetrize: bool = False
     diagnostics: dict = field(default_factory=dict)
 
-    def eval_batch(self, phase: float, prefix) -> np.ndarray:
+    def eval_batch(self, phase: float, partial_sum: np.ndarray) -> np.ndarray:
         """Evaluate on a path batch; result broadcasts against per-path arrays."""
         if not 0.0 <= phase < self.tau:
             raise CoefficientError(
                 f"phase {phase!r} outside [0, {self.tau!r})"
             )
-        prefix = as_prefix(prefix)
-        out = self.evaluator(phase, prefix)
+        out = self.evaluator(phase, partial_sum)
         out = np.asarray(out, dtype=float)
         if out.shape[-len(self.shape):] != self.shape:
             raise CoefficientError(
@@ -159,7 +115,7 @@ def constant_coeff(value, tau: float, *, symmetrize: bool = False) -> Coefficien
     arr.setflags(write=False)
     shape = arr.shape
 
-    def evaluator(phase, prefix):
+    def evaluator(phase, s):
         return arr
 
     return CoefficientFn(
@@ -195,7 +151,7 @@ def harmonic_coeff(
             raise CoefficientError("harmonic orders must be >= 1")
     omega = 2.0 * math.pi / tau
 
-    def evaluator(phase, prefix):
+    def evaluator(phase, s):
         out = base.copy()
         for order, mat in sin_terms.items():
             out += mat * math.sin(omega * order * phase)
@@ -237,9 +193,8 @@ def tanh_sum_coeff(
         raise CoefficientError(f"unknown link {link!r}; choose from {sorted(_LINKS)}")
     link_fn = _LINKS[link]
 
-    def evaluator(phase, prefix):
-        s = link_fn(scale * prefix.partial_sum + offset)
-        return base + amp * s.reshape((-1,) + (1,) * len(shape))
+    def evaluator(phase, s):
+        return base + amp * link_fn(scale * s + offset).reshape((-1,) + (1,) * len(shape))
 
     base.setflags(write=False)
     return CoefficientFn(
@@ -284,15 +239,15 @@ def cf_add(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     if f.shape != g.shape:
         raise CoefficientError(f"shape mismatch in sum: {f.shape} vs {g.shape}")
 
-    def evaluator(phase, prefix):
-        return f.eval_batch(phase, prefix) + g.eval_batch(phase, prefix)
+    def evaluator(phase, s):
+        return f.eval_batch(phase, s) + g.eval_batch(phase, s)
 
     return composite_coeff(f.shape, f.tau, _join_kind(f, g), evaluator)
 
 
 def cf_scale(f: CoefficientFn, alpha: float) -> CoefficientFn:
-    def evaluator(phase, prefix):
-        return alpha * f.eval_batch(phase, prefix)
+    def evaluator(phase, s):
+        return alpha * f.eval_batch(phase, s)
 
     return composite_coeff(f.shape, f.tau, f.kind, evaluator)
 
@@ -301,8 +256,8 @@ def cf_transpose(f: CoefficientFn) -> CoefficientFn:
     if len(f.shape) != 2:
         raise CoefficientError("transpose needs a matrix coefficient")
 
-    def evaluator(phase, prefix):
-        return np.swapaxes(f.eval_batch(phase, prefix), -1, -2)
+    def evaluator(phase, s):
+        return np.swapaxes(f.eval_batch(phase, s), -1, -2)
 
     return composite_coeff((f.shape[1], f.shape[0]), f.tau, f.kind, evaluator)
 
@@ -322,9 +277,9 @@ def cf_matmul(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     """Matrix product; a 1-d right factor is treated as a column vector."""
     shape = _matmul_shapes(f.shape, g.shape)
 
-    def evaluator(phase, prefix):
-        a = f.eval_batch(phase, prefix)
-        bmat = g.eval_batch(phase, prefix)
+    def evaluator(phase, s):
+        a = f.eval_batch(phase, s)
+        bmat = g.eval_batch(phase, s)
         if len(g.shape) == 1:
             out = np.matmul(a, bmat[..., None])[..., 0]
         else:
@@ -350,9 +305,9 @@ def cf_rinv_mul(r_fn: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     shape = _matmul_shapes(r_fn.shape, g.shape)
     vec = len(g.shape) == 1
 
-    def evaluator(phase, prefix):
-        r = r_fn.eval_batch(phase, prefix)
-        rhs = g.eval_batch(phase, prefix)
+    def evaluator(phase, s):
+        r = r_fn.eval_batch(phase, s)
+        rhs = g.eval_batch(phase, s)
         if vec:
             return rinv_apply(r, rhs[..., None])[..., 0]
         return rinv_apply(r, rhs)
@@ -473,8 +428,8 @@ class PositivityReport:
 
 
 def check_positivity(coeffs: PeriodicCoefficientSet) -> PositivityReport:
-    """Sample R and Q - S^T R^{-1} S over 64 random (phase, prefix) draws
-    (seed 0, so every caller audits the same samples).
+    """Sample R and Q - S^T R^{-1} S over 64 random (phase, partial sum)
+    draws (seed 0, so every caller audits the same samples).
 
     Raises CoefficientError on an asymmetric Q/R sample (beyond 1e-12) or a
     numerically singular R sample; otherwise reports the worst eigenvalues.
@@ -486,10 +441,10 @@ def check_positivity(coeffs: PeriodicCoefficientSet) -> PositivityReport:
     for _ in range(64):
         steps = int(rng.integers(0, 64))
         phase = steps * dt
-        prefix = PathPrefix(rng.normal(0.0, math.sqrt(dt), size=(1, steps)))
-        r = coeffs.R.eval_batch(phase, prefix)
-        qm = coeffs.Q.eval_batch(phase, prefix)
-        s = coeffs.S.eval_batch(phase, prefix)
+        partial_sum = rng.normal(0.0, math.sqrt(dt), size=(1, steps)).sum(axis=1)
+        r = coeffs.R.eval_batch(phase, partial_sum)
+        qm = coeffs.Q.eval_batch(phase, partial_sum)
+        s = coeffs.S.eval_batch(phase, partial_sum)
         r2 = r if r.ndim == 2 else r[0]
         q2 = qm if qm.ndim == 2 else qm[0]
         s2 = s if s.ndim == 2 else s[0]

@@ -77,8 +77,8 @@ def _bind_running_cost(coeffs: PeriodicCoefficientSet, bundle: PathBundle):
     weights bound to the bundle grid."""
     weights_at = [bundle.bind(coeffs.coefficient(f)) for f in _COST_FIELDS]
 
-    def cost(k, prefix, x, u):
-        return _quadratic_cost(*(w(k, prefix) for w in weights_at), x, u)
+    def cost(k, x, u):
+        return _quadratic_cost(*(w(k) for w in weights_at), x, u)
 
     return cost
 
@@ -172,7 +172,7 @@ def burn_in_state(
     boundary_sq = np.full((n_paths, k_burn + 1), np.nan)
     final = np.empty((n_paths, coeffs.n))
 
-    def visit(k, phase, prefix, x, u):
+    def visit(k, x, u):
         if k % sp == 0:
             boundary_sq[:, k // sp] = np.einsum("pi,pi->p", x, x)
         if k == n_steps:
@@ -217,7 +217,7 @@ def _accumulate_cost(coeffs, feedback, x0, bundle, start_node=0, extra_integrand
 
     Returns (cost integrals from start_node to the end, per path;
     extra integrals when an extra integrand is given; overflow mask).
-    The extra integrand is called as extra(k, prefix, x, u) at node k.
+    The extra integrand is called as extra(k, x, u) at node k.
     """
     n_paths = bundle.n_paths
     n_steps = bundle.n_steps
@@ -226,15 +226,15 @@ def _accumulate_cost(coeffs, feedback, x0, bundle, start_node=0, extra_integrand
     extra_acc = np.zeros(n_paths) if extra_integrand is not None else None
     running_cost = _bind_running_cost(coeffs, bundle)
 
-    def visit(k, phase, prefix, x, u):
+    def visit(k, x, u):
         if k < start_node:
             return
         weight = 0.5 * dt if k in (start_node, n_steps) else dt
         with np.errstate(invalid="ignore"):
-            f = running_cost(k, prefix, x, u)
+            f = running_cost(k, x, u)
             np.add(acc, weight * f, out=acc)
             if extra_acc is not None:
-                np.add(extra_acc, weight * extra_integrand(k, prefix, x, u), out=extra_acc)
+                np.add(extra_acc, weight * extra_integrand(k, x, u), out=extra_acc)
 
     overflow = stream_closed_loop(coeffs, feedback, x0, bundle, visit)
     return acc, extra_acc, overflow
@@ -298,9 +298,9 @@ def finite_horizon_cost(
     cp_values: Dict[int, np.ndarray] = {}
     running_cost = _bind_running_cost(coeffs, bundle)
 
-    def visit(k, phase, prefix, x, u):
+    def visit(k, x, u):
         with np.errstate(invalid="ignore"):
-            f = running_cost(k, prefix, x, u)
+            f = running_cost(k, x, u)
             if k == 0:
                 f0[:] = f
             np.add(acc, dt * f, out=acc)
@@ -412,19 +412,12 @@ def value_function(opt: OptimalControl, bundle: PathBundle) -> ValueEstimate:
     sp, dt = es.steps_per_period, es.dt
     n_paths = bundle.n_paths
     acc = np.zeros(n_paths)
-    r_at, b_at, rho_at, drift_at, sigma_at = (
-        bundle.bind(f) for f in (coeffs.R, coeffs.B, coeffs.rho, coeffs.b, coeffs.sigma)
-    )
+    bound = [bundle.bind(f) for f in (coeffs.R, coeffs.B, coeffs.rho, coeffs.b, coeffs.sigma)]
     for i in range(sp + 1):
-        prefix = bundle.prefix(i)
         k_i = ks.values[:, i]
         eta_i = es.values[:, i]
         zeta_i = es.integrand[:, i] if i < sp else es.integrand[:, 0]
-        r = r_at(i, prefix)
-        bmat = b_at(i, prefix)
-        rho = rho_at(i, prefix)
-        bd = drift_at(i, prefix)
-        sg = sigma_at(i, prefix)
+        r, bmat, rho, bd, sg = (at(i) for at in bound)
         g = np.matmul(np.swapaxes(bmat, -1, -2), eta_i[..., None])[..., 0]
         g = g + np.broadcast_to(rho, g.shape)
         rinv_g = rinv_apply(r, g[..., None])[..., 0]
@@ -472,9 +465,9 @@ def _bind_penalty(opt: OptimalControl, bundle: PathBundle):
     u_star_at = bundle.bind_law(opt.feedback)
     r_at = bundle.bind(opt.coeffs.R)
 
-    def penalty(k, prefix, x, u):
-        du = u - u_star_at(k, prefix, x)
-        r_du = np.matmul(r_at(k, prefix), du[..., None])[..., 0]
+    def penalty(k, x, u):
+        du = u - u_star_at(k, x)
+        r_du = np.matmul(r_at(k), du[..., None])[..., 0]
         return np.einsum("pi,pi->p", du, r_du)
 
     return penalty

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientFn, PathPrefix, PeriodicCoefficientSet
+from .coefficients import CoefficientFn, PeriodicCoefficientSet
 
 
 class OracleError(RuntimeError):
@@ -140,12 +140,8 @@ def scalar_stationary_value(
 def _det_table(fn: CoefficientFn, times: np.ndarray, tau: float) -> np.ndarray:
     if fn.kind == "path-functional":
         raise OracleError("oracle solves require deterministic coefficients")
-    empty = PathPrefix.empty(1)
-    rows = []
-    for t in times:
-        phase = float(t % tau)
-        rows.append(fn.eval_batch(phase, empty))
-    return np.stack(rows)
+    zero = np.zeros(1)
+    return np.stack([fn.eval_batch(float(t % tau), zero) for t in times])
 
 
 def _rk4_backward_periodic(

@@ -337,19 +337,11 @@ def riccati_residual(solution: RiccatiSolution, bundle: PathBundle) -> ResidualR
     sp, dt = ks.steps_per_period, ks.dt
     n = coeffs.n
     defects = np.empty(sp)
-    a_at, c_at, q_at, b_at, s_at, r_at = (
-        bundle.bind(coeffs.coefficient(f)) for f in ("A", "C", "Q", "B", "S", "R")
-    )
+    bound = [bundle.bind(coeffs.coefficient(f)) for f in ("A", "C", "Q", "B", "S", "R")]
     for i in range(sp):
-        prefix = bundle.prefix(i)
         k_next = ks.values[:, i + 1]
         l_est = ks.integrand[:, i]
-        a = a_at(i, prefix)
-        c = c_at(i, prefix)
-        q = q_at(i, prefix)
-        bmat = b_at(i, prefix)
-        smat = s_at(i, prefix)
-        r = r_at(i, prefix)
+        a, c, q, bmat, smat, r = (at(i) for at in bound)
         g = np.matmul(np.swapaxes(bmat, -1, -2), k_next) + smat
         quad = np.matmul(np.swapaxes(g, -1, -2), rinv_apply(r, g))
         drift = _lyapunov_drift(k_next, a, c, l_est) + q - quad

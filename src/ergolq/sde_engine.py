@@ -8,8 +8,9 @@ order, so ensembles are reproducible and trivially parallel.
 
 Memory rule: a stream holds the bundle's increments plus O(n_paths x state)
 working state; estimators reduce inside their visitors, the partial-sum
-table is built on the first read of a prefix sum, and only
-``simulate_closed_loop`` stores a whole trajectory.
+table (one row per node, the size of the increments) is built on the first
+read of a within-period partial sum, and only ``simulate_closed_loop``
+stores a whole trajectory.
 
 Stability diagnostics follow the moment characterization of the dynamics:
 a feedback is accepted as stabilizing when the fitted exponential decay
@@ -31,7 +32,6 @@ import numpy as np
 from .coefficients import (
     CoefficientFn,
     FeedbackLaw,
-    PathPrefix,
     PeriodicCoefficientSet,
     cf_add,
     cf_matmul,
@@ -75,7 +75,13 @@ def mean_se(values: np.ndarray, antithetic: bool = False):
 
 @dataclass(eq=False)
 class PathBundle:
-    """Grid metadata plus the per-path Brownian increments driving a run."""
+    """Grid metadata plus the per-path Brownian increments driving a run.
+
+    Coefficients read the path only through ``partial_sum(node)``, the
+    increments summed since the last period boundary, so a bundle that
+    starts at a boundary of another sees the same sums there: the period
+    shift is exact.
+    """
 
     tau: float
     steps_per_period: int
@@ -143,52 +149,51 @@ class PathBundle:
         return (self.seed, self.n_paths, self.steps_per_period, self.n_periods, self.antithetic)
 
     def _sums(self) -> np.ndarray:
+        # node-major (n_steps + 1, n_paths): running sums restarted at each
+        # period start, one contiguous row per node, zero at every boundary
         if self._cumsum is None:
-            self._cumsum = np.zeros((self.n_paths, self.n_steps + 1))
-            np.cumsum(self.increments, axis=1, out=self._cumsum[:, 1:])
+            sp, n_periods = self.steps_per_period, self.n_periods
+            self._cumsum = np.zeros((self.n_steps + 1, self.n_paths))
+            blocks = self._cumsum[:-1].reshape(n_periods, sp, self.n_paths)
+            incs = self.increments.reshape(self.n_paths, n_periods, sp).transpose(1, 2, 0)
+            np.cumsum(incs[:, :-1], axis=1, out=blocks[:, 1:])
         return self._cumsum
 
     def phase(self, node: int) -> float:
         return (node % self.steps_per_period) * self.dt
 
-    def prefix(self, node: int) -> PathPrefix:
-        """Within-period prefix at a global grid node (empty at boundaries); its
-        partial sum is computed on first read from the bundle's cumulative sums."""
+    def partial_sum(self, node: int) -> np.ndarray:
+        """(n_paths,) increment sums since the last period boundary at a grid
+        node (zero at boundaries); a row of the table built on first call."""
         if not 0 <= node <= self.n_steps:
             raise SimulationError(f"node {node} outside grid 0..{self.n_steps}")
-        start = (node // self.steps_per_period) * self.steps_per_period
-
-        def partial_sum():
-            cs = self._sums()
-            return cs[:, node] - cs[:, start]
-
-        return PathPrefix(self.increments[:, start:node], partial_sum=partial_sum)
+        return self._sums()[node]
 
     def bind(self, fn: CoefficientFn) -> Callable:
-        """Bind a coefficient to this grid once; returns at(node, prefix).
+        """Bind a coefficient to this grid once; returns at(node).
 
         A constant becomes one array and a deterministic-periodic
         coefficient (composed trees included) a (steps_per_period, *shape)
-        table built from one evaluation per phase on a 1-path prefix, so
+        table built from one evaluation per phase on a zero partial sum, so
         neither grows with the path count.  Only a path-functional
-        coefficient is evaluated at every node, on that node's prefix.
+        coefficient is evaluated at every node, on that node's partial sums.
         """
         if fn.kind == "path-functional":
-            return lambda node, prefix: fn.eval_batch(self.phase(node), prefix)
-        one = PathPrefix.empty(1)
+            return lambda node: fn.eval_batch(self.phase(node), self.partial_sum(node))
+        zero = np.zeros(1)
         n_phases = 1 if fn.kind == "constant" else self.steps_per_period
         table = np.stack(
-            [fn.eval_batch(self.phase(i), one).reshape(fn.shape) for i in range(n_phases)]
+            [fn.eval_batch(self.phase(i), zero).reshape(fn.shape) for i in range(n_phases)]
         )
-        return lambda node, prefix: table[node % n_phases]
+        return lambda node: table[node % n_phases]
 
     def bind_law(self, law: FeedbackLaw) -> Callable:
-        """Bind a feedback law; returns u(node, prefix, x) = Theta x + v for
-        vector states x of shape (n_paths, n)."""
+        """Bind a feedback law; returns u(node, x) = Theta x + v for vector
+        states x of shape (n_paths, n)."""
         theta_at, v_at = self.bind(law.Theta), self.bind(law.v)
 
-        def control(node, prefix, x):
-            return np.matmul(theta_at(node, prefix), x[..., None])[..., 0] + v_at(node, prefix)
+        def control(node, x):
+            return np.matmul(theta_at(node), x[..., None])[..., 0] + v_at(node)
 
         return control
 
@@ -236,10 +241,6 @@ class StateTrajectory:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_nodes)
 
-    def squared_norms(self) -> np.ndarray:
-        flat = self.values.reshape(self.values.shape[:2] + (-1,))
-        return np.einsum("pkc,pkc->pk", flat, flat)
-
 
 def path_squared_norms(x: np.ndarray) -> np.ndarray:
     """Per-path squared Frobenius norm of a (n_paths, ...) batch."""
@@ -258,7 +259,7 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
     (n_paths, n, n) for the fundamental matrix; it is stepped as columns X by
     X + (A X) dt + (C X) dW with coefficients at the left node.
     ``affine = (coeffs, law)`` adds B u + b to the drift and sigma to the
-    diffusion, with u = Theta x + v; the visitor then receives u as a fifth
+    diffusion, with u = Theta x + v; the visitor then receives u as a third
     argument.  Homogeneous streams fold any feedback into ``a_fn`` instead.
     Every coefficient is bound to the grid before the first step.
 
@@ -276,21 +277,19 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
     dt = bundle.dt
     overflow = np.zeros(bundle.n_paths, dtype=bool)
     for k in range(bundle.n_steps + 1):
-        phase = bundle.phase(k)
-        prefix = bundle.prefix(k)
         view = x[..., 0] if vector else x
         if affine is None:
-            visit(k, phase, prefix, view)
+            visit(k, view)
         else:
-            u = control(k, prefix, view)
-            visit(k, phase, prefix, view, u)
+            u = control(k, view)
+            visit(k, view, u)
         if k == bundle.n_steps:
             break
-        drift = np.matmul(a_at(k, prefix), x)
-        diffusion = np.matmul(c_at(k, prefix), x)
+        drift = np.matmul(a_at(k), x)
+        diffusion = np.matmul(c_at(k), x)
         if affine is not None:
-            drift = drift + np.matmul(b_at(k, prefix), u[..., None]) + drift_at(k, prefix)[..., None]
-            diffusion = diffusion + sigma_at(k, prefix)[..., None]
+            drift = drift + np.matmul(b_at(k), u[..., None]) + drift_at(k)[..., None]
+            diffusion = diffusion + sigma_at(k)[..., None]
         x = x + dt * drift + bundle.increments[:, k][:, None, None] * diffusion
         with np.errstate(invalid="ignore"):
             bad = ~(np.abs(x).max(axis=(1, 2)) <= OVERFLOW_LIMIT)
@@ -308,7 +307,7 @@ def fundamental_squared_norms(
     norms at ``nodes``; returns ({node: (n_paths,) array}, overflow mask)."""
     kept = {}
 
-    def visit(k, phase, prefix, phi):
+    def visit(k, phi):
         if k in nodes:
             kept[k] = path_squared_norms(phi)
 
@@ -330,7 +329,7 @@ def stream_fundamental(
 ):
     """Drive the fundamental (matrix) solution from the identity through the grid.
 
-    visit(k, phase, prefix, Phi) is called at every node including both ends;
+    visit(k, Phi) is called at every node including both ends;
     Phi must not be mutated by the visitor.  Returns the overflow mask.
     """
     shape = (bundle.n_paths, coeffs.n, coeffs.n)
@@ -347,8 +346,8 @@ def stream_closed_loop(
 ):
     """Drive the controlled state X through the grid.
 
-    visit(k, phase, prefix, x, u) sees the state and the control applied at
-    every node; neither may be mutated.  Returns the overflow mask.
+    visit(k, x, u) sees the state and the control applied at every node;
+    neither may be mutated.  Returns the overflow mask.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim == 1:
@@ -375,7 +374,7 @@ def simulate_closed_loop(
     kept at every node."""
     values = np.empty((bundle.n_paths, bundle.n_steps + 1, coeffs.n))
 
-    def visit(k, phase, prefix, x, u):
+    def visit(k, x, u):
         values[:, k] = x
 
     overflow = stream_closed_loop(coeffs, feedback, x0, bundle, visit)
@@ -471,17 +470,18 @@ def estimate_second_moment_decay(
     )
 
 
-def poly_design(prefix: PathPrefix, phase: float, degree: int = 2) -> np.ndarray:
-    """Polynomial features of the within-period partial sum, variance scaled.
+def poly_design(partial_sum: np.ndarray, phase: float, degree: int = 2) -> np.ndarray:
+    """Polynomial features of the (n_paths,) within-period partial sums,
+    variance scaled.
 
     At phase 0 the information set is trivial and the design is a constant
     column.  The scaled sum z is a standard normal under the Wiener measure,
     so monomials up to moderate degree stay well conditioned.
     """
-    n_paths = prefix.n_paths
+    n_paths = partial_sum.shape[0]
     if phase <= 0.0 or degree == 0:
         return np.ones((n_paths, 1))
-    z = prefix.partial_sum / math.sqrt(phase)
+    z = partial_sum / math.sqrt(phase)
     cols = [np.ones(n_paths), z]
     for p in range(2, degree + 1):
         cols.append(cols[-1] * z)
@@ -515,15 +515,13 @@ def estimate_gram_lower_bound(
     n_paths = bundle.n_paths
     inv_at = {}
     grams = {r: np.zeros((n_paths, n, n)) for r in r_nodes}
-    anchors = {}
     n_steps = bundle.n_steps
     boundary_moments = []
 
-    def visit(k, phase, prefix, phi):
+    def visit(k, phi):
         if k % sp == 0:
             boundary_moments.append(path_squared_norms(phi).mean())
         if k in grams and k not in inv_at:
-            anchors[k] = prefix
             inv_at[k] = np.linalg.inv(phi)
         for r, inv in inv_at.items():
             if k < r:
@@ -539,8 +537,7 @@ def estimate_gram_lower_bound(
     worst = math.inf
     worst_se = math.nan
     for r in r_nodes:
-        phase = bundle.phase(r)
-        design = poly_design(anchors[r], phase, GRAM_DEGREE)
+        design = poly_design(bundle.partial_sum(r), bundle.phase(r), GRAM_DEGREE)
         nfeat = design.shape[1]
         gram = design.T @ design / n_paths
         gram[np.arange(1, nfeat), np.arange(1, nfeat)] += RIDGE
@@ -595,7 +592,7 @@ def contraction_check(
     sp = bundle.steps_per_period
     moments = []
 
-    def visit(k, phase, prefix, d):
+    def visit(k, d):
         if k % sp == 0:
             moments.append(float(path_squared_norms(d).mean()))
 

@@ -20,7 +20,12 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import oracle
-from .bsde_engine import representation_check, solve_linear_matrix_bsde
+from .bsde_engine import (
+    ConvergenceError,
+    RegressionError,
+    representation_check,
+    solve_linear_matrix_bsde,
+)
 from .coefficients import (
     PeriodicCoefficientSet,
     builtin_scenarios,
@@ -29,6 +34,7 @@ from .coefficients import (
     perturbed_feedback,
 )
 from .ergodic import (
+    BurnInError,
     burn_in_state,
     completion_identity_check,
     finite_horizon_cost,
@@ -48,6 +54,7 @@ from .riccati import (
 )
 from .sde_engine import (
     PathBundle,
+    SimulationError,
     contraction_check,
     derive_seed,
     estimate_gram_lower_bound,
@@ -60,6 +67,8 @@ GOLDEN_M1 = (math.sqrt(5.0) - 1.0) / 2.0
 # stationary value chain for "scalar-constant": K + 2 eta - eta^2 with
 # K = sqrt(2) - 1 and eta = 1 - 1/sqrt(2), which collapses to sqrt(2) - 1/2
 SCALAR_VALUE = math.sqrt(2.0) - 0.5  # 0.9142135623...
+# the typed failures of a solve or simulation: a check that raises one fails
+RUN_ERRORS = (ConvergenceError, RegressionError, SimulationError, BurnInError)
 
 
 @dataclass
@@ -466,14 +475,22 @@ def run_acceptance(
     only: Optional[List[str]] = None,
     echo: Optional[Callable[[str], None]] = None,
 ) -> List[CheckOutcome]:
-    """Run the battery (or the named subset) and return outcomes in order."""
+    """Run the battery (or the named subset) and return outcomes in order.
+
+    A check that raises one of RUN_ERRORS fails with the error text as its
+    detail, labelled by the error type, and the battery goes on.
+    """
     ctx = AcceptanceContext(seed)
     wanted = None if only is None else {c.upper() for c in only}
     outcomes = []
     for cid, fn in zip(CHECK_IDS, ALL_CHECKS):
         if wanted is not None and cid not in wanted:
             continue
-        out = fn(ctx)
+        t0 = time.perf_counter()
+        try:
+            out = fn(ctx)
+        except RUN_ERRORS as exc:
+            out = _outcome(cid, type(exc).__name__, False, str(exc), t0)
         outcomes.append(out)
         if echo is not None:
             echo(out.line())

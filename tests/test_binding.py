@@ -27,7 +27,7 @@ SCENARIOS = sorted(builtin_scenarios())
 
 
 def _at(fn, bundle, k):
-    return fn.eval_batch(bundle.phase(k), bundle.prefix(k))
+    return fn.eval_batch(bundle.phase(k), bundle.partial_sum(k))
 
 
 def _hand_closed_loop(scen, law, x0, bundle):
@@ -93,19 +93,19 @@ def test_bound_kernel_matches_per_node_evaluation(laws, which):
 
     states, controls = [], []
     stream_closed_loop(
-        scen, law, x0, bundle, lambda k, phase, prefix, x, u: (states.append(x), controls.append(u))
+        scen, law, x0, bundle, lambda k, x, u: (states.append(x), controls.append(u))
     )
     want_x, want_u = _hand_closed_loop(scen, law, x0, bundle)
     _assert_close(np.stack(states, axis=1), want_x)
     _assert_close(np.stack(controls, axis=1), want_u)
 
     phis = []
-    stream_fundamental(scen, bundle, lambda k, phase, prefix, phi: phis.append(phi), feedback=law)
+    stream_fundamental(scen, bundle, lambda k, phi: phis.append(phi), feedback=law)
     eye = np.broadcast_to(np.eye(scen.n), (bundle.n_paths, scen.n, scen.n))
     _assert_close(np.stack(phis, axis=1), _hand_homogeneous(scen, law, eye.copy(), bundle))
 
     diffs = []
-    _difference_step_stream(scen, law, x0, bundle, lambda k, phase, prefix, d: diffs.append(d))
+    _difference_step_stream(scen, law, x0, bundle, lambda k, d: diffs.append(d))
     delta = np.broadcast_to(x0, (bundle.n_paths, scen.n)).copy()
     _assert_close(np.stack(diffs, axis=1), _hand_homogeneous(scen, law, delta, bundle))
 
@@ -119,9 +119,9 @@ def test_deterministic_composed_gain_is_tabulated_once_per_phase(n_periods):
     )
     phases = []
 
-    def counted_eval(phase, prefix):
+    def counted_eval(phase, s):
         phases.append(phase)
-        return gain.eval_batch(phase, prefix)
+        return gain.eval_batch(phase, s)
 
     theta = composite_coeff(gain.shape, gain.tau, gain.kind, counted_eval)
     law = FeedbackLaw(Theta=theta, v=constant_coeff([0.1], scen.tau))
@@ -152,7 +152,7 @@ def test_paths_do_not_change_when_the_ensemble_grows(laws, antithetic):
         bundle = PathBundle.generate(47, n_paths, SP, 3, antithetic=antithetic)
         states, controls = [], []
         stream_closed_loop(
-            scen, law, x0, bundle, lambda k, phase, prefix, x, u: (states.append(x), controls.append(u))
+            scen, law, x0, bundle, lambda k, x, u: (states.append(x), controls.append(u))
         )
         cost, _, _ = _accumulate_cost(scen, law, x0, bundle)
         return np.stack(states, axis=1), np.stack(controls, axis=1), cost

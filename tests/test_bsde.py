@@ -18,11 +18,7 @@ from ergolq.bsde_engine import (
     solve_linear_matrix_bsde,
     solve_vector_bsde,
 )
-from ergolq.coefficients import (
-    PathPrefix,
-    builtin_scenarios,
-    constant_coeff,
-)
+from ergolq.coefficients import builtin_scenarios, constant_coeff
 from ergolq.sde_engine import PathBundle
 
 TAU = 1.0
@@ -56,7 +52,7 @@ def test_ridge_solve_rejects_singular_design():
 def test_basis_degree_guard():
     basis = RegressionBasis(degree=7)
     with pytest.raises(RegressionError):
-        basis.design(PathPrefix.empty(3), 0.5)
+        basis.design(PathBundle.generate(3, 3, 16, 1), 8)
 
 
 def test_backward_sweep_requires_single_period():
@@ -134,7 +130,7 @@ def test_value_at_anchors_and_interior_nodes():
     sol = solve_linear_matrix_bsde(
         scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-9
     )
-    fresh = PathPrefix(np.random.default_rng(2).normal(0, 0.1, size=(7, 16)))
+    fresh = np.random.default_rng(2).normal(0, 0.1, size=(7, 16)).sum(axis=1)
     at0 = sol.value_at(0.0, fresh)
     assert at0.shape == (7, 1, 1)
     np.testing.assert_array_equal(at0[:, 0, 0], np.full(7, sol.fixed_point[0, 0]))
@@ -152,7 +148,7 @@ def test_solution_coeff_kind_tracks_basis():
     fn = solution_coeff(det)
     assert fn.kind == "deterministic-periodic"
     assert fn.shape == (1, 1)
-    out = fn.eval_batch(0.0, PathPrefix.empty(4))
+    out = fn.eval_batch(0.0, np.zeros(4))
     np.testing.assert_allclose(out[:, 0, 0], 0.5, atol=1e-8)
 
     rand_a = builtin_scenarios()["scalar-random-periodic"].A

@@ -291,6 +291,23 @@ def test_verify_single_check_subset(tmp_path):
     assert lines[1].startswith("A3,1,")
 
 
+def test_verify_check_that_raises_fails_and_the_battery_goes_on(tmp_path, capsys):
+    # at master seed 4 the scalar-constant steady state behind A6 fails its
+    # stationarity audit with BurnInError; A1 must still be reported and
+    # both files written
+    out = tmp_path / "ver-raise"
+    rc = cli.main(["verify", "--seed", "4", "--checks", "A1,A6", "--out", str(out)])
+    assert rc == 1
+    assert "A6 FAIL BurnInError: second moment still drifting" in capsys.readouterr().out
+    with open(out / "checks.csv", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:2] for row in rows[1:]] == [["A1", "1"], ["A6", "0"]]
+    assert "still drifting" in rows[2][3]
+    summary = read_json(out / "summary.json")
+    assert summary["n_failed"] == 1
+    assert summary["checks"][1]["metrics"] == {}
+
+
 def test_verify_scenario_battery(tmp_path):
     out = tmp_path / "ver-scen"
     rc = cli.main([

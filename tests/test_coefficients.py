@@ -7,7 +7,6 @@ import pytest
 
 from ergolq.coefficients import (
     CoefficientError,
-    PathPrefix,
     PeriodicCoefficientSet,
     ScenarioFormatError,
     builtin_scenarios,
@@ -31,8 +30,8 @@ from ergolq.coefficients import (
 TAU = 1.0
 
 
-def random_prefix(rng, n_paths, k):
-    return PathPrefix(rng.normal(0.0, math.sqrt(TAU / 64), size=(n_paths, k)))
+def random_partial_sums(rng, n_paths, k):
+    return rng.normal(0.0, math.sqrt(TAU / 64), size=(n_paths, k)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +40,8 @@ def random_prefix(rng, n_paths, k):
 
 def test_constant_coeff_evaluates_everywhere():
     fn = constant_coeff([[2.0, -1.0], [0.0, 3.0]], TAU)
-    pre = random_prefix(np.random.default_rng(0), 5, 7)
-    out = fn.eval_batch(0.3, pre)
+    sums = random_partial_sums(np.random.default_rng(0), 5, 7)
+    out = fn.eval_batch(0.3, sums)
     assert out.shape == (2, 2)
     np.testing.assert_array_equal(out, [[2.0, -1.0], [0.0, 3.0]])
     assert fn.kind == "constant"
@@ -54,7 +53,7 @@ def test_harmonic_coeff_matches_trig_polynomial():
     )
     for phase in (0.0, 0.125, 0.5, 0.9):
         want = 1.0 + 0.5 * math.sin(4 * math.pi * phase) - 0.25 * math.cos(2 * math.pi * phase)
-        got = fn.eval_batch(phase, PathPrefix.empty())
+        got = fn.eval_batch(phase, np.zeros(1))
         assert got.shape == (1, 1)
         assert abs(got[0, 0] - want) < 1e-14
     assert fn.kind == "deterministic-periodic"
@@ -67,16 +66,12 @@ def test_harmonic_coeff_rejects_bad_order():
 
 def test_tanh_sum_coeff_depends_on_partial_sum_only():
     fn = tanh_sum_coeff(TAU, [[0.5]], [[0.2]], scale=1.5, offset=0.1)
-    incs = np.array([[0.1, -0.3, 0.4], [0.0, 0.0, 0.0]])
-    out = fn.eval_batch(3 / 64, PathPrefix(incs))
+    out = fn.eval_batch(3 / 64, np.array([0.2, 0.0]))
     want0 = 0.5 + 0.2 * math.tanh(1.5 * 0.2 + 0.1)
     want1 = 0.5 + 0.2 * math.tanh(0.1)
     assert out.shape == (2, 1, 1)
     assert abs(out[0, 0, 0] - want0) < 1e-14
     assert abs(out[1, 0, 0] - want1) < 1e-14
-    # reordering increments leaves the value unchanged
-    out2 = fn.eval_batch(3 / 64, PathPrefix(incs[:, ::-1]))
-    np.testing.assert_allclose(out2, out, atol=1e-15)
     assert fn.kind == "path-functional"
 
 
@@ -88,14 +83,14 @@ def test_tanh_sum_rejects_unknown_link():
 def test_phase_domain_is_half_open():
     fn = constant_coeff([[1.0]], TAU)
     with pytest.raises(CoefficientError):
-        fn.eval_batch(TAU, PathPrefix.empty())
+        fn.eval_batch(TAU, np.zeros(1))
     with pytest.raises(CoefficientError):
-        fn.eval_batch(-0.01, PathPrefix.empty())
+        fn.eval_batch(-0.01, np.zeros(1))
 
 
 def test_symmetrize_records_asymmetry():
     fn = constant_coeff([[1.0, 0.5], [0.0, 1.0]], TAU, symmetrize=True)
-    out = fn.eval_batch(0.0, PathPrefix.empty())
+    out = fn.eval_batch(0.0, np.zeros(1))
     np.testing.assert_allclose(out, [[1.0, 0.25], [0.25, 1.0]])
     assert fn.diagnostics["max_asymmetry"] == pytest.approx(0.5)
 
@@ -110,21 +105,21 @@ def test_algebra_matches_numpy_on_random_samples():
     b = tanh_sum_coeff(TAU, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), scale=0.7)
     m = constant_coeff(rng.normal(size=(3, 2)), TAU)
     v = constant_coeff(rng.normal(size=3), TAU)
-    pre = random_prefix(rng, 4, 5)
+    sums = random_partial_sums(rng, 4, 5)
     phase = 5 / 64
 
-    av = a.eval_batch(phase, pre)
-    bv = b.eval_batch(phase, pre)
-    mv = m.eval_batch(phase, pre)
-    vv = v.eval_batch(phase, pre)
+    av = a.eval_batch(phase, sums)
+    bv = b.eval_batch(phase, sums)
+    mv = m.eval_batch(phase, sums)
+    vv = v.eval_batch(phase, sums)
 
-    np.testing.assert_allclose(cf_add(a, b).eval_batch(phase, pre), av + bv, atol=1e-14)
-    np.testing.assert_allclose(cf_scale(a, -2.5).eval_batch(phase, pre), -2.5 * av, atol=1e-14)
+    np.testing.assert_allclose(cf_add(a, b).eval_batch(phase, sums), av + bv, atol=1e-14)
+    np.testing.assert_allclose(cf_scale(a, -2.5).eval_batch(phase, sums), -2.5 * av, atol=1e-14)
     np.testing.assert_allclose(
-        cf_transpose(b).eval_batch(phase, pre), np.swapaxes(bv, -1, -2), atol=1e-14
+        cf_transpose(b).eval_batch(phase, sums), np.swapaxes(bv, -1, -2), atol=1e-14
     )
-    np.testing.assert_allclose(cf_matmul(b, m).eval_batch(phase, pre), bv @ mv, atol=1e-14)
-    got = cf_matmul(a, v).eval_batch(phase, pre)
+    np.testing.assert_allclose(cf_matmul(b, m).eval_batch(phase, sums), bv @ mv, atol=1e-14)
+    got = cf_matmul(a, v).eval_batch(phase, sums)
     assert got.shape == (2,)
     np.testing.assert_allclose(got, av @ vv, atol=1e-14)
 
@@ -146,11 +141,11 @@ def test_rinv_mul_solves_batched_systems():
     rng = np.random.default_rng(7)
     r = tanh_sum_coeff(TAU, 2.0 * np.eye(2), 0.3 * np.eye(2), scale=0.5, symmetrize=True)
     g = constant_coeff(rng.normal(size=(2, 1)), TAU)
-    pre = random_prefix(rng, 6, 10)
+    sums = random_partial_sums(rng, 6, 10)
     phase = 10 / 64
-    got = cf_rinv_mul(r, g).eval_batch(phase, pre)
-    rv = r.eval_batch(phase, pre)
-    gv = g.eval_batch(phase, pre)
+    got = cf_rinv_mul(r, g).eval_batch(phase, sums)
+    rv = r.eval_batch(phase, sums)
+    gv = g.eval_batch(phase, sums)
     for p in range(6):
         np.testing.assert_allclose(rv[p] @ got[p], gv, atol=1e-12)
 
@@ -193,13 +188,13 @@ def test_check_positivity_flags_indefinite_cost():
 def test_feedback_constructors():
     scen = builtin_scenarios()["scalar-constant"]
     zero = constant_feedback(scen, np.zeros((scen.m, scen.n)))
-    assert zero.Theta.eval_batch(0.25, PathPrefix.empty()).item() == 0.0
-    assert zero.v.eval_batch(0.25, PathPrefix.empty()).item() == 0.0
+    assert zero.Theta.eval_batch(0.25, np.zeros(1)).item() == 0.0
+    assert zero.v.eval_batch(0.25, np.zeros(1)).item() == 0.0
     law = constant_feedback(scen, [[-0.4]], v=[0.1], label="manual")
     assert law.label == "manual"
     pert = perturbed_feedback(law, d_theta=[[1.0]], d_v=[1.0], eps=0.05)
-    assert pert.Theta.eval_batch(0.0, PathPrefix.empty()).item() == pytest.approx(-0.35)
-    assert pert.v.eval_batch(0.0, PathPrefix.empty()).item() == pytest.approx(0.15)
+    assert pert.Theta.eval_batch(0.0, np.zeros(1)).item() == pytest.approx(-0.35)
+    assert pert.v.eval_batch(0.0, np.zeros(1)).item() == pytest.approx(0.15)
     assert pert.token != law.token
 
 
@@ -220,10 +215,10 @@ def test_round_trip_preserves_evaluations():
     scen = builtin_scenarios()["scalar-random-periodic"]
     back = parse_scenario(serialize_scenario(scen))
     rng = np.random.default_rng(3)
-    pre = random_prefix(rng, 8, 17)
+    sums = random_partial_sums(rng, 8, 17)
     for key in ("A", "C", "b", "sigma", "Q", "R"):
-        a = getattr(scen, key).eval_batch(17 / 64, pre)
-        bkv = getattr(back, key).eval_batch(17 / 64, pre)
+        a = getattr(scen, key).eval_batch(17 / 64, sums)
+        bkv = getattr(back, key).eval_batch(17 / 64, sums)
         np.testing.assert_allclose(bkv, a, atol=1e-15)
 
 

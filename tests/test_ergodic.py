@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ergolq.coefficients import (
-    PathPrefix,
     builtin_scenarios,
     constant_feedback,
 )
@@ -48,17 +47,17 @@ def scalar_optimum():
 def test_running_cost_matches_hand_formula():
     scen = builtin_scenarios()["scalar-random-periodic"]
     rng = np.random.default_rng(8)
-    pre = PathPrefix(rng.normal(0.0, 0.125, size=(5, 11)))
+    sums = rng.normal(0.0, 0.125, size=(5, 11)).sum(axis=1)
     phase = 11 / 64
     x = rng.normal(size=(5, 1))
     u = rng.normal(size=(5, 1))
-    weights = [scen.coefficient(f).eval_batch(phase, pre) for f in ("Q", "S", "R", "q", "rho")]
+    weights = [scen.coefficient(f).eval_batch(phase, sums) for f in ("Q", "S", "R", "q", "rho")]
     got = _quadratic_cost(*weights, x, u)
-    q = scen.Q.eval_batch(phase, pre)[:, 0, 0]
-    s = scen.S.eval_batch(phase, pre)[0, 0]
-    r = scen.R.eval_batch(phase, pre)[0, 0]
-    ql = scen.q.eval_batch(phase, pre)[0]
-    rho = scen.rho.eval_batch(phase, pre)[0]
+    q = scen.Q.eval_batch(phase, sums)[:, 0, 0]
+    s = scen.S.eval_batch(phase, sums)[0, 0]
+    r = scen.R.eval_batch(phase, sums)[0, 0]
+    ql = scen.q.eval_batch(phase, sums)[0]
+    rho = scen.rho.eval_batch(phase, sums)[0]
     want = (
         q * x[:, 0] ** 2
         + 2.0 * s * u[:, 0] * x[:, 0]
@@ -141,7 +140,7 @@ def test_finite_horizon_checkpoints_are_paired():
 
 def test_optimal_feedback_recovers_constant_chain(scalar_optimum):
     scen, bundle, ric, opt = scalar_optimum
-    empty = PathPrefix.empty()
+    empty = np.zeros(1)
     theta0 = opt.theta.eval_batch(0.25, empty).item()
     v0 = opt.v_fn.eval_batch(0.25, empty).item()
     assert abs(theta0 + SQRT2_M1) < 1e-7

@@ -7,7 +7,6 @@ import pytest
 
 from ergolq.bsde_engine import ConvergenceError
 from ergolq.coefficients import (
-    PathPrefix,
     PeriodicCoefficientSet,
     builtin_scenarios,
     constant_coeff,
@@ -45,21 +44,21 @@ def test_reduce_cross_term_algebra():
     reduced, shift = reduce_cross_term(scen)
     assert reduced.S.is_zero
     rng = np.random.default_rng(4)
-    pre = PathPrefix(rng.normal(0.0, 0.125, size=(6, 9)))
+    sums = rng.normal(0.0, 0.125, size=(6, 9)).sum(axis=1)
     phase = 9 / 64
-    a = scen.A.eval_batch(phase, pre)
-    b = scen.B.eval_batch(phase, pre)
-    s = scen.S.eval_batch(phase, pre)
-    r = scen.R.eval_batch(phase, pre)
-    q = scen.Q.eval_batch(phase, pre)
+    a = scen.A.eval_batch(phase, sums)
+    b = scen.B.eval_batch(phase, sums)
+    s = scen.S.eval_batch(phase, sums)
+    r = scen.R.eval_batch(phase, sums)
+    q = scen.Q.eval_batch(phase, sums)
     rinv_s = np.linalg.solve(np.atleast_2d(r), np.atleast_2d(s))
     np.testing.assert_allclose(
-        reduced.A.eval_batch(phase, pre), a - b @ rinv_s, atol=1e-14
+        reduced.A.eval_batch(phase, sums), a - b @ rinv_s, atol=1e-14
     )
     np.testing.assert_allclose(
-        reduced.Q.eval_batch(phase, pre), q - s.T @ rinv_s, atol=1e-14
+        reduced.Q.eval_batch(phase, sums), q - s.T @ rinv_s, atol=1e-14
     )
-    np.testing.assert_allclose(shift.eval_batch(phase, pre), rinv_s, atol=1e-14)
+    np.testing.assert_allclose(shift.eval_batch(phase, sums), rinv_s, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +69,7 @@ def test_default_stabilizer_prefers_smallest_gain():
     scen = builtin_scenarios()["scalar-constant"]
     law = default_stabilizer(scen, seed=3)
     # the uncontrolled loop is already stable, so kappa = 0 wins
-    assert law.Theta.eval_batch(0.0, PathPrefix.empty()).item() == 0.0
+    assert law.Theta.eval_batch(0.0, np.zeros(1)).item() == 0.0
     report = stabilizer_check(scen, law, derive_seed(3, "audit"))
     assert report.stable
 
@@ -103,7 +102,7 @@ def test_scalar_constant_gain_matches_algebraic_root():
     scen = builtin_scenarios()["scalar-constant"]
     ric = solve_stochastic_riccati(scen, solve_bundle(101), tol=1e-9)
     assert abs(ric.fixed_point[0, 0] - SQRT2_M1) < 1e-8
-    theta0 = ric.theta.eval_batch(0.0, PathPrefix.empty()).item()
+    theta0 = ric.theta.eval_batch(0.0, np.zeros(1)).item()
     assert abs(theta0 + SQRT2_M1) < 1e-8
     assert ric.n_policies <= 10
     assert all(g >= -1e-9 for g in ric.monotone_gaps)
@@ -168,4 +167,4 @@ def test_gain_feedback_carries_custom_offset():
     offset = constant_coeff([0.25], scen.tau)
     law = ric.gain_feedback(v=offset, label="shifted")
     assert law.label == "shifted"
-    assert law.v.eval_batch(0.5, PathPrefix.empty()).item() == 0.25
+    assert law.v.eval_batch(0.5, np.zeros(1)).item() == 0.25

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ergolq.bsde_engine import RegressionBasis, solve_linear_matrix_bsde
 from ergolq.coefficients import (
     PeriodicCoefficientSet,
     builtin_scenarios,
@@ -40,11 +41,18 @@ def simulate_fundamental(coeffs, bundle, feedback=None):
     kept at every node."""
     values = np.empty((bundle.n_paths, bundle.n_steps + 1, coeffs.n, coeffs.n))
 
-    def visit(k, phase, prefix, phi):
+    def visit(k, phi):
         values[:, k] = phi
 
     overflow = stream_fundamental(coeffs, bundle, visit, feedback=feedback)
     return StateTrajectory(values, bundle.tau, bundle.steps_per_period, overflow)
+
+
+def squared_norms(traj):
+    """Reference reduction of a stored trajectory: per-path squared norms
+    at every node, shape (n_paths, n_nodes)."""
+    flat = traj.values.reshape(traj.values.shape[:2] + (-1,))
+    return np.einsum("pkc,pkc->pk", flat, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +127,22 @@ def test_phase_wraps_and_prefix_resets_at_boundaries():
     assert bundle.phase(3) == pytest.approx(3 / 8)
     assert bundle.phase(8) == 0.0
     assert bundle.phase(11) == pytest.approx(3 / 8)
-    # period boundary: the prefix restarts empty
+    # period boundary: the partial sum restarts at zero
     for node in (0, 8, 16):
-        pre = bundle.prefix(node)
-        assert pre.increments.shape == (3, 0)
-        np.testing.assert_array_equal(pre.partial_sum, np.zeros(3))
-    pre = bundle.prefix(11)
-    np.testing.assert_array_equal(pre.increments, bundle.increments[:, 8:11])
-    np.testing.assert_allclose(pre.partial_sum, bundle.increments[:, 8:11].sum(axis=1))
-    with pytest.raises(SimulationError):
-        bundle.prefix(17)
+        np.testing.assert_array_equal(bundle.partial_sum(node), np.zeros(3))
+    np.testing.assert_allclose(bundle.partial_sum(11), bundle.increments[:, 8:11].sum(axis=1))
+    for node in (-1, 17):
+        with pytest.raises(SimulationError):
+            bundle.partial_sum(node)
 
 
 def test_streams_that_read_no_prefix_sum_leave_the_table_unbuilt(monkeypatch):
-    # constant coefficients read no partial sum, so neither a direct stream
-    # nor the decay certificate may allocate the (n_paths, n_steps + 1) table
+    # constant coefficients read no partial sum, so neither a direct stream,
+    # the decay certificate nor a degree-0 backward solve may allocate the
+    # (n_steps + 1, n_paths) table
     scen = builtin_scenarios()["scalar-moment-decay"]
     bundle = PathBundle.generate(5, 8, 16, 3)
-    stream_fundamental(scen, bundle, lambda k, phase, prefix, phi: None)
+    stream_fundamental(scen, bundle, lambda k, phi: None)
     assert bundle._cumsum is None
 
     def refuse(self):
@@ -144,27 +150,35 @@ def test_streams_that_read_no_prefix_sum_leave_the_table_unbuilt(monkeypatch):
 
     monkeypatch.setattr(PathBundle, "_sums", refuse)
     assert stabilizer_check(scen, constant_feedback(scen, [[0.0]]), seed=3, n_paths=16).stable
+    const = builtin_scenarios()["scalar-constant"]
+    solve = PathBundle.generate(5, 64, 16, 1, antithetic=True)
+    sol = solve_linear_matrix_bsde(const.A, const.C, const.Q, solve, basis=RegressionBasis(0))
+    assert sol.fixed_point[0, 0] > 0.0
 
 
 def test_prefix_sums_are_cumsum_differences_bit_for_bit():
-    # nodes in periods 0, 1 and 2, read during the stream and again after it
+    # nodes in periods 0, 1 and 2, at boundaries and at the last node, read
+    # during a path-functional stream and again after it: each is the last
+    # column of a cumsum restarted at its period's start, one contiguous row
     scen = builtin_scenarios()["scalar-random-periodic"]
     bundle = PathBundle.generate(31, 64, 64, 3)
-    nodes = (40, 64 + 50, 128 + 33)
+    nodes = (0, 1, 40, 64, 64 + 50, 128 + 33, 191, 192)
     seen = {}
 
-    def visit(k, phase, prefix, phi):
+    def visit(k, phi):
         if k in nodes:
-            seen[k] = (prefix, prefix.partial_sum.copy())
+            seen[k] = bundle.partial_sum(k).copy()
 
     stream_fundamental(scen, bundle, visit)
-    cs = np.zeros((bundle.n_paths, bundle.n_steps + 1))
-    cs[:, 1:] = np.cumsum(bundle.increments, axis=1)
     for node in nodes:
         start = node - node % bundle.steps_per_period
-        prefix, during = seen[node]
-        np.testing.assert_array_equal(during, cs[:, node] - cs[:, start])
-        np.testing.assert_array_equal(prefix.partial_sum, during)
+        want = np.zeros(bundle.n_paths)
+        if node > start:
+            want = np.cumsum(bundle.increments[:, start:node], axis=1)[:, -1]
+        got = bundle.partial_sum(node)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(seen[node], want)
 
 
 def test_restrict_shares_increments():
@@ -243,7 +257,7 @@ def test_planar_fundamental_starts_at_identity():
 
 def _closed_loop_states(scen, law, x0, bundle):
     states = []
-    stream_closed_loop(scen, law, x0, bundle, lambda k, phase, prefix, x, u: states.append(x.copy()))
+    stream_closed_loop(scen, law, x0, bundle, lambda k, x, u: states.append(x.copy()))
     return np.stack(states, axis=1)
 
 
@@ -262,15 +276,7 @@ def test_closed_loop_is_random_periodic_under_the_shift(name):
         increments=full.increments[:, 2 * sp:],
     )
     second = _closed_loop_states(scen, law, first[:, 2 * sp], shifted)
-    tail = first[:, 2 * sp:]
-    if name != "scalar-random-periodic":
-        np.testing.assert_array_equal(second, tail)
-    else:
-        # the path-functional coefficients read within-period sums, which
-        # are differences of the bundle's running cumulative sum: the full
-        # bundle's sums after period 0 carry the rounding of its first
-        # periods, the shifted bundle's restart at zero
-        assert np.abs(second - tail).max() <= 1e-12 * np.abs(tail).max()
+    np.testing.assert_array_equal(second, first[:, 2 * sp:])
 
 
 def test_overflow_paths_are_flagged_and_nan():
@@ -291,7 +297,7 @@ def test_every_stream_applies_the_same_overflow_rule():
     bundle = PathBundle.generate(2, 3, 16, 8)
     last = []
 
-    def visit(k, phase, prefix, d):
+    def visit(k, d):
         if k == bundle.n_steps:
             last.append(d.copy())
 
@@ -353,7 +359,7 @@ def test_decay_certificate_equals_the_stored_trajectory_reduction(name):
     if name == "runaway":
         assert 0 < traj.overflow.sum() < bundle.n_paths
     idx = np.arange(0, traj.n_nodes, bundle.steps_per_period)
-    moments = traj.squared_norms()[~traj.overflow][:, idx].mean(axis=0)
+    moments = squared_norms(traj)[~traj.overflow][:, idx].mean(axis=0)
     want = _decay_report(
         bundle.tau, moments, overflow_paths=int(traj.overflow.sum()),
         diagnostics={"period_end_moments": moments},
@@ -406,18 +412,16 @@ def test_contraction_identical_starts_short_circuits():
 
 
 def test_poly_design_values():
-    from ergolq.coefficients import PathPrefix
-
-    pre = PathPrefix(np.array([[0.2, -0.1], [0.3, 0.3]]))
+    sums = np.array([0.1, 0.6])
     phase = 0.25
-    design = poly_design(pre, phase, degree=3)
+    design = poly_design(sums, phase, degree=3)
     z = np.array([0.1, 0.6]) / 0.5
     np.testing.assert_allclose(design[:, 0], 1.0)
     np.testing.assert_allclose(design[:, 1], z)
     np.testing.assert_allclose(design[:, 2], z**2)
     np.testing.assert_allclose(design[:, 3], z**3)
-    assert poly_design(pre, 0.0, degree=3).shape == (2, 1)
-    assert poly_design(pre, phase, degree=0).shape == (2, 1)
+    assert poly_design(sums, 0.0, degree=3).shape == (2, 1)
+    assert poly_design(sums, phase, degree=0).shape == (2, 1)
 
 
 def test_gram_lower_bound_on_constant_scenario():
@@ -464,4 +468,4 @@ def test_moments_csv_matches_trajectory(tmp_path):
     assert rows[0] == ["t", "mean_c0", "second_moment", "stderr"]
     assert len(rows) == 1 + traj.n_nodes
     second = np.array([float(r[2]) for r in rows[1:]])
-    np.testing.assert_allclose(second, traj.squared_norms().mean(axis=0), rtol=1e-15)
+    np.testing.assert_allclose(second, squared_norms(traj).mean(axis=0), rtol=1e-15)

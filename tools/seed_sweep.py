@@ -5,8 +5,10 @@ Runs the acceptance battery A1-A10 and the scenario checks S1-S6 of
 catalog scenario for master seeds 1-20, prints every failure as it happens,
 then one line per check and scenario with its pass count and a 95%
 Clopper-Pearson interval on the failure rate.  Gates and seeds are those
-of ``ergolq verify``; nothing is tuned here.  A check that raised, or that
-a failed earlier step skipped, counts as not run, not as failed.
+of ``ergolq verify``; nothing is tuned here.  The battery runs through
+``run_acceptance``, so a check that raises a solver error fails, exactly
+as ``ergolq verify`` reports it.  A scenario check that raised, or that a
+failed earlier step skipped, counts as not run, not as failed.
 
     PYTHONPATH=src python3 tools/seed_sweep.py
 
@@ -22,7 +24,7 @@ from collections import Counter
 from scipy.stats import beta
 
 from ergolq.coefficients import builtin_scenarios
-from ergolq.verify import ALL_CHECKS, CHECK_IDS, AcceptanceContext, run_scenario_checks
+from ergolq.verify import run_acceptance, run_scenario_checks
 
 SEEDS = range(1, 21)
 
@@ -40,14 +42,7 @@ def main() -> None:
     runs, passes, errors = Counter(), Counter(), Counter()
     t0 = time.time()
     for seed in SEEDS:
-        results = []
-        ctx = AcceptanceContext(seed)
-        for check_id, check in zip(CHECK_IDS, ALL_CHECKS):
-            try:
-                results.append(("battery", check(ctx)))
-            except Exception as exc:  # counts as not run
-                print(f"seed {seed} {check_id}: error {type(exc).__name__}: {exc}")
-                errors[check_id] += 1
+        results = [("battery", out) for out in run_acceptance(seed)]
         for name, scen in scenarios.items():
             try:
                 results += [(name, out) for out in run_scenario_checks(scen, seed=seed)]

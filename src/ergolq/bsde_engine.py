@@ -17,6 +17,13 @@ All sweeps of one solve run on a single frozen path bundle, which makes the
 iteration a deterministic map with an honest fixed point; the statistical
 error is then controlled by the stopping rule, which refuses to iterate
 below the Monte Carlo resolution of the update.
+
+A solve builds each node's ridged normal matrix and condition number once
+(``ridge_plan``) for all its sweeps; designs are rebuilt per node, since a
+period of cubic designs costs more memory than time.  A degree-0 solution
+is deterministic: the fitted integrand, drift and fitted value are computed
+on one row and broadcast, while every reduction over paths (regression
+right-hand sides, node-0 target, stopping rule) reads full per-path rows.
 """
 
 from __future__ import annotations
@@ -46,21 +53,19 @@ class RegressionBasis:
 
     degree: int = 2
 
-    def design(self, bundle: PathBundle, node: int) -> np.ndarray:
-        """Features at a grid node; degree 0 never reads the partial sums."""
+    def __post_init__(self):
         if not 0 <= self.degree <= 6:
             raise RegressionError("basis degree must lie in 0..6")
+
+    def design(self, bundle: PathBundle, node: int) -> np.ndarray:
+        """Features at a grid node; degree 0 never reads the partial sums."""
         if self.degree == 0:
             return np.ones((bundle.n_paths, 1))
         return poly_design(bundle.partial_sum(node), bundle.phase(node), self.degree)
 
 
-def ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float):
-    """Least squares with a ridge on the non-constant columns.
-
-    Returns the coefficient matrix (n_features, n_targets) and the condition
-    number of the regularized normal matrix.
-    """
+def ridge_plan(design: np.ndarray, ridge: float):
+    """(gram, cond): the normal matrix, ridged on the non-constant columns."""
     n_paths, n_feat = design.shape
     gram = design.T @ design / n_paths
     if n_feat > 1:
@@ -69,8 +74,12 @@ def ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float):
     cond = float(np.linalg.cond(gram))
     if not math.isfinite(cond) or cond > 1e12:
         raise RegressionError(f"singular regression at condition number {cond:.3e}")
-    rhs = design.T @ targets / n_paths
-    return np.linalg.solve(gram, rhs), cond
+    return gram, cond
+
+
+def ridge_solve(design: np.ndarray, targets: np.ndarray, plan) -> np.ndarray:
+    """Ridge least-squares coefficients (n_features, n_targets) on a plan."""
+    return np.linalg.solve(plan[0], design.T @ targets / design.shape[0])
 
 
 @dataclass
@@ -87,12 +96,14 @@ def backward_sweep(
     terminal: np.ndarray,
     bundle: PathBundle,
     basis: RegressionBasis,
+    plans: list,
 ) -> SweepResult:
-    """One explicit backward pass over a single period.
+    """One explicit backward pass over a single period on the node plans.
 
-    drift(node, value_next, integrand_est) must return an array
-    broadcastable to (n_paths,) + value shape.  Matrix-valued sweeps keep
-    every stored node value exactly symmetric.
+    drift(node, value_next, integrand_est) gets ``rows`` rows (1 for a
+    degree-0 basis, else n_paths) and must return an array broadcastable to
+    (rows,) + value shape.  Matrix-valued sweeps keep every stored node
+    value exactly symmetric.
     """
     if bundle.n_periods != 1:
         raise ValueError("backward sweeps operate on single-period bundles")
@@ -102,13 +113,13 @@ def backward_sweep(
     flat_dim = int(np.prod(vshape))
     sp, dt = bundle.steps_per_period, bundle.dt
     n_paths = bundle.n_paths
+    rows = 1 if basis.degree == 0 else n_paths
 
     values = np.empty((n_paths, sp + 1) + vshape)
     integrand = np.empty((n_paths, sp) + vshape)
     values[:, sp] = terminal
     value_coeffs: List[Optional[np.ndarray]] = [None] * sp
     node0_target = None
-    max_cond = 0.0
 
     for i in range(sp - 1, -1, -1):
         design = basis.design(bundle, i)
@@ -116,23 +127,22 @@ def backward_sweep(
         flat_next = v_next.reshape(n_paths, flat_dim)
 
         dw = bundle.increments[:, i] / dt
-        beta_l, cond_l = ridge_solve(design, flat_next * dw[:, None], RIDGE)
-        l_est = (design @ beta_l).reshape((n_paths,) + vshape)
+        beta_l = ridge_solve(design, flat_next * dw[:, None], plans[i])
+        l_est = (design[:rows] @ beta_l).reshape((rows,) + vshape)
         if is_matrix:
             l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
 
-        d = np.asarray(drift(i, v_next, l_est), dtype=float)
+        d = np.asarray(drift(i, v_next[:rows], l_est), dtype=float)
         if d.ndim == len(vshape):
             d = d[None]
         target = flat_next + dt * d.reshape(d.shape[0], flat_dim)
-        beta_v, cond_v = ridge_solve(design, target, RIDGE)
-        fitted = (design @ beta_v).reshape((n_paths,) + vshape)
+        beta_v = ridge_solve(design, target, plans[i])
+        fitted = (design[:rows] @ beta_v).reshape((rows,) + vshape)
         if is_matrix:
             fitted = 0.5 * (fitted + np.swapaxes(fitted, -1, -2))
         values[:, i] = fitted
         integrand[:, i] = l_est
         value_coeffs[i] = beta_v
-        max_cond = max(max_cond, cond_l, cond_v)
         if i == 0:
             node0_target = np.broadcast_to(target, (n_paths, flat_dim)).copy()
 
@@ -141,7 +151,7 @@ def backward_sweep(
         integrand=integrand,
         value_coeffs=value_coeffs,
         node0_target=node0_target,
-        max_cond=max_cond,
+        max_cond=max(cond for _, cond in plans),
     )
 
 
@@ -271,10 +281,13 @@ def _outer_fixed_point(
         terminal = np.array(initial_terminal, dtype=float)
         if terminal.shape != shape:
             raise ValueError(f"warm start shape {terminal.shape}, expected {shape}")
-    trace = IterationTrace()
+    # built from the last node down, so a singular node raises as a sweep would
+    sp = bundle.steps_per_period
+    plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in range(sp - 1, -1, -1)][::-1]
+    trace = IterationTrace(diagnostics={"max_cond": max(cond for _, cond in plans)})
     prev_target = None
     for _ in range(max_iter):
-        sweep = backward_sweep(drift, terminal, bundle, basis)
+        sweep = backward_sweep(drift, terminal, bundle, basis, plans)
         fixed = sweep.values[0, 0].copy()
         update = float(np.linalg.norm(fixed - terminal))
         if prev_target is None:
@@ -385,8 +398,8 @@ def solve_vector_bsde(
     )
 
     def drift(i, eta_next, zeta_est):
-        k_i = kl_solution.values[:, i]
-        l_i = kl_solution.integrand[:, i]
+        k_i = kl_solution.values[: len(eta_next), i]
+        l_i = kl_solution.integrand[: len(eta_next), i]
         a, c, bd, sg, lam = a_at(i), c_at(i), b_at(i), sigma_at(i), lam_at(i)
         at_eta = np.matmul(np.swapaxes(a, -1, -2), eta_next[..., None])[..., 0]
         ct_zeta = np.matmul(np.swapaxes(c, -1, -2), zeta_est[..., None])[..., 0]

@@ -19,9 +19,10 @@ error is then controlled by the stopping rule, which refuses to iterate
 below the Monte Carlo resolution of the update.
 
 A solve builds each node's ridged normal matrix and condition number once
-(``ridge_plan``) for all its sweeps; designs are rebuilt per node, since a
-period of cubic designs costs more memory than time.  A degree-0 solution
-is deterministic: the fitted integrand, drift and fitted value are computed
+(``ridge_plan``, defined in ``sde_engine`` and shared with the Gram
+estimate) for all its sweeps; designs are rebuilt per node, since a period
+of cubic designs costs more memory than time.  A degree-0 solution is
+deterministic: the fitted integrand, drift and fitted value are computed
 on one row and broadcast, while every reduction over paths (regression
 right-hand sides, node-0 target, stopping rule) reads full per-path rows.
 """
@@ -35,12 +36,17 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientFn, composite_coeff
-from .sde_engine import RIDGE, PathBundle, mean_se, poly_design, stream_fundamental
-
-
-class RegressionError(RuntimeError):
-    """Raised when a least-squares node problem is numerically singular."""
+from .coefficients import CoefficientFn
+from .sde_engine import (
+    RIDGE,
+    PathBundle,
+    RegressionError,
+    mean_se,
+    poly_design,
+    ridge_plan,
+    ridge_solve,
+    stream_fundamental,
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -51,7 +57,7 @@ class ConvergenceError(RuntimeError):
 class RegressionBasis:
     """Polynomial basis in the within-period increment partial sum."""
 
-    degree: int = 2
+    degree: int
 
     def __post_init__(self):
         if not 0 <= self.degree <= 6:
@@ -62,24 +68,6 @@ class RegressionBasis:
         if self.degree == 0:
             return np.ones((bundle.n_paths, 1))
         return poly_design(bundle.partial_sum(node), bundle.phase(node), self.degree)
-
-
-def ridge_plan(design: np.ndarray, ridge: float):
-    """(gram, cond): the normal matrix, ridged on the non-constant columns."""
-    n_paths, n_feat = design.shape
-    gram = design.T @ design / n_paths
-    if n_feat > 1:
-        idx = np.arange(1, n_feat)
-        gram[idx, idx] += ridge
-    cond = float(np.linalg.cond(gram))
-    if not math.isfinite(cond) or cond > 1e12:
-        raise RegressionError(f"singular regression at condition number {cond:.3e}")
-    return gram, cond
-
-
-def ridge_solve(design: np.ndarray, targets: np.ndarray, plan) -> np.ndarray:
-    """Ridge least-squares coefficients (n_features, n_targets) on a plan."""
-    return np.linalg.solve(plan[0], design.T @ targets / design.shape[0])
 
 
 @dataclass
@@ -249,7 +237,7 @@ def solution_coeff(solution: BsdeGridSolution) -> CoefficientFn:
     """
     shape = tuple(solution.fixed_point.shape)
     kind = "deterministic-periodic" if solution.basis.degree == 0 else "path-functional"
-    return composite_coeff(shape, solution.tau, kind, solution.value_at)
+    return CoefficientFn(kind, shape, solution.value_at, solution.tau)
 
 
 def _min_eig_batch(mats: np.ndarray) -> np.ndarray:

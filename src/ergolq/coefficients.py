@@ -16,8 +16,10 @@ scenario file grammar can express:
 * ``tanh_sum``: a bounded link function (tanh, sin or cos) of the
   within-period increment partial sum, scaled and offset entrywise.
 
-Arbitrary in-memory compositions (sums, products, transposes) are
-supported for solver internals; those are not serializable.
+In-memory compositions (sums, scalings, transposes, products and
+R^{-1} products) serve the solver internals and are not serializable.  Each
+records its operands and the numpy call that combines their values, so a
+grid binding can walk the recorded tree instead of re-evaluating it whole.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class CoefficientFn:
     independent) or ``(n_paths,) + shape``.
 
     ``family``/``params`` are set for the serializable families and None for
-    in-memory compositions.
+    in-memory compositions.  A composition records ``parts = (combine,
+    operands)``: its value is ``combine`` applied to the operands' values,
+    which is what its evaluator computes and what ``PathBundle.bind`` walks.
     """
 
     kind: str
@@ -67,6 +71,7 @@ class CoefficientFn:
     params: Optional[dict] = None
     symmetrize: bool = False
     diagnostics: dict = field(default_factory=dict)
+    parts: Optional[tuple] = None
 
     def eval_batch(self, phase: float, partial_sum: np.ndarray) -> np.ndarray:
         """Evaluate on a path batch; result broadcasts against per-path arrays."""
@@ -74,7 +79,10 @@ class CoefficientFn:
             raise CoefficientError(
                 f"phase {phase!r} outside [0, {self.tau!r})"
             )
-        out = self.evaluator(phase, partial_sum)
+        return self.finish(self.evaluator(phase, partial_sum))
+
+    def finish(self, out) -> np.ndarray:
+        """Check an evaluated value's shape and symmetrize it if flagged."""
         out = np.asarray(out, dtype=float)
         if out.shape[-len(self.shape):] != self.shape:
             raise CoefficientError(
@@ -214,52 +222,44 @@ def tanh_sum_coeff(
     )
 
 
-def composite_coeff(
-    shape, tau: float, kind: str, evaluator: Callable, *, symmetrize: bool = False
-) -> CoefficientFn:
-    """In-memory coefficient from a raw evaluator (not serializable)."""
-    return CoefficientFn(
-        kind=kind,
-        shape=tuple(shape),
-        evaluator=evaluator,
-        tau=tau,
-        symmetrize=symmetrize,
-    )
-
-
 # ---------------------------------------------------------------------------
 # composition algebra (solver internals)
 
 
-def _join_kind(*fns) -> str:
-    return max((f.kind for f in fns), key=_KIND_ORDER.__getitem__)
+def _compose(shape, combine: Callable, *operands: CoefficientFn) -> CoefficientFn:
+    """The one composition rule: ``combine`` of the operands' values.
+
+    The kind is the most path-dependent operand's and the period the first
+    operand's; the operands are recorded for ``PathBundle.bind`` to walk.
+    """
+    kind = max((f.kind for f in operands), key=_KIND_ORDER.__getitem__)
+
+    def evaluator(phase, s):
+        return combine(*(f.eval_batch(phase, s) for f in operands))
+
+    return CoefficientFn(
+        kind=kind,
+        shape=tuple(shape),
+        evaluator=evaluator,
+        tau=operands[0].tau,
+        parts=(combine, operands),
+    )
 
 
 def cf_add(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     if f.shape != g.shape:
         raise CoefficientError(f"shape mismatch in sum: {f.shape} vs {g.shape}")
-
-    def evaluator(phase, s):
-        return f.eval_batch(phase, s) + g.eval_batch(phase, s)
-
-    return composite_coeff(f.shape, f.tau, _join_kind(f, g), evaluator)
+    return _compose(f.shape, np.add, f, g)
 
 
 def cf_scale(f: CoefficientFn, alpha: float) -> CoefficientFn:
-    def evaluator(phase, s):
-        return alpha * f.eval_batch(phase, s)
-
-    return composite_coeff(f.shape, f.tau, f.kind, evaluator)
+    return _compose(f.shape, lambda a: alpha * a, f)
 
 
 def cf_transpose(f: CoefficientFn) -> CoefficientFn:
     if len(f.shape) != 2:
         raise CoefficientError("transpose needs a matrix coefficient")
-
-    def evaluator(phase, s):
-        return np.swapaxes(f.eval_batch(phase, s), -1, -2)
-
-    return composite_coeff((f.shape[1], f.shape[0]), f.tau, f.kind, evaluator)
+    return _compose((f.shape[1], f.shape[0]), lambda a: np.swapaxes(a, -1, -2), f)
 
 
 def _matmul_shapes(fs, gs):
@@ -273,20 +273,17 @@ def _matmul_shapes(fs, gs):
     return (left[0], right[1])
 
 
+def _product(f: CoefficientFn, g: CoefficientFn, apply: Callable) -> CoefficientFn:
+    """apply(f, g) for a matrix product form; a 1-d g is applied as a column."""
+    shape = _matmul_shapes(f.shape, g.shape)
+    if len(g.shape) == 1:
+        return _compose(shape, lambda a, b: apply(a, b[..., None])[..., 0], f, g)
+    return _compose(shape, apply, f, g)
+
+
 def cf_matmul(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     """Matrix product; a 1-d right factor is treated as a column vector."""
-    shape = _matmul_shapes(f.shape, g.shape)
-
-    def evaluator(phase, s):
-        a = f.eval_batch(phase, s)
-        bmat = g.eval_batch(phase, s)
-        if len(g.shape) == 1:
-            out = np.matmul(a, bmat[..., None])[..., 0]
-        else:
-            out = np.matmul(a, bmat)
-        return out
-
-    return composite_coeff(shape, f.tau, _join_kind(f, g), evaluator)
+    return _product(f, g, np.matmul)
 
 
 def rinv_apply(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -302,17 +299,7 @@ def rinv_apply(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def cf_rinv_mul(r_fn: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     """R^{-1} @ g (R must stay invertible)."""
-    shape = _matmul_shapes(r_fn.shape, g.shape)
-    vec = len(g.shape) == 1
-
-    def evaluator(phase, s):
-        r = r_fn.eval_batch(phase, s)
-        rhs = g.eval_batch(phase, s)
-        if vec:
-            return rinv_apply(r, rhs[..., None])[..., 0]
-        return rinv_apply(r, rhs)
-
-    return composite_coeff(shape, r_fn.tau, _join_kind(r_fn, g), evaluator)
+    return _product(r_fn, g, rinv_apply)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,6 @@ def burn_in_state(
     n_paths: int,
     steps_per_period: int = 64,
     lambda_hat: Optional[float] = None,
-    antithetic: bool = False,
 ) -> RandomPeriodicState:
     """Run the closed loop from zero to its random-periodic steady state.
 
@@ -164,9 +163,7 @@ def burn_in_state(
         derive_seed(seed, "burn-decay"), min(n_paths, 4000), steps_per_period,
     )
 
-    bundle = PathBundle.generate(
-        seed, n_paths, steps_per_period, k_burn, tau=coeffs.tau, antithetic=antithetic
-    )
+    bundle = PathBundle.generate(seed, n_paths, steps_per_period, k_burn, tau=coeffs.tau)
     sp = steps_per_period
     n_steps = bundle.n_steps
     boundary_sq = np.full((n_paths, k_burn + 1), np.nan)
@@ -186,8 +183,8 @@ def burn_in_state(
         )
 
     diff = boundary_sq[:, k_burn] - boundary_sq[:, k_burn - 1]
-    d_mean, d_se = mean_se(diff, antithetic)
-    m_mean, m_se = mean_se(boundary_sq[:, k_burn], antithetic)
+    d_mean, d_se = mean_se(diff)
+    m_mean, m_se = mean_se(boundary_sq[:, k_burn])
     slack = 3.0 * float(d_se) + 1e-3 * max(1.0, float(m_mean))
     if abs(float(d_mean)) > slack:
         raise BurnInError(
@@ -207,7 +204,6 @@ def burn_in_state(
             "lambda_hat": float(lambda_hat),
             "moment_change": float(d_mean),
             "moment_change_se": float(d_se),
-            "antithetic": antithetic,
         },
     )
 

@@ -25,7 +25,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,6 +47,10 @@ GRAM_TAIL_TOL = 1e-3
 
 class SimulationError(RuntimeError):
     """Raised for malformed grids or exhausted path ensembles."""
+
+
+class RegressionError(RuntimeError):
+    """Raised when a least-squares node problem is numerically singular."""
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -175,11 +179,18 @@ class PathBundle:
         A constant becomes one array and a deterministic-periodic
         coefficient (composed trees included) a (steps_per_period, *shape)
         table built from one evaluation per phase on a zero partial sum, so
-        neither grows with the path count.  Only a path-functional
-        coefficient is evaluated at every node, on that node's partial sums.
+        neither grows with the path count.  A path-functional composition
+        binds each recorded operand the same way and combines their node
+        values, so its path-free subtrees are tables built once and each
+        path-functional leaf is evaluated once per node per bound tree, on
+        that node's partial sums.
         """
         if fn.kind == "path-functional":
-            return lambda node: fn.eval_batch(self.phase(node), self.partial_sum(node))
+            if fn.parts is None:
+                return lambda node: fn.eval_batch(self.phase(node), self.partial_sum(node))
+            combine, operands = fn.parts
+            operands_at = [self.bind(f) for f in operands]
+            return lambda node: fn.finish(combine(*(at(node) for at in operands_at)))
         zero = np.zeros(1)
         n_phases = 1 if fn.kind == "constant" else self.steps_per_period
         table = np.stack(
@@ -470,7 +481,7 @@ def estimate_second_moment_decay(
     )
 
 
-def poly_design(partial_sum: np.ndarray, phase: float, degree: int = 2) -> np.ndarray:
+def poly_design(partial_sum: np.ndarray, phase: float, degree: int) -> np.ndarray:
     """Polynomial features of the (n_paths,) within-period partial sums,
     variance scaled.
 
@@ -488,15 +499,33 @@ def poly_design(partial_sum: np.ndarray, phase: float, degree: int = 2) -> np.nd
     return np.stack(cols, axis=1)
 
 
+def ridge_plan(design: np.ndarray, ridge: float):
+    """(gram, cond): the normal matrix, ridged on the non-constant columns."""
+    n_paths, n_feat = design.shape
+    gram = design.T @ design / n_paths
+    if n_feat > 1:
+        idx = np.arange(1, n_feat)
+        gram[idx, idx] += ridge
+    cond = float(np.linalg.cond(gram))
+    if not math.isfinite(cond) or cond > 1e12:
+        raise RegressionError(f"singular regression at condition number {cond:.3e}")
+    return gram, cond
+
+
+def ridge_solve(design: np.ndarray, targets: np.ndarray, plan) -> np.ndarray:
+    """Ridge least-squares coefficients (n_features, n_targets) on a plan."""
+    return np.linalg.solve(plan[0], design.T @ targets / design.shape[0])
+
+
 def estimate_gram_lower_bound(
     coeffs: PeriodicCoefficientSet,
     bundle: PathBundle,
     feedback: Optional[FeedbackLaw] = None,
-    r_nodes: Optional[Sequence[int]] = None,
 ) -> StabilityReport:
     """Regression proxy for the conditional Gram lower bound.
 
-    For each anchor node r in the first period, the pathwise integral
+    For each anchor node r in {0, sp/4, sp/2, 3sp/4} of the first period
+    (sp steps per period, floored), the pathwise integral
     int_r^T (Phi_s Phi_r^{-1})' (Phi_s Phi_r^{-1}) ds is accumulated while
     streaming, then regressed on polynomial features of the increments seen
     up to r.  delta_hat is the smallest eigenvalue of the fitted conditional
@@ -506,11 +535,7 @@ def estimate_gram_lower_bound(
     n, sp = coeffs.n, bundle.steps_per_period
     if bundle.n_periods < 3:
         raise SimulationError("Gram estimate needs >= 3 periods for the tail fit")
-    if r_nodes is None:
-        r_nodes = [0, sp // 4, sp // 2, (3 * sp) // 4]
-    r_nodes = sorted(set(int(r) for r in r_nodes))
-    if any(r < 0 or r >= sp for r in r_nodes):
-        raise SimulationError("anchor nodes must lie inside the first period")
+    r_nodes = sorted({0, sp // 4, sp // 2, (3 * sp) // 4})
     dt = bundle.dt
     n_paths = bundle.n_paths
     inv_at = {}
@@ -538,11 +563,9 @@ def estimate_gram_lower_bound(
     worst_se = math.nan
     for r in r_nodes:
         design = poly_design(bundle.partial_sum(r), bundle.phase(r), GRAM_DEGREE)
-        nfeat = design.shape[1]
-        gram = design.T @ design / n_paths
-        gram[np.arange(1, nfeat), np.arange(1, nfeat)] += RIDGE
+        plan = ridge_plan(design, RIDGE)
         target = grams[r].reshape(n_paths, -1)
-        beta = np.linalg.solve(gram, design.T @ target / n_paths)
+        beta = ridge_solve(design, target, plan)
         fitted = (design @ beta).reshape(n_paths, n, n)
         fitted = 0.5 * (fitted + np.swapaxes(fitted, -1, -2))
         eigs = np.linalg.eigvalsh(fitted)
@@ -552,7 +575,7 @@ def estimate_gram_lower_bound(
             worst = low
             resid = target - design @ beta
             sig2 = (resid**2).mean(axis=0)
-            lever = float(design[idx] @ np.linalg.solve(gram, design[idx]) / n_paths)
+            lever = float(design[idx] @ np.linalg.solve(plan[0], design[idx]) / n_paths)
             vecs = np.linalg.eigh(fitted[idx])[1][:, 0]
             wmat = np.outer(vecs, vecs).reshape(-1) ** 2
             worst_se = math.sqrt(max(lever * float(wmat @ sig2), 0.0))
@@ -562,7 +585,7 @@ def estimate_gram_lower_bound(
         np.array(boundary_moments),
         delta_hat=max(worst, 0.0),
         delta_se=worst_se,
-        diagnostics={"delta_raw": worst, "r_nodes": list(r_nodes)},
+        diagnostics={"delta_raw": worst, "r_nodes": r_nodes},
     )
     lam = report.lambda_hat
     horizon = bundle.duration - bundle.phase(max(r_nodes))

@@ -544,7 +544,7 @@ def run_scenario_checks(
                 {"lambda": report.lambda_hat, "ci_low": report.ci_low},
             )
         )
-    except Exception as exc:
+    except RUN_ERRORS as exc:
         push(_outcome("S2", "stabilizer search", False, str(exc), t0))
         return outcomes
 
@@ -573,7 +573,7 @@ def run_scenario_checks(
                 },
             )
         )
-    except Exception as exc:
+    except RUN_ERRORS as exc:
         push(_outcome("S3", "Riccati solve", False, str(exc), t0))
         return outcomes
 

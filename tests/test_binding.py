@@ -4,20 +4,28 @@ import numpy as np
 import pytest
 
 from ergolq.coefficients import (
+    CoefficientFn,
     FeedbackLaw,
     builtin_scenarios,
     cf_add,
     cf_matmul,
-    composite_coeff,
     constant_coeff,
     harmonic_coeff,
     perturbed_feedback,
+    tanh_sum_coeff,
 )
 from ergolq.ergodic import _accumulate_cost, optimal_feedback
-from ergolq.riccati import default_stabilizer, solve_stochastic_riccati
+from ergolq.riccati import (
+    _policy_gain,
+    _policy_problem,
+    default_stabilizer,
+    reduce_cross_term,
+    solve_stochastic_riccati,
+)
 from ergolq.sde_engine import (
     PathBundle,
     _difference_step_stream,
+    _homogeneous_drift,
     stream_closed_loop,
     stream_fundamental,
 )
@@ -110,31 +118,97 @@ def test_bound_kernel_matches_per_node_evaluation(laws, which):
     _assert_close(np.stack(diffs, axis=1), _hand_homogeneous(scen, law, delta, bundle))
 
 
+def _counted(fn, calls):
+    """fn as a leaf that records the phase of every evaluation."""
+
+    def evaluator(phase, s):
+        calls.append(phase)
+        return fn.eval_batch(phase, s)
+
+    return CoefficientFn(fn.kind, fn.shape, evaluator, fn.tau)
+
+
 @pytest.mark.parametrize("n_periods", [1, 5])
 def test_deterministic_composed_gain_is_tabulated_once_per_phase(n_periods):
+    # a deterministic gain is evaluated at most once per phase per bind; added
+    # to a path-functional leaf it is still a table, and only the leaf is
+    # evaluated at every node the stream reads
     scen = builtin_scenarios()["planar-deterministic-periodic"]
     gain = cf_add(
         harmonic_coeff(scen.tau, [[-0.2, -0.5]], sin_terms={1: [[0.1, 0.0]]}),
         cf_matmul(constant_coeff([[0.5]], scen.tau), constant_coeff([[0.0, -0.3]], scen.tau)),
     )
-    phases = []
-
-    def counted_eval(phase, s):
-        phases.append(phase)
-        return gain.eval_batch(phase, s)
-
-    theta = composite_coeff(gain.shape, gain.tau, gain.kind, counted_eval)
-    law = FeedbackLaw(Theta=theta, v=constant_coeff([0.1], scen.tau))
+    leaf = tanh_sum_coeff(scen.tau, [[0.0, 0.0]], [[0.1, -0.2]], scale=0.7)
     bundle = PathBundle.generate(3, 40, SP, n_periods)
-    streams = [
-        lambda: stream_closed_loop(scen, law, np.ones(2), bundle, lambda *a: None),
-        lambda: stream_fundamental(scen, bundle, lambda *a: None, feedback=law),
-        lambda: _difference_step_stream(scen, law, np.ones(2), bundle, lambda *a: None),
-    ]
-    for run in streams:
-        phases.clear()
-        run()
-        assert 0 < len(phases) <= SP
+    for path_functional in (False, True):
+        phases, leaf_phases = [], []
+        theta = _counted(gain, phases)
+        if path_functional:
+            theta = cf_add(theta, _counted(leaf, leaf_phases))
+        law = FeedbackLaw(Theta=theta, v=constant_coeff([0.1], scen.tau))
+        # each stream with the number of nodes at which it reads the gain
+        streams = [
+            (lambda: stream_closed_loop(scen, law, np.ones(2), bundle, lambda *a: None),
+             bundle.n_steps + 1),
+            (lambda: stream_fundamental(scen, bundle, lambda *a: None, feedback=law),
+             bundle.n_steps),
+            (lambda: _difference_step_stream(scen, law, np.ones(2), bundle, lambda *a: None),
+             bundle.n_steps),
+        ]
+        for run, n_reads in streams:
+            phases.clear()
+            leaf_phases.clear()
+            run()
+            assert 0 < len(phases) <= SP
+            assert len(leaf_phases) == (n_reads if path_functional else 0)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_bound_compositions_equal_direct_evaluation(name):
+    # every composition the solvers build, bound to a 2-period grid, returns
+    # at each node exactly what a direct evaluation on that node returns
+    scen = builtin_scenarios()[name]
+    solve = PathBundle.generate(31, 256, SP, 1, antithetic=True)
+    ric = solve_stochastic_riccati(scen, solve, tol=1e-5, require_stable=False)
+    optimal = optimal_feedback(ric, solve, tol=1e-5).feedback
+    fns = {
+        "theta": optimal.Theta,
+        "v": optimal.v,
+        "A+B theta": _homogeneous_drift(scen, optimal),
+    }
+    fns["reduced A+B theta"], fns["Q+theta'R theta"] = _policy_problem(
+        ric.reduced, _policy_gain(ric.reduced, ric.k_fn)
+    )
+    reduced, shift = reduce_cross_term(scen)
+    if shift is not None:
+        fns["A tilde"], fns["Q tilde"] = reduced.A, reduced.Q
+    assert (shift is not None) == (name == "scalar-random-periodic")
+    bundle = PathBundle.generate(47, 32, SP, 2)
+    for label, fn in fns.items():
+        at = bundle.bind(fn)
+        for k in range(bundle.n_steps + 1):
+            got, want = np.broadcast_arrays(
+                at(k), fn.eval_batch(bundle.phase(k), bundle.partial_sum(k))
+            )
+            np.testing.assert_array_equal(got, want, err_msg=f"{label} at node {k}")
+
+
+def test_bound_path_functional_composition_is_symmetrized():
+    # a flagged composition symmetrizes its walked value and records the
+    # asymmetry, as a direct evaluation does
+    tau = 1.0
+    skew = tanh_sum_coeff(tau, [[1.0, 0.5], [0.0, 1.0]], [[0.1, 0.3], [-0.2, 0.1]])
+    lam = cf_add(skew, constant_coeff(np.eye(2), tau))
+    lam.symmetrize = True
+    bundle = PathBundle.generate(5, 16, SP, 1)
+    at = bundle.bind(lam)
+    walked = [at(k) for k in range(bundle.n_steps + 1)]
+    assert lam.diagnostics["max_asymmetry"] > 0.25
+    for k, got in enumerate(walked):
+        np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
+        np.testing.assert_array_equal(
+            got, lam.eval_batch(bundle.phase(k), bundle.partial_sum(k))
+        )
 
 
 @pytest.mark.parametrize(

@@ -322,6 +322,39 @@ def test_verify_scenario_battery(tmp_path):
     assert summary["n_failed"] == 0
 
 
+@pytest.mark.parametrize("error", ["ConvergenceError", "TypeError"])
+def test_scenario_checks_report_run_errors_and_raise_programming_errors(monkeypatch, error):
+    # a typed run failure of the stabilizer search is a FAIL verdict that ends
+    # the checks; anything else is a defect and propagates
+    if error == "ConvergenceError":
+        exc = ergolq.ConvergenceError("no stabilizer")
+    else:
+        exc = TypeError("bug")
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("ergolq.verify.default_stabilizer", broken)
+    scen = builtin_scenarios()["scalar-constant"]
+    if error == "TypeError":
+        with pytest.raises(TypeError):
+            ergolq.run_scenario_checks(scen)
+        return
+    outcomes = ergolq.run_scenario_checks(scen)
+    assert [o.check_id for o in outcomes] == ["S1", "S2"]
+    assert outcomes[0].passed and not outcomes[1].passed
+    assert "no stabilizer" in outcomes[1].detail
+
+
+def test_public_names_resolve():
+    for name in ergolq.__all__:
+        assert getattr(ergolq, name) is not None, name
+    # the backward engine re-exports the regression rule it shares with the
+    # Gram estimate; both modules must hold the same objects
+    for name in ("ridge_plan", "ridge_solve", "RegressionError"):
+        assert getattr(ergolq.bsde_engine, name) is getattr(ergolq.sde_engine, name)
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy is the bulk of start-up time and only the quadrature oracle needs it
     src = os.path.dirname(os.path.dirname(os.path.abspath(ergolq.__file__)))

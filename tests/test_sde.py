@@ -434,8 +434,6 @@ def test_gram_lower_bound_on_constant_scenario():
     assert "tail_bound" in report.diagnostics
     with pytest.raises(SimulationError):
         estimate_gram_lower_bound(scen, bundle.restrict(2))
-    with pytest.raises(SimulationError):
-        estimate_gram_lower_bound(scen, bundle, r_nodes=[40])
 
 
 # ---------------------------------------------------------------------------

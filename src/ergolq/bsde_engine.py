@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -170,15 +171,16 @@ class IterationTrace:
 class BsdeGridSolution:
     """Periodic solution samples on the solve bundle plus node surrogates.
 
-    values holds the per-path node samples (deterministic at phase 0);
-    integrand holds the martingale coefficient estimates at nodes 0..sp-1.
-    value_coeffs are the per-node regression weights that define the
-    out-of-sample value surrogate.
+    bundle is the single-period bundle the solution was computed on, so
+    its grid and its paths are the solution's: values holds the per-path
+    node samples on those paths (deterministic at phase 0) and integrand
+    the martingale coefficient estimates at nodes 0..sp-1.  value_coeffs
+    are the per-node regression weights that define the out-of-sample
+    value surrogate.
     """
 
     kind: str                 # "matrix" or "vector"
-    tau: float
-    steps_per_period: int
+    bundle: PathBundle
     values: np.ndarray
     integrand: np.ndarray
     value_coeffs: List[np.ndarray]
@@ -187,11 +189,10 @@ class BsdeGridSolution:
     fixed_point_se: float
     trace: IterationTrace
     basis: RegressionBasis
-    bundle_token: tuple
 
     @property
     def dt(self) -> float:
-        return self.tau / self.steps_per_period
+        return self.bundle.dt
 
     @property
     def periodic_residual(self) -> float:
@@ -200,10 +201,11 @@ class BsdeGridSolution:
     def value_at(self, phase: float, partial_sum: np.ndarray) -> np.ndarray:
         """Surrogate value at the node nearest to phase, on fresh (n_paths,)
         within-period partial sums."""
-        node = min(max(int(round(phase / self.dt)), 0), self.steps_per_period)
+        sp = self.bundle.steps_per_period
+        node = min(max(int(round(phase / self.dt)), 0), sp)
         n_paths = partial_sum.shape[0]
-        if node == self.steps_per_period or node == 0:
-            anchor = self.terminal if node == self.steps_per_period else self.fixed_point
+        if node == sp or node == 0:
+            anchor = self.terminal if node == sp else self.fixed_point
             return np.tile(anchor, (n_paths,) + (1,) * anchor.ndim)
         beta = self.value_coeffs[node]
         design = poly_design(partial_sum, node * self.dt, self.basis.degree)
@@ -237,7 +239,7 @@ def solution_coeff(solution: BsdeGridSolution) -> CoefficientFn:
     """
     shape = tuple(solution.fixed_point.shape)
     kind = "deterministic-periodic" if solution.basis.degree == 0 else "path-functional"
-    return CoefficientFn(kind, shape, solution.value_at, solution.tau)
+    return CoefficientFn(kind, shape, solution.value_at, solution.bundle.tau)
 
 
 def _min_eig_batch(mats: np.ndarray) -> np.ndarray:
@@ -297,8 +299,7 @@ def _outer_fixed_point(
             fp_se_norm = float(np.linalg.norm(fp_se))
             return BsdeGridSolution(
                 kind="matrix" if len(shape) == 2 else "vector",
-                tau=bundle.tau,
-                steps_per_period=bundle.steps_per_period,
+                bundle=bundle,
                 values=sweep.values,
                 integrand=sweep.integrand,
                 value_coeffs=sweep.value_coeffs,
@@ -307,7 +308,6 @@ def _outer_fixed_point(
                 fixed_point_se=math.hypot(update, fp_se_norm),
                 trace=trace,
                 basis=basis,
-                bundle_token=bundle.token(),
             )
     ratio = trace.contraction_ratio
     raise ConvergenceError(
@@ -370,16 +370,14 @@ def solve_vector_bsde(
     b_fn: CoefficientFn,
     sigma_fn: CoefficientFn,
     lam_fn: CoefficientFn,
-    bundle: PathBundle,
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> BsdeGridSolution:
     """Periodic vector equation with drift A'eta + C'zeta + K b + C'K sigma
-    + L sigma + lam, where (K, L) are the matrix solution's samples on the
-    same bundle (enforced by token), regressed on the matrix solution's basis.
+    + L sigma + lam, where (K, L) are the matrix solution's samples; it is
+    solved on the matrix solution's bundle and regressed on its basis.
     """
-    if kl_solution.bundle_token != bundle.token():
-        raise ValueError("vector solve must run on the matrix solution's bundle")
+    bundle = kl_solution.bundle
     n = a_fn.shape[0]
     a_at, c_at, b_at, sigma_at, lam_at = (
         bundle.bind(f) for f in (a_fn, c_fn, b_fn, sigma_fn, lam_fn)
@@ -429,18 +427,14 @@ def representation_check(
     dt = bundle.dt
     lam_at = bundle.bind(lam_fn)
 
-    class _Coeffs:
-        A = a_fn
-        C = c_fn
-        n = a_fn.shape[0]
-
     def visit(k, phi):
         lam = lam_at(k)
         integ = np.matmul(np.swapaxes(phi, -1, -2), np.matmul(lam, phi))
         weight = 0.5 * dt if (k == 0 or k == n_steps) else dt
         np.add(acc, weight * integ, out=acc)
 
-    overflow = stream_fundamental(_Coeffs, bundle, visit)
+    # a namespace, not a class: a class is a reference cycle that pins its operands
+    overflow = stream_fundamental(SimpleNamespace(A=a_fn, C=c_fn, n=n), bundle, visit)
     good = ~overflow
     paired = bundle.antithetic and bool(good.all())
     mean, se = mean_se(acc[good].reshape(int(good.sum()), -1), paired)
@@ -459,7 +453,7 @@ def representation_check(
 
 def export_node_table_csv(solution: BsdeGridSolution, path) -> None:
     """Write (node, t, mean entries.., se entries..) over the period grid."""
-    sp = solution.steps_per_period
+    sp = solution.bundle.steps_per_period
     flat = solution.values.reshape(solution.values.shape[:2] + (-1,))
     n_comp = flat.shape[2]
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -315,7 +315,7 @@ def _cmd_solve_riccati(cfg: RunConfig, scen, out_dir: str) -> int:
         cfg.seed, cfg.n_paths, cfg.steps_per_period, 1, tau=scen.tau, antithetic=True
     )
     ric = solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
-    res = riccati_residual(ric, bundle)
+    res = riccati_residual(ric)
     export_node_table_csv(ric.k_solution, os.path.join(out_dir, "riccati_nodes.csv"))
     body = {
         "k0": ric.fixed_point.tolist(),
@@ -344,8 +344,8 @@ def _cmd_ergodic_cost(cfg: RunConfig, scen, out_dir: str) -> int:
         cfg.seed, cfg.n_paths, cfg.steps_per_period, 1, tau=scen.tau, antithetic=True
     )
     ric = solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
-    opt = optimal_feedback(ric, bundle, tol=cfg.tol)
-    val = value_function(opt, bundle)
+    opt = optimal_feedback(ric, tol=cfg.tol)
+    val = value_function(opt)
     state = burn_in_state(
         scen,
         opt.feedback,
@@ -354,7 +354,7 @@ def _cmd_ergodic_cost(cfg: RunConfig, scen, out_dir: str) -> int:
         steps_per_period=cfg.steps_per_period,
         lambda_hat=ric.stability.lambda_hat,
     )
-    cost = single_period_cost(scen, opt.feedback, state)
+    cost = single_period_cost(state)
     gap = val.value - cost.value
     export_node_table_csv(opt.eta_solution, os.path.join(out_dir, "eta_nodes.csv"))
     body = {
@@ -389,8 +389,8 @@ def _cmd_scan(cfg: RunConfig, scen, out_dir: str) -> int:
         antithetic=True,
     )
     ric = solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
-    opt = optimal_feedback(ric, bundle, tol=cfg.tol)
-    val = value_function(opt, bundle)
+    opt = optimal_feedback(ric, tol=cfg.tol)
+    val = value_function(opt)
     if direction == "theta":
         d_theta = np.ones((scen.m, scen.n)) / np.sqrt(scen.m * scen.n)
         d_v = None

@@ -27,7 +27,6 @@ from __future__ import annotations
 import configparser
 import math
 import re
-import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -361,14 +360,13 @@ class PeriodicCoefficientSet:
 class FeedbackLaw:
     """Closed-loop control u = Theta(t, path) x + v(t, path).
 
-    Theta has shape (m, n) and v shape (m,).  The token identifies the law
-    when burned-in states are reused across calls.
+    Theta has shape (m, n) and v shape (m,).  A burned-in state holds the
+    law it ran under, so no identity is needed to pair the two.
     """
 
     Theta: CoefficientFn
     v: CoefficientFn
     label: str = ""
-    token: str = field(default_factory=lambda: uuid.uuid4().hex)
 
 
 def constant_feedback(coeffs: PeriodicCoefficientSet, theta, v=None, label: str = "") -> FeedbackLaw:

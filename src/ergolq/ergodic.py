@@ -25,7 +25,6 @@ import numpy as np
 
 from .bsde_engine import BsdeGridSolution, solution_coeff, solve_vector_bsde
 from .coefficients import (
-    CoefficientFn,
     FeedbackLaw,
     PeriodicCoefficientSet,
     cf_add,
@@ -98,16 +97,19 @@ class CostEstimate:
 
 @dataclass(eq=False)
 class RandomPeriodicState:
-    """Path ensemble at a period boundary after closed-loop burn-in."""
+    """Path ensemble at a period boundary after closed-loop burn-in.
+
+    coeffs and feedback are the problem and the law the ensemble was
+    burned in under, so a cost read off the state runs the same closed loop.
+    """
 
     samples: np.ndarray
-    tau: float
+    coeffs: PeriodicCoefficientSet
+    feedback: FeedbackLaw
     steps_per_period: int
     k_burn: int
     seed: int
-    feedback_token: str
     moment: float
-    moment_se: float
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -184,7 +186,7 @@ def burn_in_state(
 
     diff = boundary_sq[:, k_burn] - boundary_sq[:, k_burn - 1]
     d_mean, d_se = mean_se(diff)
-    m_mean, m_se = mean_se(boundary_sq[:, k_burn])
+    m_mean, _ = mean_se(boundary_sq[:, k_burn])
     slack = 3.0 * float(d_se) + 1e-3 * max(1.0, float(m_mean))
     if abs(float(d_mean)) > slack:
         raise BurnInError(
@@ -193,13 +195,12 @@ def burn_in_state(
         )
     return RandomPeriodicState(
         samples=final,
-        tau=coeffs.tau,
+        coeffs=coeffs,
+        feedback=feedback,
         steps_per_period=steps_per_period,
         k_burn=k_burn,
         seed=seed,
-        feedback_token=feedback.token,
         moment=float(m_mean),
-        moment_se=float(m_se),
         diagnostics={
             "lambda_hat": float(lambda_hat),
             "moment_change": float(d_mean),
@@ -236,19 +237,15 @@ def _accumulate_cost(coeffs, feedback, x0, bundle, start_node=0, extra_integrand
     return acc, extra_acc, overflow
 
 
-def single_period_cost(
-    coeffs: PeriodicCoefficientSet,
-    feedback: FeedbackLaw,
-    state: RandomPeriodicState,
-) -> CostEstimate:
-    """Ergodic cost estimate: one period of running cost from steady state.
+def single_period_cost(state: RandomPeriodicState) -> CostEstimate:
+    """Ergodic cost estimate: one period of running cost from steady state,
+    under the problem and the law the state was burned in under.
 
     Fresh increments are drawn for the cost period (independent of the
     burn-in noise), which is exactly the one-step transition of the
     period-to-period chain started from its steady state.
     """
-    if state.feedback_token != feedback.token:
-        raise ValueError("state was burned in under a different feedback law")
+    coeffs = state.coeffs
     bundle = PathBundle.generate(
         derive_seed(state.seed, "cost-period"),
         state.n_paths,
@@ -256,7 +253,7 @@ def single_period_cost(
         1,
         tau=coeffs.tau,
     )
-    acc, _, overflow = _accumulate_cost(coeffs, feedback, state.samples, bundle)
+    acc, _, overflow = _accumulate_cost(coeffs, state.feedback, state.samples, bundle)
     good = ~overflow
     per_path = acc[good] / coeffs.tau
     mean, se = mean_se(per_path)
@@ -336,19 +333,10 @@ class OptimalControl:
     coeffs: PeriodicCoefficientSet
     riccati: RiccatiSolution
     eta_solution: BsdeGridSolution
-    v_fn: CoefficientFn
     feedback: FeedbackLaw
 
-    @property
-    def theta(self) -> CoefficientFn:
-        return self.riccati.theta
 
-
-def optimal_feedback(
-    riccati: RiccatiSolution,
-    bundle: PathBundle,
-    tol: float = 1e-6,
-) -> OptimalControl:
+def optimal_feedback(riccati: RiccatiSolution, tol: float = 1e-6) -> OptimalControl:
     """Solve the affine offset on the Riccati solve bundle and assemble u*.
 
     The vector equation runs under the optimal closed-loop drift with
@@ -365,7 +353,6 @@ def optimal_feedback(
         coeffs.b,
         coeffs.sigma,
         lam,
-        bundle,
         tol=tol,
     )
     eta_fn = solution_coeff(eta_solution)
@@ -376,7 +363,6 @@ def optimal_feedback(
         coeffs=coeffs,
         riccati=riccati,
         eta_solution=eta_solution,
-        v_fn=v_fn,
         feedback=feedback,
     )
 
@@ -392,8 +378,9 @@ class ValueEstimate:
     n_paths: int
 
 
-def value_function(opt: OptimalControl, bundle: PathBundle) -> ValueEstimate:
-    """Average the closed-form rate over one period of solution samples.
+def value_function(opt: OptimalControl) -> ValueEstimate:
+    """Average the closed-form rate over one period of solution samples on
+    the solve bundle.
 
     The rate at each node is -(B'eta+rho)' R^{-1} (B'eta+rho)
     + sigma'K sigma + 2 eta'b + 2 zeta'sigma, integrated by trapezoid and
@@ -403,9 +390,8 @@ def value_function(opt: OptimalControl, bundle: PathBundle) -> ValueEstimate:
     coeffs = opt.coeffs
     ks = opt.riccati.k_solution
     es = opt.eta_solution
-    if es.bundle_token != bundle.token():
-        raise ValueError("value must be evaluated on the solve bundle")
-    sp, dt = es.steps_per_period, es.dt
+    bundle = es.bundle
+    sp, dt = bundle.steps_per_period, es.dt
     n_paths = bundle.n_paths
     acc = np.zeros(n_paths)
     bound = [bundle.bind(f) for f in (coeffs.R, coeffs.B, coeffs.rho, coeffs.b, coeffs.sigma)]

@@ -141,8 +141,8 @@ class RiccatiSolution:
     """Converged periodic Riccati solution with its optimal gain.
 
     k_solution holds the grid samples of the reduced (cross-term free)
-    equation, which agree with the full equation's solution; theta is the
-    optimal gain for the original problem including any cross-term shift.
+    equation on its solve bundle, which agree with the full equation's
+    solution; theta is the optimal gain including any cross-term shift.
     """
 
     coeffs: PeriodicCoefficientSet
@@ -150,7 +150,6 @@ class RiccatiSolution:
     k_solution: BsdeGridSolution
     k_fn: CoefficientFn
     theta: CoefficientFn
-    stabilizer: FeedbackLaw
     stability: Optional[StabilityReport]
     policy_gaps: List[float] = field(default_factory=list)
     policy_floors: List[float] = field(default_factory=list)
@@ -296,7 +295,6 @@ def solve_stochastic_riccati(
         k_solution=k_solution,
         k_fn=k_fn,
         theta=theta,
-        stabilizer=stabilizer,
         stability=stability,
         policy_gaps=gaps,
         policy_floors=floors,
@@ -321,20 +319,19 @@ class ResidualReport:
         return self.max_defect / self.scale
 
 
-def riccati_residual(solution: RiccatiSolution, bundle: PathBundle) -> ResidualReport:
+def riccati_residual(solution: RiccatiSolution) -> ResidualReport:
     """Discrete defect of the full (quadratic form) equation on the solve grid.
 
     At node i the stored value is compared against one explicit backward
     step of the full drift, with the quadratic term evaluated at the stored
-    next-node samples.  The ensemble mean of the defect is the reported
-    quantity; pathwise defects carry the martingale increment and are not
-    expected to vanish.
+    next-node samples on the solve bundle.  The ensemble mean of the defect
+    is the reported quantity; pathwise defects carry the martingale
+    increment and are not expected to vanish.
     """
     ks = solution.k_solution
-    if ks.bundle_token != bundle.token():
-        raise ValueError("residual must be evaluated on the solve bundle")
+    bundle = ks.bundle
     coeffs = solution.coeffs
-    sp, dt = ks.steps_per_period, ks.dt
+    sp, dt = bundle.steps_per_period, ks.dt
     n = coeffs.n
     defects = np.empty(sp)
     bound = [bundle.bind(coeffs.coefficient(f)) for f in ("A", "C", "Q", "B", "S", "R")]

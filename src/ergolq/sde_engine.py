@@ -149,9 +149,6 @@ class PathBundle:
     def duration(self) -> float:
         return self.tau * self.n_periods
 
-    def token(self) -> tuple:
-        return (self.seed, self.n_paths, self.steps_per_period, self.n_periods, self.antithetic)
-
     def _sums(self) -> np.ndarray:
         # node-major (n_steps + 1, n_paths): running sums restarted at each
         # period start, one contiguous row per node, zero at every boundary

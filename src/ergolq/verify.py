@@ -86,14 +86,15 @@ class CheckOutcome:
 
 
 class AcceptanceContext:
-    """Shared, lazily built artifacts for the battery (one master seed)."""
+    """Shared, lazily built artifacts for the battery (one master seed),
+    each cached under its builder's name and all of its arguments."""
 
     def __init__(self, seed: int = 7):
         self.seed = seed
         self.scenarios = builtin_scenarios()
-        self._cache: Dict[str, object] = {}
+        self._cache: Dict[tuple, object] = {}
 
-    def _get(self, key: str, build: Callable):
+    def _get(self, key: tuple, build: Callable):
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -109,23 +110,19 @@ class AcceptanceContext:
                 tau=scen.tau,
                 antithetic=True,
             )
-            ric = solve_stochastic_riccati(scen, bundle, tol=tol)
-            return bundle, ric
+            return solve_stochastic_riccati(scen, bundle, tol=tol)
 
-        return self._get(f"ric-{name}", build)
+        return self._get(("ric", name, n_paths, tol), build)
 
     def optimum(self, name: str, n_paths: int = 2048, tol: float = 1e-9):
         def build():
-            bundle, ric = self.riccati(name, n_paths=n_paths, tol=tol)
-            opt = optimal_feedback(ric, bundle, tol=tol)
-            val = value_function(opt, bundle)
-            return opt, val
+            opt = optimal_feedback(self.riccati(name, n_paths=n_paths, tol=tol), tol=tol)
+            return opt, value_function(opt)
 
-        return self._get(f"opt-{name}", build)
+        return self._get(("opt", name, n_paths, tol), build)
 
     def steady_state(self, name: str, n_paths: int = 20000, steps_per_period: int = 64):
         def build():
-            _, ric = self.riccati(name)
             opt, _ = self.optimum(name)
             return burn_in_state(
                 self.scenarios[name],
@@ -133,10 +130,10 @@ class AcceptanceContext:
                 derive_seed(self.seed, f"state-{name}-{steps_per_period}"),
                 n_paths,
                 steps_per_period=steps_per_period,
-                lambda_hat=ric.stability.lambda_hat,
+                lambda_hat=opt.riccati.stability.lambda_hat,
             )
 
-        return self._get(f"state-{name}-{steps_per_period}", build)
+        return self._get(("state", name, n_paths, steps_per_period), build)
 
 
 def _outcome(check_id, label, passed, detail, t0, metrics=None) -> CheckOutcome:
@@ -207,7 +204,7 @@ def _monotone(ric) -> bool:
 
 
 def _riccati_outcome(ctx, check_id, name, target, rel_tol, t0) -> CheckOutcome:
-    _, ric = ctx.riccati(name)
+    ric = ctx.riccati(name)
     k0 = float(ric.fixed_point[0, 0])
     rel = abs(k0 - target) / target
     iter_ok = ric.n_policies <= 10
@@ -244,7 +241,7 @@ def check_a5_stabilizer_certificate(ctx: AcceptanceContext) -> CheckOutcome:
     ok = True
     metrics = {}
     for name in ("scalar-constant", "scalar-noisy"):
-        _, ric = ctx.riccati(name)
+        ric = ctx.riccati(name)
         report = stabilizer_check(
             ctx.scenarios[name],
             ric.gain_feedback(),
@@ -265,7 +262,7 @@ def check_a6_ergodic_equivalence(ctx: AcceptanceContext) -> CheckOutcome:
     scen = ctx.scenarios["scalar-constant"]
     opt, _ = ctx.optimum("scalar-constant")
     state = ctx.steady_state("scalar-constant")
-    stat_cost = single_period_cost(scen, opt.feedback, state)
+    stat_cost = single_period_cost(state)
 
     x0 = np.array([0.9])
     cp10, cp50 = [], []
@@ -311,12 +308,10 @@ def check_a6_ergodic_equivalence(ctx: AcceptanceContext) -> CheckOutcome:
 def check_a7_value_formula(ctx: AcceptanceContext) -> CheckOutcome:
     """Predicted value against the closed form and against simulation."""
     t0 = time.perf_counter()
-    scen = ctx.scenarios["scalar-constant"]
-    opt, val = ctx.optimum("scalar-constant")
+    _, val = ctx.optimum("scalar-constant")
     # fine simulation grid: the Euler stationary variance carries an O(dt)
     # bias that 3 SE cannot absorb at 64 steps/period and 2e4 paths
-    state = ctx.steady_state("scalar-constant", steps_per_period=256)
-    cost = single_period_cost(scen, opt.feedback, state)
+    cost = single_period_cost(ctx.steady_state("scalar-constant", steps_per_period=256))
 
     gap_ref = abs(val.value - SCALAR_VALUE)
     allow_ref = 3.0 * val.se
@@ -347,7 +342,6 @@ def check_a8_optimality_scan(ctx: AcceptanceContext) -> CheckOutcome:
     """Cost along a gain perturbation line: minimum at 0, convex, above V."""
     t0 = time.perf_counter()
     scen = ctx.scenarios["scalar-constant"]
-    _, ric = ctx.riccati("scalar-constant")
     opt, val = ctx.optimum("scalar-constant")
     scan = optimality_scan(
         scen,
@@ -357,7 +351,7 @@ def check_a8_optimality_scan(ctx: AcceptanceContext) -> CheckOutcome:
         eps_grid=[-0.2, -0.1, 0.0, 0.1, 0.2],
         seed=derive_seed(ctx.seed, "a8"),
         n_paths=20_000,
-        lambda_hat=ric.stability.lambda_hat,
+        lambda_hat=opt.riccati.stability.lambda_hat,
     )
     fit = fit_quadratic_excess(scan)
     above = all(
@@ -418,7 +412,6 @@ def check_a10_completion_of_square(ctx: AcceptanceContext) -> CheckOutcome:
     """
     t0 = time.perf_counter()
     name = "scalar-random-periodic"
-    _, ric = ctx.riccati(name, n_paths=16384, tol=1e-6)
     opt, val = ctx.optimum(name, n_paths=16384, tol=1e-6)
     perturbations = [
         {"d_theta": np.array([[0.15]]), "d_v": None},
@@ -438,7 +431,7 @@ def check_a10_completion_of_square(ctx: AcceptanceContext) -> CheckOutcome:
             law,
             derive_seed(ctx.seed, f"a10-{idx}"),
             n_paths=4_000,
-            lambda_hat=0.7 * ric.stability.lambda_hat,
+            lambda_hat=0.7 * opt.riccati.stability.lambda_hat,
             tag=f"a10-{idx}",
         )
         good = report.gap_in_se <= 3.0 and report.min_penalty >= 0.0
@@ -554,7 +547,7 @@ def run_scenario_checks(
             derive_seed(seed, "s3"), n_paths, 64, 1, tau=scen.tau, antithetic=True
         )
         ric = solve_stochastic_riccati(scen, bundle, tol=tol)
-        res = riccati_residual(ric, bundle)
+        res = riccati_residual(ric)
         mono_ok = _monotone(ric)
         res_ok = res.rel_max_defect < 1e-3 and res.periodic_gap < 1e-3
         push(

@@ -82,6 +82,17 @@ def test_a10_quadratic_penalty_identity(ctx):
     run(check_a10_completion_of_square, ctx)
 
 
+def test_context_caches_each_solve_under_all_its_arguments():
+    fresh = AcceptanceContext(seed=7)
+    small = fresh.riccati("scalar-constant", n_paths=64, tol=1e-6)
+    large = fresh.riccati("scalar-constant", n_paths=128, tol=1e-6)
+    assert small.k_solution.bundle.n_paths == 64
+    assert large.k_solution.bundle.n_paths == 128
+    assert fresh.riccati("scalar-constant", n_paths=64, tol=1e-6) is small
+    opt, _ = fresh.optimum("scalar-constant", n_paths=128, tol=1e-6)
+    assert opt.riccati is large and opt.eta_solution.bundle is large.k_solution.bundle
+
+
 def test_battery_runtime_budget():
     if len(OUTCOMES) < 10:
         pytest.skip("budget is audited only when the full battery ran")

@@ -84,7 +84,7 @@ def laws(request):
     scen = builtin_scenarios()[request.param]
     solve = PathBundle.generate(31, 512, SP, 1, antithetic=True)
     ric = solve_stochastic_riccati(scen, solve, tol=1e-5, require_stable=False)
-    optimal = optimal_feedback(ric, solve, tol=1e-5).feedback
+    optimal = optimal_feedback(ric, tol=1e-5).feedback
     perturbed = perturbed_feedback(
         optimal, np.full((scen.m, scen.n), 0.1), np.full(scen.m, 0.05), eps=1.0
     )
@@ -170,7 +170,7 @@ def test_bound_compositions_equal_direct_evaluation(name):
     scen = builtin_scenarios()[name]
     solve = PathBundle.generate(31, 256, SP, 1, antithetic=True)
     ric = solve_stochastic_riccati(scen, solve, tol=1e-5, require_stable=False)
-    optimal = optimal_feedback(ric, solve, tol=1e-5).feedback
+    optimal = optimal_feedback(ric, tol=1e-5).feedback
     fns = {
         "theta": optimal.Theta,
         "v": optimal.v,

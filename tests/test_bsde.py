@@ -1,7 +1,9 @@
 """Backward regression sweeps and periodic fixed points."""
 
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -194,8 +196,9 @@ def test_regression_plans_are_built_once_per_solve(monkeypatch):
     esol = solve_vector_bsde(
         scalar_const(-1.0), scalar_const(0.3), ksol,
         constant_coeff([1.0], TAU), constant_coeff([1.0], TAU),
-        constant_coeff([0.0], TAU), bundle, tol=1e-9,
+        constant_coeff([0.0], TAU), tol=1e-9,
     )
+    assert esol.bundle is bundle
     assert esol.trace.n_iterations > 1
     assert len(calls) == 2 * bundle.steps_per_period
 
@@ -327,25 +330,11 @@ def test_vector_solve_constant_chain():
     esol = solve_vector_bsde(
         scalar_const(-1.0), scalar_const(0.0), ksol,
         constant_coeff([1.0], TAU), constant_coeff([1.0], TAU),
-        constant_coeff([0.0], TAU), bundle, tol=1e-9,
+        constant_coeff([0.0], TAU), tol=1e-9,
     )
     # stationary: eta = K b / 1 = 1/2 (c = 0, lam = 0)
     assert esol.kind == "vector"
     assert abs(esol.fixed_point[0] - 0.5) < 1e-7
-
-
-def test_vector_solve_enforces_bundle_token():
-    bundle = PathBundle.generate(5, 64, 64, 1, antithetic=True)
-    other = PathBundle.generate(6, 64, 64, 1, antithetic=True)
-    ksol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-9
-    )
-    with pytest.raises(ValueError):
-        solve_vector_bsde(
-            scalar_const(-1.0), scalar_const(0.0), ksol,
-            constant_coeff([1.0], TAU), constant_coeff([1.0], TAU),
-            constant_coeff([0.0], TAU), other,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +353,27 @@ def test_representation_check_matches_occupation_integral():
     # deterministic dynamics: zero spread, only O(dt) discretization gap
     assert report.se < 1e-12
     assert report.rel_residual < 0.02
+
+
+def test_representation_check_leaves_no_reference_cycle():
+    # a cycle through the coefficients would pin them, and any solution they
+    # read, until the collector runs; with it off, refcounting alone must free
+    bundle = PathBundle.generate(5, 64, 16, 1, antithetic=True)
+    sol = solve_linear_matrix_bsde(
+        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-7
+    )
+    audit = PathBundle.generate(31, 16, 16, 2, antithetic=True)
+    a_fn = scalar_const(-1.0)
+    alive = weakref.ref(a_fn)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        representation_check(a_fn, scalar_const(0.0), scalar_const(1.0), sol, audit)
+        del a_fn
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_node_table_csv(tmp_path):

@@ -147,18 +147,11 @@ def test_residual_vanishes_on_solve_bundle():
     scen = builtin_scenarios()["scalar-constant"]
     bundle = solve_bundle(105)
     ric = solve_stochastic_riccati(scen, bundle, tol=1e-9)
-    report = riccati_residual(ric, bundle)
+    report = riccati_residual(ric)
+    assert ric.k_solution.bundle is bundle
     assert report.rel_max_defect < 1e-6
     assert report.periodic_gap < 1e-6
     assert report.node_defects.shape == (64,)
-
-
-def test_residual_requires_matching_bundle():
-    scen = builtin_scenarios()["scalar-constant"]
-    bundle = solve_bundle(106)
-    ric = solve_stochastic_riccati(scen, bundle, tol=1e-7)
-    with pytest.raises(ValueError):
-        riccati_residual(ric, solve_bundle(107))
 
 
 def test_gain_feedback_carries_custom_offset():

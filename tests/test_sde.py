@@ -64,7 +64,8 @@ def test_bundle_shapes_and_grid():
     assert bundle.increments.shape == (6, 24)
     assert bundle.dt == pytest.approx(1.0 / 8)
     assert bundle.duration == pytest.approx(3.0)
-    assert bundle.token() == (11, 6, 8, 3, False)
+    grid = (bundle.seed, bundle.n_paths, bundle.steps_per_period, bundle.n_periods)
+    assert grid == (11, 6, 8, 3) and not bundle.antithetic
 
 
 def test_bundle_is_deterministic_and_seed_sensitive():

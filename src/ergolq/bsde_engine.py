@@ -115,7 +115,7 @@ def backward_sweep(
         v_next = values[:, i + 1]
         flat_next = v_next.reshape(n_paths, flat_dim)
 
-        dw = bundle.increments[:, i] / dt
+        dw = bundle.increments[i] / dt
         beta_l = ridge_solve(design, flat_next * dw[:, None], plans[i])
         l_est = (design[:rows] @ beta_l).reshape((rows,) + vshape)
         if is_matrix:

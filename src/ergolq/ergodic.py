@@ -38,6 +38,7 @@ from .coefficients import (
 from .riccati import RiccatiSolution, stabilizer_check
 from .sde_engine import (
     PathBundle,
+    _times,
     derive_seed,
     mean_se,
     stream_closed_loop,
@@ -60,9 +61,9 @@ _COST_FIELDS = ("Q", "S", "R", "q", "rho")
 def _quadratic_cost(q, s, r, qlin, rho, x, u):
     xc = x[..., None]
     uc = u[..., None]
-    qx = np.matmul(q, xc)[..., 0]
-    sx = np.matmul(s, xc)[..., 0]
-    ru = np.matmul(r, uc)[..., 0]
+    qx = _times(q, xc)[..., 0]
+    sx = _times(s, xc)[..., 0]
+    ru = _times(r, uc)[..., 0]
     out = np.einsum("pi,pi->p", x, qx)
     out += 2.0 * np.einsum("pi,pi->p", u, sx)
     out += np.einsum("pi,pi->p", u, ru)
@@ -330,7 +331,6 @@ def finite_horizon_cost(
 class OptimalControl:
     """The Riccati gain with its affine offset and the backing solutions."""
 
-    coeffs: PeriodicCoefficientSet
     riccati: RiccatiSolution
     eta_solution: BsdeGridSolution
     feedback: FeedbackLaw
@@ -360,7 +360,6 @@ def optimal_feedback(riccati: RiccatiSolution, tol: float = 1e-6) -> OptimalCont
     v_fn = cf_scale(cf_rinv_mul(coeffs.R, cf_add(bt_eta, coeffs.rho)), -1.0)
     feedback = FeedbackLaw(Theta=theta, v=v_fn, label="optimal")
     return OptimalControl(
-        coeffs=coeffs,
         riccati=riccati,
         eta_solution=eta_solution,
         feedback=feedback,
@@ -387,7 +386,7 @@ def value_function(opt: OptimalControl) -> ValueEstimate:
     divided by the period.  The reported se combines the path average's
     sampling error with the two solver fixed-point floors.
     """
-    coeffs = opt.coeffs
+    coeffs = opt.riccati.coeffs
     ks = opt.riccati.k_solution
     es = opt.eta_solution
     bundle = es.bundle
@@ -445,11 +444,11 @@ class CompletionReport:
 def _bind_penalty(opt: OptimalControl, bundle: PathBundle):
     """Quadratic control penalty (u - u*)' R (u - u*) against the optimal law."""
     u_star_at = bundle.bind_law(opt.feedback)
-    r_at = bundle.bind(opt.coeffs.R)
+    r_at = bundle.bind(opt.riccati.coeffs.R)
 
     def penalty(k, x, u):
         du = u - u_star_at(k, x)
-        r_du = np.matmul(r_at(k), du[..., None])[..., 0]
+        r_du = _times(r_at(k), du[..., None])[..., 0]
         return np.einsum("pi,pi->p", du, r_du)
 
     return penalty
@@ -475,7 +474,7 @@ def completion_identity_check(
     to error in the solved gain: a gain error d shifts the anchor and the
     penalty together, leaving only O(d * (law - optimum)) in the gap.
     """
-    coeffs = opt.coeffs
+    coeffs = opt.riccati.coeffs
     # a certified rate of the optimum is scaled by 0.7: slack for the perturbed law
     lambda_hat, _ = _burn_in_periods(
         coeffs, opt.feedback, lambda_hat,

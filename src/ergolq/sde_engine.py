@@ -6,11 +6,12 @@ Paths are driven by counter-based random streams: the increments of path i
 depend only on (seed, i), never on how many paths are drawn or in which
 order, so ensembles are reproducible and trivially parallel.
 
-Memory rule: a stream holds the bundle's increments plus O(n_paths x state)
-working state; estimators reduce inside their visitors, the partial-sum
-table (one row per node, the size of the increments) is built on the first
-read of a within-period partial sum, and only ``simulate_closed_loop``
-stores a whole trajectory.
+Layout and memory rule: increments are node-major, one contiguous
+(n_paths,) row per step.  A stream holds them plus O(n_paths x state)
+working state (generation: one block of NOISE_BLOCK paths); estimators
+reduce inside their visitors, the partial-sum table (the size of the
+increments) is built on the first read of a partial sum, and only
+``simulate_closed_loop`` stores a whole trajectory.
 
 Stability diagnostics follow the moment characterization of the dynamics:
 a feedback is accepted as stabilizing when the fitted exponential decay
@@ -24,7 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +39,8 @@ from .coefficients import (
 )
 
 OVERFLOW_LIMIT = 1e12
+# paths drawn as rows per block, then copied into the node-major increments
+NOISE_BLOCK = 512
 # ridge added to the non-constant columns of every regression normal matrix
 RIDGE = 1e-8
 # the Gram estimate's feature degree and its allowed truncation tail
@@ -77,6 +80,15 @@ def mean_se(values: np.ndarray, antithetic: bool = False):
     return mean, se
 
 
+def _times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fresh (n_paths, r, c) m x for m of shape (r, l) or (n_paths, r, l) and
+    columns x (n_paths, l, c): one exact broadcast product when l = 1, else
+    numpy's per-path matmul, whose BLAS rounding no whole-ensemble product matches."""
+    if m.shape[-1] == 1:
+        return m * x
+    return np.matmul(m, x)
+
+
 @dataclass(eq=False)
 class PathBundle:
     """Grid metadata plus the per-path Brownian increments driving a run.
@@ -91,7 +103,7 @@ class PathBundle:
     steps_per_period: int
     n_periods: int
     seed: int
-    increments: np.ndarray  # (n_paths, n_steps), N(0, dt) entries
+    increments: np.ndarray  # (n_steps, n_paths), N(0, dt); row k drives step k
     antithetic: bool = False
     _cumsum: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -110,20 +122,24 @@ class PathBundle:
         if antithetic and n_paths % 2:
             raise SimulationError("antithetic bundles need an even path count")
         n_steps = steps_per_period * n_periods
-        out = np.empty((n_paths, n_steps))
-        # one generator re-keyed per path (or antithetic pair): the draws of
-        # row i depend only on (seed, i), exactly as for Philox(key=[seed, i])
+        out = np.empty((n_steps, n_paths))
+        # one generator re-keyed per path (or antithetic pair), so path i draws
+        # exactly Philox(key=[seed, i]); blocks of paths are drawn as rows
         bitgen = np.random.Philox(key=[seed, 0])
         gen = np.random.Generator(bitgen)
         fresh = bitgen.state
-        drawn = out[0::2] if antithetic else out
-        for i, row in enumerate(drawn):
-            fresh["state"]["key"][1] = i
-            bitgen.state = fresh
-            gen.standard_normal(n_steps, out=row)
-        drawn *= math.sqrt(tau / steps_per_period)
+        drawn = out[:, 0::2] if antithetic else out
+        block = np.empty((min(NOISE_BLOCK, drawn.shape[1]), n_steps))
+        for start in range(0, drawn.shape[1], NOISE_BLOCK):
+            rows = block[: drawn.shape[1] - start]
+            for i, row in enumerate(rows, start):
+                fresh["state"]["key"][1] = i
+                bitgen.state = fresh
+                gen.standard_normal(n_steps, out=row)
+            rows *= math.sqrt(tau / steps_per_period)
+            drawn[:, start : start + len(rows)] = rows.T
         if antithetic:
-            np.negative(drawn, out=out[1::2])
+            np.negative(drawn, out=out[:, 1::2])
         return cls(
             tau=tau,
             steps_per_period=steps_per_period,
@@ -135,11 +151,11 @@ class PathBundle:
 
     @property
     def n_paths(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[1]
 
     @property
     def n_steps(self) -> int:
-        return self.increments.shape[1]
+        return self.increments.shape[0]
 
     @property
     def dt(self) -> float:
@@ -153,11 +169,10 @@ class PathBundle:
         # node-major (n_steps + 1, n_paths): running sums restarted at each
         # period start, one contiguous row per node, zero at every boundary
         if self._cumsum is None:
-            sp, n_periods = self.steps_per_period, self.n_periods
+            shape = (self.n_periods, self.steps_per_period, self.n_paths)
             self._cumsum = np.zeros((self.n_steps + 1, self.n_paths))
-            blocks = self._cumsum[:-1].reshape(n_periods, sp, self.n_paths)
-            incs = self.increments.reshape(self.n_paths, n_periods, sp).transpose(1, 2, 0)
-            np.cumsum(incs[:, :-1], axis=1, out=blocks[:, 1:])
+            blocks = self._cumsum[:-1].reshape(shape)
+            np.cumsum(self.increments.reshape(shape)[:, :-1], axis=1, out=blocks[:, 1:])
         return self._cumsum
 
     def phase(self, node: int) -> float:
@@ -199,24 +214,14 @@ class PathBundle:
         """Bind a feedback law; returns u(node, x) = Theta x + v for vector
         states x of shape (n_paths, n)."""
         theta_at, v_at = self.bind(law.Theta), self.bind(law.v)
-
-        def control(node, x):
-            return np.matmul(theta_at(node), x[..., None])[..., 0] + v_at(node)
-
-        return control
+        return lambda node, x: _times(theta_at(node), x[..., None])[..., 0] + v_at(node)
 
     def restrict(self, n_periods: int) -> "PathBundle":
         """View of the first n_periods periods (shares increment storage)."""
         if n_periods > self.n_periods:
             raise SimulationError("cannot extend a bundle by restriction")
-        return PathBundle(
-            tau=self.tau,
-            steps_per_period=self.steps_per_period,
-            n_periods=n_periods,
-            seed=self.seed,
-            increments=self.increments[:, : n_periods * self.steps_per_period],
-            antithetic=self.antithetic,
-        )
+        head = self.increments[: n_periods * self.steps_per_period]
+        return replace(self, n_periods=n_periods, increments=head, _cumsum=None)
 
 
 @dataclass(eq=False)
@@ -265,11 +270,11 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
 
     ``state`` is the start value, (n_paths, n) for a vector or
     (n_paths, n, n) for the fundamental matrix; it is stepped as columns X by
-    X + (A X) dt + (C X) dW with coefficients at the left node.
+    X + (A X) dt + (C X) dW, with coefficients bound to the grid once and
+    read at the left node, and dW that node's row of increments.
     ``affine = (coeffs, law)`` adds B u + b to the drift and sigma to the
-    diffusion, with u = Theta x + v; the visitor then receives u as a third
-    argument.  Homogeneous streams fold any feedback into ``a_fn`` instead.
-    Every coefficient is bound to the grid before the first step.
+    diffusion, with u = Theta x + v passed to the visitor as a third
+    argument; homogeneous streams fold any feedback into ``a_fn`` instead.
 
     One overflow rule: a path whose state is not finite or exceeds
     OVERFLOW_LIMIT in magnitude holds NaN from that node on and is flagged
@@ -282,7 +287,6 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
         coeffs, law = affine
         control = bundle.bind_law(law)
         b_at, drift_at, sigma_at = (bundle.bind(f) for f in (coeffs.B, coeffs.b, coeffs.sigma))
-    dt = bundle.dt
     overflow = np.zeros(bundle.n_paths, dtype=bool)
     for k in range(bundle.n_steps + 1):
         view = x[..., 0] if vector else x
@@ -293,17 +297,20 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
             visit(k, view, u)
         if k == bundle.n_steps:
             break
-        drift = np.matmul(a_at(k), x)
-        diffusion = np.matmul(c_at(k), x)
+        drift = _times(a_at(k), x)
+        diffusion = _times(c_at(k), x)
         if affine is not None:
-            drift = drift + np.matmul(b_at(k), u[..., None]) + drift_at(k)[..., None]
-            diffusion = diffusion + sigma_at(k)[..., None]
-        x = x + dt * drift + bundle.increments[:, k][:, None, None] * diffusion
-        with np.errstate(invalid="ignore"):
+            drift += _times(b_at(k), u[..., None])
+            drift += drift_at(k)[..., None]
+            diffusion += sigma_at(k)[..., None]
+        # x + dt drift + dW diffusion, formed in the fresh product buffers
+        drift *= bundle.dt
+        drift += x
+        diffusion *= bundle.increments[k][:, None, None]
+        x = np.add(drift, diffusion, out=drift)
+        if not np.abs(x).max() <= OVERFLOW_LIMIT:
             bad = ~(np.abs(x).max(axis=(1, 2)) <= OVERFLOW_LIMIT)
-        fresh = bad & ~overflow
-        if fresh.any():
-            x[fresh] = np.nan
+            x[bad] = np.nan
             overflow |= bad
     return overflow
 
@@ -330,9 +337,7 @@ def _homogeneous_drift(coeffs, feedback: Optional[FeedbackLaw]) -> CoefficientFn
 
 
 def stream_fundamental(
-    coeffs: PeriodicCoefficientSet,
-    bundle: PathBundle,
-    visit: Callable,
+    coeffs: PeriodicCoefficientSet, bundle: PathBundle, visit: Callable,
     feedback: Optional[FeedbackLaw] = None,
 ):
     """Drive the fundamental (matrix) solution from the identity through the grid.
@@ -346,11 +351,7 @@ def stream_fundamental(
 
 
 def stream_closed_loop(
-    coeffs: PeriodicCoefficientSet,
-    feedback: FeedbackLaw,
-    x0,
-    bundle: PathBundle,
-    visit: Callable,
+    coeffs: PeriodicCoefficientSet, feedback: FeedbackLaw, x0, bundle: PathBundle, visit: Callable
 ):
     """Drive the controlled state X through the grid.
 
@@ -548,9 +549,9 @@ def estimate_gram_lower_bound(
         for r, inv in inv_at.items():
             if k < r:
                 continue
-            psi = np.matmul(phi, inv)
+            psi = _times(phi, inv)
             weight = 0.5 * dt if (k == r or k == n_steps) else dt
-            grams[r] += weight * np.matmul(np.swapaxes(psi, -1, -2), psi)
+            grams[r] += weight * _times(np.swapaxes(psi, -1, -2), psi)
 
     overflow = stream_fundamental(coeffs, bundle, visit, feedback=feedback)
     if overflow.any():

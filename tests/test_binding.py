@@ -54,7 +54,7 @@ def _hand_closed_loop(scen, law, x0, bundle):
             + _at(scen.b, bundle, k)
         )
         diffusion = np.matmul(_at(scen.C, bundle, k), x[..., None])[..., 0] + _at(scen.sigma, bundle, k)
-        x = x + bundle.dt * drift + bundle.increments[:, k][:, None] * diffusion
+        x = x + bundle.dt * drift + bundle.increments[k][:, None] * diffusion
     return np.stack(states, axis=1), np.stack(controls, axis=1)
 
 
@@ -68,7 +68,7 @@ def _hand_homogeneous(scen, law, start, bundle):
             break
         acl = _at(scen.A, bundle, k) + np.matmul(_at(scen.B, bundle, k), _at(law.Theta, bundle, k))
         col = x if x.ndim == 3 else x[..., None]
-        step = bundle.dt * np.matmul(acl, col) + bundle.increments[:, k][:, None, None] * np.matmul(
+        step = bundle.dt * np.matmul(acl, col) + bundle.increments[k][:, None, None] * np.matmul(
             _at(scen.C, bundle, k), col
         )
         x = x + (step if x.ndim == 3 else step[..., 0])
@@ -116,6 +116,70 @@ def test_bound_kernel_matches_per_node_evaluation(laws, which):
     _difference_step_stream(scen, law, x0, bundle, lambda k, d: diffs.append(d))
     delta = np.broadcast_to(x0, (bundle.n_paths, scen.n)).copy()
     _assert_close(np.stack(diffs, axis=1), _hand_homogeneous(scen, law, delta, bundle))
+
+
+def _stacked_euler(bundle, state, a_fn, c_fn, affine=None):
+    """The Euler kernel as numpy's stacked matmul on path-major increments:
+    every bound value multiplies each path's columns in a matmul of its own.
+    Returns the visited states and, with ``affine = (coeffs, law)``, controls."""
+    incs = bundle.increments.T
+    vector = state.ndim == 2
+    x = state[..., None] if vector else state
+    a_at, c_at = bundle.bind(a_fn), bundle.bind(c_fn)
+    if affine is not None:
+        coeffs, law = affine
+        theta_at, v_at = bundle.bind(law.Theta), bundle.bind(law.v)
+        b_at, drift_at, sigma_at = (bundle.bind(f) for f in (coeffs.B, coeffs.b, coeffs.sigma))
+    states, controls = [], []
+    for k in range(bundle.n_steps + 1):
+        view = x[..., 0] if vector else x
+        states.append(view)
+        if affine is not None:
+            u = np.matmul(theta_at(k), view[..., None])[..., 0] + v_at(k)
+            controls.append(u)
+        if k == bundle.n_steps:
+            break
+        drift = np.matmul(a_at(k), x)
+        diffusion = np.matmul(c_at(k), x)
+        if affine is not None:
+            drift = drift + np.matmul(b_at(k), u[..., None]) + drift_at(k)[..., None]
+            diffusion = diffusion + sigma_at(k)[..., None]
+        x = x + bundle.dt * drift + incs[:, k][:, None, None] * diffusion
+    return states, controls
+
+
+@pytest.mark.parametrize("which", ["stabilizer", "optimal", "perturbed"])
+def test_kernel_is_bit_identical_to_the_stacked_matmul_reference(laws, which):
+    # every stream against the per-path arithmetic on path-major increments,
+    # node by node and to the bit: fundamental, closed loop (with controls)
+    # and difference
+    scen, by_name = laws
+    law = by_name[which]
+    bundle = PathBundle.generate(47, 32, SP, 3)
+    x0 = np.linspace(-1.0, 1.0, scen.n)
+    drift = _homogeneous_drift(scen, law)
+    eye = np.broadcast_to(np.eye(scen.n), (bundle.n_paths, scen.n, scen.n))
+    start = np.broadcast_to(x0, (bundle.n_paths, scen.n))
+
+    phis = []
+    assert not stream_fundamental(scen, bundle, lambda k, p: phis.append(p), feedback=law).any()
+    states, controls = [], []
+    assert not stream_closed_loop(
+        scen, law, x0, bundle, lambda k, x, u: (states.append(x), controls.append(u))
+    ).any()
+    diffs = []
+    assert not _difference_step_stream(scen, law, x0, bundle, lambda k, d: diffs.append(d)).any()
+
+    runs = [
+        ("fundamental", phis, _stacked_euler(bundle, eye, drift, scen.C)[0]),
+        ("difference", diffs, _stacked_euler(bundle, start, drift, scen.C)[0]),
+    ]
+    want_x, want_u = _stacked_euler(bundle, start, scen.A, scen.C, affine=(scen, law))
+    runs += [("closed-loop state", states, want_x), ("closed-loop control", controls, want_u)]
+    for label, got, want in runs:
+        assert len(got) == len(want) == bundle.n_steps + 1
+        for k, (g, w) in enumerate(zip(got, want)):
+            np.testing.assert_array_equal(g, w, err_msg=f"{label} at node {k}")
 
 
 def _counted(fn, calls):

@@ -99,7 +99,7 @@ def _reference_sweep(drift, terminal, bundle, basis):
         design = basis.design(bundle, i)
         v_next = values[:, i + 1]
         flat_next = v_next.reshape(n_paths, flat_dim)
-        dw = bundle.increments[:, i] / dt
+        dw = bundle.increments[i] / dt
         beta_l, cond_l = solve(design, flat_next * dw[:, None])
         l_est = (design @ beta_l).reshape((n_paths,) + vshape)
         if is_matrix:

@@ -16,6 +16,7 @@ from ergolq.coefficients import (
     constant_feedback,
 )
 from ergolq.sde_engine import (
+    OVERFLOW_LIMIT,
     PathBundle,
     SimulationError,
     StateTrajectory,
@@ -61,7 +62,7 @@ def squared_norms(traj):
 
 def test_bundle_shapes_and_grid():
     bundle = PathBundle.generate(11, 6, 8, 3)
-    assert bundle.increments.shape == (6, 24)
+    assert bundle.increments.shape == (24, 6)
     assert bundle.dt == pytest.approx(1.0 / 8)
     assert bundle.duration == pytest.approx(3.0)
     grid = (bundle.seed, bundle.n_paths, bundle.steps_per_period, bundle.n_periods)
@@ -80,17 +81,18 @@ def test_bundle_paths_are_counter_indexed():
     # growing the ensemble must not change existing paths
     small = PathBundle.generate(9, 2, 8, 2)
     big = PathBundle.generate(9, 6, 8, 2)
-    np.testing.assert_array_equal(big.increments[:2], small.increments)
+    np.testing.assert_array_equal(big.increments[:, :2], small.increments)
 
 
 def _per_path_increments(seed, n_paths, n_steps, antithetic=False):
-    # reference construction: one fresh Philox(key=[seed, i]) per path or pair
+    # reference construction: one fresh Philox(key=[seed, i]) per path or
+    # pair, each path's draws one column of the node-major increments
     root = math.sqrt(1.0 / 16)
-    rows = []
+    cols = []
     for i in range(n_paths // 2 if antithetic else n_paths):
-        row = root * np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal(n_steps)
-        rows.extend([row, -row] if antithetic else [row])
-    return np.array(rows)
+        col = root * np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal(n_steps)
+        cols.extend([col, -col] if antithetic else [col])
+    return np.stack(cols, axis=1)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -106,12 +108,12 @@ def test_bundle_equals_per_path_generators(antithetic):
 def test_first_half_of_a_doubled_bundle_is_the_smaller_bundle(antithetic):
     small = PathBundle.generate(13, 6, 16, 2, antithetic=antithetic)
     big = PathBundle.generate(13, 12, 16, 2, antithetic=antithetic)
-    np.testing.assert_array_equal(big.increments[:6], small.increments)
+    np.testing.assert_array_equal(big.increments[:, :6], small.increments)
 
 
 def test_antithetic_pairs_negate():
     bundle = PathBundle.generate(3, 8, 16, 2, antithetic=True)
-    np.testing.assert_array_equal(bundle.increments[0::2], -bundle.increments[1::2])
+    np.testing.assert_array_equal(bundle.increments[:, 0::2], -bundle.increments[:, 1::2])
     with pytest.raises(SimulationError):
         PathBundle.generate(3, 7, 16, 2, antithetic=True)
 
@@ -131,7 +133,7 @@ def test_phase_wraps_and_prefix_resets_at_boundaries():
     # period boundary: the partial sum restarts at zero
     for node in (0, 8, 16):
         np.testing.assert_array_equal(bundle.partial_sum(node), np.zeros(3))
-    np.testing.assert_allclose(bundle.partial_sum(11), bundle.increments[:, 8:11].sum(axis=1))
+    np.testing.assert_allclose(bundle.partial_sum(11), bundle.increments[8:11].sum(axis=0))
     for node in (-1, 17):
         with pytest.raises(SimulationError):
             bundle.partial_sum(node)
@@ -175,7 +177,7 @@ def test_prefix_sums_are_cumsum_differences_bit_for_bit():
         start = node - node % bundle.steps_per_period
         want = np.zeros(bundle.n_paths)
         if node > start:
-            want = np.cumsum(bundle.increments[:, start:node], axis=1)[:, -1]
+            want = np.cumsum(bundle.increments[start:node], axis=0)[-1]
         got = bundle.partial_sum(node)
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
@@ -226,7 +228,7 @@ def test_closed_loop_step_matches_hand_recursion():
     x = np.full(5, 0.7)
     for k in range(bundle.n_steps):
         # dX = (a x + u + b) dt + sigma dW with u = -0.4 x + 0.1
-        x = x + dt * (-x + (-0.4 * x + 0.1) + 1.0) + 1.0 * bundle.increments[:, k]
+        x = x + dt * (-x + (-0.4 * x + 0.1) + 1.0) + 1.0 * bundle.increments[k]
         np.testing.assert_allclose(traj.values[:, k + 1, 0], x, rtol=0, atol=1e-14)
     assert not traj.overflow.any()
 
@@ -236,8 +238,8 @@ def test_multiplicative_noise_step_is_exact():
     bundle = PathBundle.generate(4, 3, 32, 1)
     traj = simulate_closed_loop(scen, constant_feedback(scen, [[0.0]]), np.array([1.0]), bundle)
     factors = 1.0 + (-1.0) * bundle.dt + 0.5 * bundle.increments
-    want = np.cumprod(factors, axis=1)
-    np.testing.assert_allclose(traj.values[:, 1:, 0], want, rtol=1e-13)
+    want = np.cumprod(factors, axis=0)
+    np.testing.assert_allclose(traj.values[:, 1:, 0], want.T, rtol=1e-13)
 
 
 def test_fundamental_agrees_with_state_for_linear_dynamics():
@@ -274,7 +276,7 @@ def test_closed_loop_is_random_periodic_under_the_shift(name):
     first = _closed_loop_states(scen, law, np.ones(scen.n), full)
     shifted = PathBundle(
         tau=full.tau, steps_per_period=sp, n_periods=2, seed=full.seed,
-        increments=full.increments[:, 2 * sp:],
+        increments=full.increments[2 * sp:],
     )
     second = _closed_loop_states(scen, law, first[:, 2 * sp], shifted)
     np.testing.assert_array_equal(second, first[:, 2 * sp:])
@@ -311,6 +313,38 @@ def test_every_stream_applies_the_same_overflow_rule():
     phi = simulate_fundamental(scen, bundle, feedback=runaway)
     assert phi.overflow.all()
     assert np.isnan(phi.values[:, -1]).all()
+
+
+def test_one_overflowing_path_leaves_the_others_untouched():
+    # a stabilizing law from per-path starts, one of them past OVERFLOW_LIMIT:
+    # only that path is flagged and NaN from the first checked node on, and
+    # every other path, state and difference alike, keeps its bits
+    scen = builtin_scenarios()["scalar-constant"]
+    law = constant_feedback(scen, [[-0.4]], v=[0.1])
+    bundle = PathBundle.generate(2, 6, 16, 2)
+    x0 = np.linspace(-1.0, 1.0, 6)[:, None]
+    wild = x0.copy()
+    wild[3] = 2.0 * OVERFLOW_LIMIT
+    only = np.arange(6) == 3
+    calm = simulate_closed_loop(scen, law, x0, bundle)
+    hit = simulate_closed_loop(scen, law, wild, bundle)
+    assert not calm.overflow.any()
+    np.testing.assert_array_equal(hit.overflow, only)
+    assert hit.values[3, 0, 0] == wild[3, 0]
+    assert np.isnan(hit.values[3, 1:]).all()
+    np.testing.assert_array_equal(hit.values[~only], calm.values[~only])
+
+    def diffs(delta0):
+        seen = []
+        mask = _difference_step_stream(scen, law, delta0, bundle, lambda k, d: seen.append(d))
+        return mask, np.stack(seen, axis=1)
+
+    calm_mask, calm_d = diffs(x0)
+    hit_mask, hit_d = diffs(wild)
+    assert not calm_mask.any()
+    np.testing.assert_array_equal(hit_mask, only)
+    assert np.isnan(hit_d[3, 1:]).all()
+    np.testing.assert_array_equal(hit_d[~only], calm_d[~only])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The engine discretizes one or more periods on a uniform grid with an
 explicit Euler-Maruyama step, coefficients evaluated at the left node.
-Paths are driven by counter-based random streams: the increments of path i
-depend only on (seed, i), never on how many paths are drawn or in which
-order, so ensembles are reproducible and trivially parallel.
+Paths are driven by counter-based random streams: path i draws from
+Philox(key=[seed, i]), one generator re-keyed per path, so its increments
+never depend on how many paths are drawn or in which order.
 
 Layout and memory rule: increments are node-major, one contiguous
 (n_paths,) row per step.  A stream holds them plus O(n_paths x state)
@@ -80,6 +80,14 @@ def mean_se(values: np.ndarray, antithetic: bool = False):
     return mean, se
 
 
+def _rekey_template(bitgen: np.random.Philox) -> dict:
+    """``bitgen.state`` with its arrays as lists of plain ints: set
+    ``["state"]["key"][1] = i`` and assign it back for Philox(key=[key[0], i])."""
+    state = bitgen.state
+    state["state"] = {name: arr.tolist() for name, arr in state["state"].items()}
+    return {**state, "buffer": state["buffer"].tolist()}
+
+
 def _times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fresh (n_paths, r, c) m x for m of shape (r, l) or (n_paths, r, l) and
     columns x (n_paths, l, c): one exact broadcast product when l = 1, else
@@ -123,31 +131,25 @@ class PathBundle:
             raise SimulationError("antithetic bundles need an even path count")
         n_steps = steps_per_period * n_periods
         out = np.empty((n_steps, n_paths))
-        # one generator re-keyed per path (or antithetic pair), so path i draws
-        # exactly Philox(key=[seed, i]); blocks of paths are drawn as rows
+        # path (or antithetic pair) i re-keys the one generator to [seed, i]; a
+        # plain-int template and fresh rows (no out= checks) are the cheapest calls
         bitgen = np.random.Philox(key=[seed, 0])
         gen = np.random.Generator(bitgen)
-        fresh = bitgen.state
+        fresh = _rekey_template(bitgen)
+        key = fresh["state"]["key"]
         drawn = out[:, 0::2] if antithetic else out
         block = np.empty((min(NOISE_BLOCK, drawn.shape[1]), n_steps))
         for start in range(0, drawn.shape[1], NOISE_BLOCK):
             rows = block[: drawn.shape[1] - start]
-            for i, row in enumerate(rows, start):
-                fresh["state"]["key"][1] = i
+            for i in range(len(rows)):
+                key[1] = start + i
                 bitgen.state = fresh
-                gen.standard_normal(n_steps, out=row)
+                rows[i] = gen.standard_normal(n_steps)
             rows *= math.sqrt(tau / steps_per_period)
             drawn[:, start : start + len(rows)] = rows.T
         if antithetic:
             np.negative(drawn, out=out[:, 1::2])
-        return cls(
-            tau=tau,
-            steps_per_period=steps_per_period,
-            n_periods=n_periods,
-            seed=seed,
-            increments=out,
-            antithetic=antithetic,
-        )
+        return cls(tau, steps_per_period, n_periods, seed, out, antithetic)
 
     @property
     def n_paths(self) -> int:
@@ -597,11 +599,7 @@ def estimate_gram_lower_bound(
 
 
 def contraction_check(
-    coeffs: PeriodicCoefficientSet,
-    feedback: FeedbackLaw,
-    x1,
-    x2,
-    bundle: PathBundle,
+    coeffs: PeriodicCoefficientSet, feedback: FeedbackLaw, x1, x2, bundle: PathBundle
 ) -> StabilityReport:
     """Decay fit of E|X^1 - X^2|^2 for two starts on identical increments.
 

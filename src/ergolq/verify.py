@@ -593,6 +593,7 @@ def run_scenario_checks(
         derive_seed(seed, "s5"), 4000, 64, 12, tau=scen.tau, antithetic=True
     )
     rep = representation_check(a_cl, scen.C, lam, ric.k_solution, audit)
+    del audit  # S6 reads only cbundle: free the 24.6 MB audit bundle now
     allow = max(0.05, 3.0 * rep.se / max(float(np.linalg.norm(rep.reference)), 1e-12))
     push(
         _outcome(

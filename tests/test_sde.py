@@ -16,12 +16,14 @@ from ergolq.coefficients import (
     constant_feedback,
 )
 from ergolq.sde_engine import (
+    NOISE_BLOCK,
     OVERFLOW_LIMIT,
     PathBundle,
     SimulationError,
     StateTrajectory,
     _decay_report,
     _difference_step_stream,
+    _rekey_template,
     contraction_check,
     derive_seed,
     estimate_gram_lower_bound,
@@ -84,10 +86,10 @@ def test_bundle_paths_are_counter_indexed():
     np.testing.assert_array_equal(big.increments[:, :2], small.increments)
 
 
-def _per_path_increments(seed, n_paths, n_steps, antithetic=False):
+def _per_path_increments(seed, n_paths, n_steps, antithetic=False, dt=1.0 / 16):
     # reference construction: one fresh Philox(key=[seed, i]) per path or
     # pair, each path's draws one column of the node-major increments
-    root = math.sqrt(1.0 / 16)
+    root = math.sqrt(dt)
     cols = []
     for i in range(n_paths // 2 if antithetic else n_paths):
         col = root * np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal(n_steps)
@@ -97,11 +99,36 @@ def _per_path_increments(seed, n_paths, n_steps, antithetic=False):
 
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_bundle_equals_per_path_generators(antithetic):
+    # inside one block, and drawn rows ending either side of a block boundary
+    if antithetic:
+        counts = (10, 2 * (NOISE_BLOCK + 1))
+    else:
+        counts = (10, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1)
     for seed in (0, 5, 2**62 + 3):
-        bundle = PathBundle.generate(seed, 10, 16, 3, antithetic=antithetic)
-        np.testing.assert_array_equal(
-            bundle.increments, _per_path_increments(seed, 10, 48, antithetic)
-        )
+        for n_paths in counts:
+            for steps_per_period, n_periods in ((16, 3), (1, 1)):
+                bundle = PathBundle.generate(
+                    seed, n_paths, steps_per_period, n_periods, antithetic=antithetic
+                )
+                expected = _per_path_increments(
+                    seed, n_paths, steps_per_period * n_periods, antithetic, 1.0 / steps_per_period
+                )
+                np.testing.assert_array_equal(bundle.increments, expected)
+
+
+def test_rekey_template_is_the_per_path_state():
+    # the plain-int state generate assigns per path: re-keyed to path i it is
+    # Philox(key=[seed, i])'s state, so a change to numpy's state schema
+    # fails here by name
+    for seed in (0, 2**62 + 3):
+        template = _rekey_template(np.random.Philox(key=[seed, 0]))
+        template["state"]["key"][1] = 7
+        state = np.random.Philox(key=[seed, 7]).state
+        state["state"] = {name: arr.tolist() for name, arr in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        for fields in (template["state"]["counter"], template["state"]["key"], template["buffer"]):
+            assert all(type(v) is int for v in fields)
+        assert template == state
 
 
 @pytest.mark.parametrize("antithetic", [False, True])

@@ -380,7 +380,7 @@ def constant_feedback(coeffs: PeriodicCoefficientSet, theta, v=None, label: str 
 
 
 def perturbed_feedback(
-    base: FeedbackLaw, d_theta=None, d_v=None, eps: float = 1.0, label: str = ""
+    base: FeedbackLaw, d_theta=None, d_v=None, eps: float = 1.0
 ) -> FeedbackLaw:
     """base + eps * (d_theta, d_v) with constant-matrix perturbation directions."""
     theta = base.Theta
@@ -391,7 +391,7 @@ def perturbed_feedback(
     if d_v is not None:
         step_v = constant_coeff(eps * np.atleast_1d(np.asarray(d_v, float)), v.tau)
         v = cf_add(v, step_v)
-    return FeedbackLaw(Theta=theta, v=v, label=label or f"{base.label}+eps={eps}")
+    return FeedbackLaw(Theta=theta, v=v, label=f"{base.label}+eps={eps}")
 
 
 # ---------------------------------------------------------------------------

@@ -213,14 +213,16 @@ def burn_in_state(
 def _accumulate_cost(coeffs, feedback, x0, bundle, start_node=0, extra_integrand=None):
     """Stream the closed loop and trapezoid-integrate the running cost.
 
-    Returns (cost integrals from start_node to the end, per path;
-    extra integrals when an extra integrand is given; overflow mask).
+    Returns (cost integrals from start_node to every period boundary, shape
+    (n_periods + 1, n_paths), zero up to start_node; extra integrals from
+    start_node to the end when an extra integrand is given; overflow mask).
     The extra integrand is called as extra(k, x, u) at node k.
     """
     n_paths = bundle.n_paths
     n_steps = bundle.n_steps
-    dt = bundle.dt
+    sp, dt = bundle.steps_per_period, bundle.dt
     acc = np.zeros(n_paths)
+    totals = np.zeros((bundle.n_periods + 1, n_paths))
     extra_acc = np.zeros(n_paths) if extra_integrand is not None else None
     running_cost = _bind_running_cost(coeffs, bundle)
 
@@ -230,12 +232,14 @@ def _accumulate_cost(coeffs, feedback, x0, bundle, start_node=0, extra_integrand
         weight = 0.5 * dt if k in (start_node, n_steps) else dt
         with np.errstate(invalid="ignore"):
             f = running_cost(k, x, u)
+            if k > start_node and k % sp == 0:
+                np.add(acc, 0.5 * dt * f, out=totals[k // sp])
             np.add(acc, weight * f, out=acc)
             if extra_acc is not None:
                 np.add(extra_acc, weight * extra_integrand(k, x, u), out=extra_acc)
 
     overflow = stream_closed_loop(coeffs, feedback, x0, bundle, visit)
-    return acc, extra_acc, overflow
+    return totals, extra_acc, overflow
 
 
 def single_period_cost(state: RandomPeriodicState) -> CostEstimate:
@@ -254,9 +258,9 @@ def single_period_cost(state: RandomPeriodicState) -> CostEstimate:
         1,
         tau=coeffs.tau,
     )
-    acc, _, overflow = _accumulate_cost(coeffs, state.feedback, state.samples, bundle)
+    totals, _, overflow = _accumulate_cost(coeffs, state.feedback, state.samples, bundle)
     good = ~overflow
-    per_path = acc[good] / coeffs.tau
+    per_path = totals[-1][good] / coeffs.tau
     mean, se = mean_se(per_path)
     return CostEstimate(
         value=float(mean),
@@ -281,41 +285,22 @@ def finite_horizon_cost(
     given period counts; all checkpoints come from the same paths, so their
     differences are paired.
     """
-    sp = bundle.steps_per_period
-    n_paths, n_steps, dt = bundle.n_paths, bundle.n_steps, bundle.dt
     checkpoints = sorted(set(checkpoint_periods or []) | {bundle.n_periods})
     for kper in checkpoints:
         if not 1 <= kper <= bundle.n_periods:
             raise ValueError(f"checkpoint {kper} outside 1..{bundle.n_periods}")
-    acc = np.zeros(n_paths)
-    f0 = np.zeros(n_paths)
-    cp_values: Dict[int, np.ndarray] = {}
-    running_cost = _bind_running_cost(coeffs, bundle)
-
-    def visit(k, x, u):
-        with np.errstate(invalid="ignore"):
-            f = running_cost(k, x, u)
-            if k == 0:
-                f0[:] = f
-            np.add(acc, dt * f, out=acc)
-            if k % sp == 0 and k // sp in checkpoints:
-                horizon = k * dt
-                cp_values[k // sp] = (acc - 0.5 * dt * (f0 + f)) / horizon
-
-    overflow = stream_closed_loop(coeffs, feedback, x0, bundle, visit)
-    good = ~overflow
+    totals, _, overflow = _accumulate_cost(coeffs, feedback, x0, bundle)
     cp_stats = {}
-    for kper, vals in cp_values.items():
-        finite = vals[np.isfinite(vals)]
-        m, s = mean_se(finite)
+    for kper in checkpoints:
+        vals = totals[kper] / (kper * bundle.tau)
+        m, s = mean_se(vals[np.isfinite(vals)])
         cp_stats[kper] = (float(m), float(s))
-    last = cp_values[bundle.n_periods]
-    finite_last = last[good & np.isfinite(last)]
-    mean, se = mean_se(finite_last)
+    last = totals[-1] / bundle.duration
+    mean, se = mean_se(last[~overflow & np.isfinite(last)])
     return CostEstimate(
         value=float(mean),
         se=float(se),
-        n_paths=n_paths,
+        n_paths=bundle.n_paths,
         n_overflow=int(overflow.sum()),
         duration=bundle.duration,
         checkpoints=cp_stats,
@@ -343,7 +328,7 @@ def optimal_feedback(riccati: RiccatiSolution, tol: float = 1e-6) -> OptimalCont
     inhomogeneity q + Theta' rho; the offset is v = -R^{-1}(B' eta + rho).
     """
     coeffs = riccati.coeffs
-    theta = riccati.theta
+    theta = riccati.feedback.Theta
     a_cl = cf_add(coeffs.A, cf_matmul(coeffs.B, theta))
     lam = cf_add(coeffs.q, cf_matmul(cf_transpose(theta), coeffs.rho))
     eta_solution = solve_vector_bsde(
@@ -490,15 +475,15 @@ def completion_identity_check(
         derive_seed(seed, tag), n_paths, steps_per_period, 1, tau=coeffs.tau
     )
 
-    acc_u, pen, over_u = _accumulate_cost(
+    totals_u, pen, over_u = _accumulate_cost(
         coeffs, feedback, state_u.samples, bundle, extra_integrand=_bind_penalty(opt, bundle)
     )
-    acc_opt, _, over_opt = _accumulate_cost(
+    totals_opt, _, over_opt = _accumulate_cost(
         coeffs, opt.feedback, state_opt.samples, bundle
     )
     good = ~(over_u | over_opt)
-    lhs = (acc_u[good] - pen[good]) / coeffs.tau
-    anchor = acc_opt[good] / coeffs.tau
+    lhs = (totals_u[-1][good] - pen[good]) / coeffs.tau
+    anchor = totals_opt[-1][good] / coeffs.tau
     anchor_mean, anchor_se = mean_se(anchor)
     gap_mean, gap_se = mean_se(lhs - anchor)
     return CompletionReport(
@@ -583,10 +568,10 @@ def optimality_scan(
             law = base
         else:
             law = perturbed_feedback(base, d_theta, d_v, eps=float(eps))
-        acc, _, overflow = _accumulate_cost(
+        totals, _, overflow = _accumulate_cost(
             coeffs, law, x_start, bundle, start_node=start_node
         )
-        per_path[j] = acc / coeffs.tau
+        per_path[j] = totals[-1] / coeffs.tau
         per_path[j, overflow] = np.nan
         n_over[j] = int(overflow.sum())
 

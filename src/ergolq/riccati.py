@@ -142,14 +142,14 @@ class RiccatiSolution:
 
     k_solution holds the grid samples of the reduced (cross-term free)
     equation on its solve bundle, which agree with the full equation's
-    solution; theta is the optimal gain including any cross-term shift.
+    solution; feedback is the optimal gain, including any cross-term
+    shift, with a zero offset.
     """
 
     coeffs: PeriodicCoefficientSet
     reduced: PeriodicCoefficientSet
     k_solution: BsdeGridSolution
-    k_fn: CoefficientFn
-    theta: CoefficientFn
+    feedback: FeedbackLaw
     stability: Optional[StabilityReport]
     policy_gaps: List[float] = field(default_factory=list)
     policy_floors: List[float] = field(default_factory=list)
@@ -167,11 +167,6 @@ class RiccatiSolution:
     @property
     def n_policies(self) -> int:
         return len(self.policy_gaps) + 1
-
-    def gain_feedback(self, v: Optional[CoefficientFn] = None, label: str = "") -> FeedbackLaw:
-        if v is None:
-            v = constant_coeff(np.zeros(self.coeffs.m), self.coeffs.tau)
-        return FeedbackLaw(Theta=self.theta, v=v, label=label or "riccati-gain")
 
 
 def _policy_gain(reduced: PeriodicCoefficientSet, k_fn: CoefficientFn) -> CoefficientFn:
@@ -265,21 +260,18 @@ def solve_stochastic_riccati(
             f"Riccati fixed point lost positivity (min eig {fp_low:.3e})"
         )
 
-    k_fn = solution_coeff(k_solution)
-    theta = _policy_gain(reduced, k_fn)
+    theta = _policy_gain(reduced, solution_coeff(k_solution))
     if shift is not None:
         theta = cf_add(theta, cf_scale(shift, -1.0))
+    feedback = FeedbackLaw(
+        Theta=theta, v=constant_coeff(np.zeros(coeffs.m), coeffs.tau), label="riccati-gain"
+    )
 
     stability = None
     if require_stable:
-        law = FeedbackLaw(
-            Theta=theta,
-            v=constant_coeff(np.zeros(coeffs.m), coeffs.tau),
-            label="riccati-gain",
-        )
         stability = stabilizer_check(
             coeffs,
-            law,
+            feedback,
             derive_seed(bundle.seed, "stability"),
             steps_per_period=bundle.steps_per_period,
         )
@@ -293,8 +285,7 @@ def solve_stochastic_riccati(
         coeffs=coeffs,
         reduced=reduced,
         k_solution=k_solution,
-        k_fn=k_fn,
-        theta=theta,
+        feedback=feedback,
         stability=stability,
         policy_gaps=gaps,
         policy_floors=floors,

@@ -4,7 +4,7 @@ Each check is a pure function of a seeded context, returns a CheckOutcome
 with a one-line verdict, and states its tolerance explicitly.  Checks
 A1..A10 form the full battery; run_scenario_checks applies the
 scenario-independent subset (positivity, stabilizer, Riccati convergence,
-contraction, representation) to any single scenario.
+contraction, representation, Gram bound) to any single scenario.
 
 Statistical checks use derived seeds so that every random input is pinned
 by the master seed; the battery is deterministic end to end.
@@ -24,6 +24,7 @@ from .bsde_engine import (
     ConvergenceError,
     RegressionError,
     representation_check,
+    solution_coeff,
     solve_linear_matrix_bsde,
 )
 from .coefficients import (
@@ -121,19 +122,19 @@ class AcceptanceContext:
 
         return self._get(("opt", name, n_paths, tol), build)
 
-    def steady_state(self, name: str, n_paths: int = 20000, steps_per_period: int = 64):
+    def steady_state(self, name: str, steps_per_period: int = 64):
         def build():
             opt, _ = self.optimum(name)
             return burn_in_state(
                 self.scenarios[name],
                 opt.feedback,
                 derive_seed(self.seed, f"state-{name}-{steps_per_period}"),
-                n_paths,
+                20_000,
                 steps_per_period=steps_per_period,
                 lambda_hat=opt.riccati.stability.lambda_hat,
             )
 
-        return self._get(("state", name, n_paths, steps_per_period), build)
+        return self._get(("state", name, steps_per_period), build)
 
 
 def _outcome(check_id, label, passed, detail, t0, metrics=None) -> CheckOutcome:
@@ -244,7 +245,7 @@ def check_a5_stabilizer_certificate(ctx: AcceptanceContext) -> CheckOutcome:
         ric = ctx.riccati(name)
         report = stabilizer_check(
             ctx.scenarios[name],
-            ric.gain_feedback(),
+            ric.feedback,
             derive_seed(ctx.seed, f"a5-{name}"),
         )
         ok &= report.stable
@@ -501,48 +502,39 @@ def run_scenario_checks(
     tol: float = 1e-7,
     echo: Optional[Callable[[str], None]] = None,
 ) -> List[CheckOutcome]:
-    """Positivity, stabilizability, Riccati convergence, contraction and
-    the occupation-integral representation, on one scenario."""
+    """Positivity, stabilizability, Riccati convergence, contraction, the
+    occupation-integral representation and the conditional Gram lower bound
+    (S1..S6) on one scenario.  A check that raises one of RUN_ERRORS fails
+    with the error text as its detail, and the checks after it do not run."""
     outcomes: List[CheckOutcome] = []
 
-    def push(out):
-        outcomes.append(out)
+    def push(passed, detail, metrics=None):
+        # the outcome of the current check, named by check and timed from t0
+        outcomes.append(_outcome(*check, passed, detail, t0, metrics))
         if echo is not None:
-            echo(out.line())
+            echo(outcomes[-1].line())
 
+    check = ("S1", "cost positivity margin")
     t0 = time.perf_counter()
     pos = check_positivity(scen)
     push(
-        _outcome(
-            "S1",
-            "cost positivity margin",
-            pos.passed,
-            f"min eig R={pos.min_eig_R:.4f}, min eig reduced cost={pos.min_eig_cost:.4f}",
-            t0,
-            {"min_eig_R": pos.min_eig_R, "min_eig_cost": pos.min_eig_cost},
-        )
+        pos.passed,
+        f"min eig R={pos.min_eig_R:.4f}, min eig reduced cost={pos.min_eig_cost:.4f}",
+        {"min_eig_R": pos.min_eig_R, "min_eig_cost": pos.min_eig_cost},
     )
-
-    t0 = time.perf_counter()
     try:
+        check = ("S2", "stabilizer search")
+        t0 = time.perf_counter()
         law = default_stabilizer(scen, seed=derive_seed(seed, "s2"))
         report = stabilizer_check(scen, law, derive_seed(seed, "s2-check"))
         push(
-            _outcome(
-                "S2",
-                "stabilizer search",
-                report.stable,
-                f"{law.label}: lambda={report.lambda_hat:.3f} (95% low {report.ci_low:.3f})",
-                t0,
-                {"lambda": report.lambda_hat, "ci_low": report.ci_low},
-            )
+            report.stable,
+            f"{law.label}: lambda={report.lambda_hat:.3f} (95% low {report.ci_low:.3f})",
+            {"lambda": report.lambda_hat, "ci_low": report.ci_low},
         )
-    except RUN_ERRORS as exc:
-        push(_outcome("S2", "stabilizer search", False, str(exc), t0))
-        return outcomes
 
-    t0 = time.perf_counter()
-    try:
+        check = ("S3", "Riccati solve")
+        t0 = time.perf_counter()
         bundle = PathBundle.generate(
             derive_seed(seed, "s3"), n_paths, 64, 1, tau=scen.tau, antithetic=True
         )
@@ -551,72 +543,55 @@ def run_scenario_checks(
         mono_ok = _monotone(ric)
         res_ok = res.rel_max_defect < 1e-3 and res.periodic_gap < 1e-3
         push(
-            _outcome(
-                "S3",
-                "Riccati solve",
-                mono_ok and res_ok,
-                f"{ric.n_policies} policies, K0 norm {np.linalg.norm(ric.fixed_point):.4f}, "
-                f"defect {res.rel_max_defect:.2e}, periodic gap {res.periodic_gap:.2e}, "
-                f"monotone {mono_ok}",
-                t0,
-                {
-                    "n_policies": ric.n_policies,
-                    "rel_max_defect": res.rel_max_defect,
-                    "periodic_gap": res.periodic_gap,
-                },
-            )
+            mono_ok and res_ok,
+            f"{ric.n_policies} policies, K0 norm {np.linalg.norm(ric.fixed_point):.4f}, "
+            f"defect {res.rel_max_defect:.2e}, periodic gap {res.periodic_gap:.2e}, "
+            f"monotone {mono_ok}",
+            {
+                "n_policies": ric.n_policies,
+                "rel_max_defect": res.rel_max_defect,
+                "periodic_gap": res.periodic_gap,
+            },
         )
-    except RUN_ERRORS as exc:
-        push(_outcome("S3", "Riccati solve", False, str(exc), t0))
-        return outcomes
 
-    t0 = time.perf_counter()
-    law = ric.gain_feedback()
-    cbundle = PathBundle.generate(derive_seed(seed, "s4"), 4000, 64, 10, tau=scen.tau)
-    creport = contraction_check(scen, law, np.ones(scen.n), -np.ones(scen.n), cbundle)
-    push(
-        _outcome(
-            "S4",
-            "closed-loop contraction",
+        check = ("S4", "closed-loop contraction")
+        t0 = time.perf_counter()
+        law = ric.feedback
+        cbundle = PathBundle.generate(derive_seed(seed, "s4"), 4000, 64, 10, tau=scen.tau)
+        creport = contraction_check(scen, law, np.ones(scen.n), -np.ones(scen.n), cbundle)
+        push(
             creport.lambda_hat > 0 and creport.ci_low > 0,
             f"lambda={creport.lambda_hat:.3f} (95% low {creport.ci_low:.3f})",
-            t0,
             {"lambda": creport.lambda_hat, "ci_low": creport.ci_low},
         )
-    )
 
-    t0 = time.perf_counter()
-    # closed-loop drift and cost weight of the solved policy on the
-    # cross-term-free problem, which has the same closed loop and cost
-    a_cl, lam = _policy_problem(ric.reduced, _policy_gain(ric.reduced, ric.k_fn))
-    audit = PathBundle.generate(
-        derive_seed(seed, "s5"), 4000, 64, 12, tau=scen.tau, antithetic=True
-    )
-    rep = representation_check(a_cl, scen.C, lam, ric.k_solution, audit)
-    del audit  # S6 reads only cbundle: free the 24.6 MB audit bundle now
-    allow = max(0.05, 3.0 * rep.se / max(float(np.linalg.norm(rep.reference)), 1e-12))
-    push(
-        _outcome(
-            "S5",
-            "occupation-integral representation",
+        check = ("S5", "occupation-integral representation")
+        t0 = time.perf_counter()
+        # closed-loop drift and cost weight of the solved policy on the
+        # cross-term-free problem, which has the same closed loop and cost
+        gain = _policy_gain(ric.reduced, solution_coeff(ric.k_solution))
+        a_cl, lam = _policy_problem(ric.reduced, gain)
+        audit = PathBundle.generate(
+            derive_seed(seed, "s5"), 4000, 64, 12, tau=scen.tau, antithetic=True
+        )
+        rep = representation_check(a_cl, scen.C, lam, ric.k_solution, audit)
+        del audit  # S6 reads only cbundle: free the 24.6 MB audit bundle now
+        allow = max(0.05, 3.0 * rep.se / max(float(np.linalg.norm(rep.reference)), 1e-12))
+        push(
             rep.rel_residual <= allow,
             f"rel residual {rep.rel_residual:.4f} <= {allow:.4f}",
-            t0,
             {"rel_residual": rep.rel_residual, "allow": allow},
         )
-    )
 
-    t0 = time.perf_counter()
-    gram = estimate_gram_lower_bound(scen, cbundle.restrict(4), law)
-    delta_raw = gram.diagnostics["delta_raw"]
-    push(
-        _outcome(
-            "S6",
-            "conditional Gram lower bound",
+        check = ("S6", "conditional Gram lower bound")
+        t0 = time.perf_counter()
+        gram = estimate_gram_lower_bound(scen, cbundle.restrict(4), law)
+        delta_raw = gram.diagnostics["delta_raw"]
+        push(
             delta_raw > 0.0,
             f"delta={delta_raw:.4f} (+-{gram.delta_se:.4f})",
-            t0,
             {"delta": delta_raw, "delta_se": gram.delta_se},
         )
-    )
+    except RUN_ERRORS as exc:
+        push(False, str(exc))
     return outcomes

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ergolq.bsde_engine import solution_coeff
 from ergolq.coefficients import (
     CoefficientFn,
     FeedbackLaw,
@@ -241,7 +242,7 @@ def test_bound_compositions_equal_direct_evaluation(name):
         "A+B theta": _homogeneous_drift(scen, optimal),
     }
     fns["reduced A+B theta"], fns["Q+theta'R theta"] = _policy_problem(
-        ric.reduced, _policy_gain(ric.reduced, ric.k_fn)
+        ric.reduced, _policy_gain(ric.reduced, solution_coeff(ric.k_solution))
     )
     reduced, shift = reduce_cross_term(scen)
     if shift is not None:
@@ -292,8 +293,8 @@ def test_paths_do_not_change_when_the_ensemble_grows(laws, antithetic):
         stream_closed_loop(
             scen, law, x0, bundle, lambda k, x, u: (states.append(x), controls.append(u))
         )
-        cost, _, _ = _accumulate_cost(scen, law, x0, bundle)
-        return np.stack(states, axis=1), np.stack(controls, axis=1), cost
+        totals, _, _ = _accumulate_cost(scen, law, x0, bundle)
+        return np.stack(states, axis=1), np.stack(controls, axis=1), totals.T
 
     for law in by_name.values():
         for small, big in zip(run(law, n_small), run(law, 2 * n_small)):

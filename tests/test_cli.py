@@ -13,6 +13,7 @@ import pytest
 import ergolq
 from ergolq import cli
 from ergolq.coefficients import builtin_scenarios, save_scenario
+from ergolq.sde_engine import SimulationError
 
 
 def read_json(path):
@@ -322,10 +323,36 @@ def test_verify_scenario_battery(tmp_path):
     assert summary["n_failed"] == 0
 
 
-@pytest.mark.parametrize("error", ["ConvergenceError", "TypeError"])
-def test_scenario_checks_report_run_errors_and_raise_programming_errors(monkeypatch, error):
+@pytest.mark.parametrize("error", ["ConvergenceError", "TypeError", "S6"])
+def test_scenario_checks_report_run_errors_and_raise_programming_errors(
+    monkeypatch, tmp_path, error
+):
     # a typed run failure of the stabilizer search is a FAIL verdict that ends
     # the checks; anything else is a defect and propagates
+    if error == "S6":
+        # a typed failure of the last check fails that check alone, and verify
+        # --scenario still writes both files
+        def overflow(*args, **kwargs):
+            raise SimulationError("Gram stream overflowed")
+
+        monkeypatch.setattr("ergolq.verify.estimate_gram_lower_bound", overflow)
+        out = tmp_path / "ver-s6"
+        rc = cli.main([
+            "verify", "--scenario", "scalar-moment-decay",
+            "--paths", "2048", "--out", str(out),
+        ])
+        assert rc == 1
+        with open(out / "checks.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:2] for row in rows] == [
+            ["S1", "1"], ["S2", "1"], ["S3", "1"], ["S4", "1"], ["S5", "1"], ["S6", "0"],
+            ["A1", "1"],
+        ]
+        assert rows[5][2:] == ["conditional Gram lower bound", "Gram stream overflowed"]
+        summary = read_json(out / "summary.json")
+        assert summary["n_failed"] == 1
+        assert summary["checks"][5]["metrics"] == {}
+        return
     if error == "ConvergenceError":
         exc = ergolq.ConvergenceError("no stabilizer")
     else:

@@ -13,6 +13,7 @@ from ergolq.coefficients import (
 from ergolq.ergodic import (
     BurnInError,
     ScanResult,
+    _accumulate_cost,
     _quadratic_cost,
     burn_in_state,
     completion_identity_check,
@@ -25,7 +26,7 @@ from ergolq.ergodic import (
     value_function,
 )
 from ergolq.riccati import solve_stochastic_riccati
-from ergolq.sde_engine import PathBundle, derive_seed
+from ergolq.sde_engine import PathBundle, mean_se
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 ETA = 1.0 - 1.0 / math.sqrt(2.0)
@@ -112,17 +113,28 @@ def test_single_period_cost_matches_discrete_stationary_law():
     assert cost.se < 0.02
 
 
-def test_finite_horizon_checkpoints_are_paired():
-    scen = builtin_scenarios()["scalar-constant"]
-    law = constant_feedback(scen, [[-0.4]])
+@pytest.mark.parametrize(
+    "name", ["scalar-constant", "scalar-random-periodic", "planar-deterministic-periodic"]
+)
+def test_finite_horizon_checkpoints_are_paired(name):
+    # a checkpoint is the cost integral to its period boundary on the same
+    # paths, so it is bit for bit the whole-horizon integral of the bundle
+    # restricted to that many periods: one quadrature serves both
+    scen = builtin_scenarios()[name]
+    law = constant_feedback(scen, np.full((scen.m, scen.n), -0.4))
+    x0 = np.full(scen.n, 0.9)
     bundle = PathBundle.generate(45, 2000, 64, 6)
-    est = finite_horizon_cost(scen, law, np.array([0.9]), bundle, checkpoint_periods=[2, 4])
-    assert set(est.checkpoints) == {2, 4, 6}
-    val6, _ = est.checkpoints[6]
-    assert val6 == pytest.approx(est.value)
+    est = finite_horizon_cost(scen, law, x0, bundle, checkpoint_periods=[1, 2, 4])
+    assert set(est.checkpoints) == {1, 2, 4, 6}
+    for k in (1, 2, 4, 6):
+        totals, _, overflow = _accumulate_cost(scen, law, x0, bundle.restrict(k))
+        assert not overflow.any()
+        mean, se = mean_se(totals[-1] / (k * scen.tau))
+        assert est.checkpoints[k] == (float(mean), float(se)), k
+    assert est.checkpoints[6][0] == est.value
     assert est.duration == pytest.approx(6.0)
     with pytest.raises(ValueError):
-        finite_horizon_cost(scen, law, np.zeros(1), bundle, checkpoint_periods=[7])
+        finite_horizon_cost(scen, law, x0, bundle, checkpoint_periods=[7])
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_scalar_constant_gain_matches_algebraic_root():
     scen = builtin_scenarios()["scalar-constant"]
     ric = solve_stochastic_riccati(scen, solve_bundle(101), tol=1e-9)
     assert abs(ric.fixed_point[0, 0] - SQRT2_M1) < 1e-8
-    theta0 = ric.theta.eval_batch(0.0, np.zeros(1)).item()
+    theta0 = ric.feedback.Theta.eval_batch(0.0, np.zeros(1)).item()
     assert abs(theta0 + SQRT2_M1) < 1e-8
     assert ric.n_policies <= 10
     assert all(g >= -1e-9 for g in ric.monotone_gaps)
@@ -154,10 +154,21 @@ def test_residual_vanishes_on_solve_bundle():
     assert report.node_defects.shape == (64,)
 
 
-def test_gain_feedback_carries_custom_offset():
-    scen = builtin_scenarios()["scalar-constant"]
-    ric = solve_stochastic_riccati(scen, solve_bundle(108), tol=1e-7)
-    offset = constant_coeff([0.25], scen.tau)
-    law = ric.gain_feedback(v=offset, label="shifted")
-    assert law.label == "shifted"
-    assert law.v.eval_batch(0.5, np.zeros(1)).item() == 0.25
+@pytest.mark.parametrize("name", ["scalar-constant", "scalar-random-periodic"])
+def test_certificate_runs_on_the_solved_feedback(name):
+    # the law a solution carries is the one its certificate ran on: the full
+    # gain (cross-term shift included on scalar-random-periodic) with a zero
+    # offset, so a re-run of the certificate on it gives the same decay rate
+    scen = builtin_scenarios()[name]
+    bundle = solve_bundle(108, n_paths=512)
+    ric = solve_stochastic_riccati(scen, bundle, tol=1e-5)
+    assert ric.feedback.label == "riccati-gain"
+    for phase in (0.0, 0.5):
+        assert not ric.feedback.v.eval_batch(phase, np.linspace(-1.0, 1.0, 5)).any()
+    report = stabilizer_check(
+        scen,
+        ric.feedback,
+        derive_seed(bundle.seed, "stability"),
+        steps_per_period=bundle.steps_per_period,
+    )
+    assert report.lambda_hat == ric.stability.lambda_hat

@@ -6,13 +6,14 @@ catalog scenario for master seeds 1-20, prints every failure as it happens,
 then one line per check and scenario with its pass count and a 95%
 Clopper-Pearson interval on the failure rate.  Gates and seeds are those
 of ``ergolq verify``; nothing is tuned here.  The battery runs through
-``run_acceptance``, so a check that raises a solver error fails, exactly
-as ``ergolq verify`` reports it.  A scenario check that raised, or that a
-failed earlier step skipped, counts as not run, not as failed.
+``run_acceptance`` and ``run_scenario_checks``, so a check that raises a
+solver error fails, exactly as ``ergolq verify`` reports it, and any other
+error stops the sweep.  A scenario check that did not run because an
+earlier one raised counts as not run, not as failed.
 
     PYTHONPATH=src python3 tools/seed_sweep.py
 
-Takes about 21 minutes (65 s a seed) on a 2-core x86-64 VM.  Not part of
+Takes about 12 minutes (36 s a seed) on a 2-core x86-64 VM.  Not part of
 the test suite.
 """
 
@@ -39,16 +40,12 @@ def failure_interval(failed: int, n: int, level: float = 0.95) -> tuple:
 
 def main() -> None:
     scenarios = builtin_scenarios()
-    runs, passes, errors = Counter(), Counter(), Counter()
+    runs, passes = Counter(), Counter()
     t0 = time.time()
     for seed in SEEDS:
         results = [("battery", out) for out in run_acceptance(seed)]
         for name, scen in scenarios.items():
-            try:
-                results += [(name, out) for out in run_scenario_checks(scen, seed=seed)]
-            except Exception as exc:  # the checks this scenario did not reach count as not run
-                print(f"seed {seed} {name}: error {type(exc).__name__}: {exc}")
-                errors[name] += 1
+            results += [(name, out) for out in run_scenario_checks(scen, seed=seed)]
         for name, out in results:
             runs[(out.check_id, name)] += 1
             passes[(out.check_id, name)] += out.passed
@@ -68,8 +65,6 @@ def main() -> None:
             f"{check_id:<6} {name:<30} {n_pass:>6} {n_run:>4} {len(SEEDS) - n_run:>7}"
             f"  [{low:.3f}, {high:.3f}]"
         )
-    for name, count in sorted(errors.items()):
-        print(f"{name}: {count} run(s) raised")
 
 
 if __name__ == "__main__":

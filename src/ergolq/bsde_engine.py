@@ -18,12 +18,12 @@ iteration a deterministic map with an honest fixed point; the statistical
 error is then controlled by the stopping rule, which refuses to iterate
 below the Monte Carlo resolution of the update.
 
-A solve builds each node's ridged normal matrix and condition number once
-(``ridge_plan``, defined in ``sde_engine`` and shared with the Gram
-estimate) for all its sweeps; designs are rebuilt per node, since a period
-of cubic designs costs more memory than time.  A degree-0 solution is
-deterministic: the fitted integrand, drift and fitted value are computed
-on one row and broadcast, while every reduction over paths (regression
+A bundle keeps each node's ridged normal matrix and condition number per
+basis degree (``ridge_plan``, shared with the Gram estimate) for every solve
+on it; designs are rebuilt per node, since a period of cubic designs costs
+more memory than time.  A degree-0 solution is deterministic: the fitted
+integrand, drift and fitted value are computed on one row and broadcast,
+its [[1.0]] plans need no solve, and every reduction over paths (regression
 right-hand sides, node-0 target, stopping rule) reads full per-path rows.
 """
 
@@ -37,7 +37,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientFn
+from .coefficients import CoefficientFn, cf_transpose
 from .sde_engine import (
     RIDGE,
     PathBundle,
@@ -67,7 +67,11 @@ class RegressionBasis:
     def design(self, bundle: PathBundle, node: int) -> np.ndarray:
         """Features at a grid node; degree 0 never reads the partial sums."""
         if self.degree == 0:
-            return np.ones((bundle.n_paths, 1))
+            ones = bundle._memo.get("ones")
+            if ones is None:
+                ones = bundle._memo["ones"] = np.ones((bundle.n_paths, 1))
+                ones.setflags(write=False)
+            return ones
         return poly_design(bundle.partial_sum(node), bundle.phase(node), self.degree)
 
 
@@ -98,48 +102,49 @@ def backward_sweep(
         raise ValueError("backward sweeps operate on single-period bundles")
     terminal = np.asarray(terminal, dtype=float)
     vshape = terminal.shape
-    is_matrix = len(vshape) == 2
     flat_dim = int(np.prod(vshape))
     sp, dt = bundle.steps_per_period, bundle.dt
     n_paths = bundle.n_paths
-    rows = 1 if basis.degree == 0 else n_paths
+    # degree 0 fits one row, where [1.0] @ beta is beta; a 1x1 value is symmetric
+    const = basis.degree == 0
+    rows = 1 if const else n_paths
+    symmetric = len(vshape) == 2 and flat_dim > 1
 
     values = np.empty((n_paths, sp + 1) + vshape)
     integrand = np.empty((n_paths, sp) + vshape)
-    values[:, sp] = terminal
+    values[:rows, sp] = terminal
     value_coeffs: List[Optional[np.ndarray]] = [None] * sp
-    node0_target = None
 
     for i in range(sp - 1, -1, -1):
         design = basis.design(bundle, i)
-        v_next = values[:, i + 1]
-        flat_next = v_next.reshape(n_paths, flat_dim)
+        v_next = values[:rows, i + 1]
+        flat_next = v_next.reshape(rows, flat_dim)
 
         dw = bundle.increments[i] / dt
         beta_l = ridge_solve(design, flat_next * dw[:, None], plans[i])
-        l_est = (design[:rows] @ beta_l).reshape((rows,) + vshape)
-        if is_matrix:
+        l_est = (beta_l if const else design @ beta_l).reshape((rows,) + vshape)
+        if symmetric:
             l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
 
-        d = np.asarray(drift(i, v_next[:rows], l_est), dtype=float)
-        if d.ndim == len(vshape):
-            d = d[None]
-        target = flat_next + dt * d.reshape(d.shape[0], flat_dim)
+        d = np.asarray(drift(i, v_next, l_est), dtype=float).reshape(-1, flat_dim)
+        # every path's row, contiguous: the regression sums them in BLAS
+        target = np.add(flat_next, dt * d, out=np.empty((n_paths, flat_dim)))
         beta_v = ridge_solve(design, target, plans[i])
-        fitted = (design[:rows] @ beta_v).reshape((rows,) + vshape)
-        if is_matrix:
+        fitted = (beta_v if const else design @ beta_v).reshape((rows,) + vshape)
+        if symmetric:
             fitted = 0.5 * (fitted + np.swapaxes(fitted, -1, -2))
-        values[:, i] = fitted
-        integrand[:, i] = l_est
+        values[:rows, i] = fitted
+        integrand[:rows, i] = l_est
         value_coeffs[i] = beta_v
-        if i == 0:
-            node0_target = np.broadcast_to(target, (n_paths, flat_dim)).copy()
+    # a one-row (degree-0) sweep's nodes are every path's, copied once at the end
+    values[rows:] = values[:1]
+    integrand[rows:] = integrand[:1]
 
     return SweepResult(
         values=values,
         integrand=integrand,
         value_coeffs=value_coeffs,
-        node0_target=node0_target,
+        node0_target=target,
         max_cond=max(cond for _, cond in plans),
     )
 
@@ -271,9 +276,12 @@ def _outer_fixed_point(
         terminal = np.array(initial_terminal, dtype=float)
         if terminal.shape != shape:
             raise ValueError(f"warm start shape {terminal.shape}, expected {shape}")
-    # built from the last node down, so a singular node raises as a sweep would
-    sp = bundle.steps_per_period
-    plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in range(sp - 1, -1, -1)][::-1]
+    plans = bundle._memo.get(("plans", basis.degree))
+    if plans is None:
+        # kept per bundle and degree; last node first, so a singular one raises as a sweep would
+        nodes = range(bundle.steps_per_period - 1, -1, -1)
+        plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in nodes][::-1]
+        bundle._memo["plans", basis.degree] = plans
     trace = IterationTrace(diagnostics={"max_cond": max(cond for _, cond in plans)})
     prev_target = None
     for _ in range(max_iter):
@@ -379,21 +387,21 @@ def solve_vector_bsde(
     """
     bundle = kl_solution.bundle
     n = a_fn.shape[0]
-    a_at, c_at, b_at, sigma_at, lam_at = (
-        bundle.bind(f) for f in (a_fn, c_fn, b_fn, sigma_fn, lam_fn)
+    at_at, ct_at, b_at, sigma_at, lam_at = (
+        bundle.bind(f) for f in (cf_transpose(a_fn), cf_transpose(c_fn), b_fn, sigma_fn, lam_fn)
     )
 
     def drift(i, eta_next, zeta_est):
         k_i = kl_solution.values[: len(eta_next), i]
         l_i = kl_solution.integrand[: len(eta_next), i]
-        a, c, bd, sg, lam = a_at(i), c_at(i), b_at(i), sigma_at(i), lam_at(i)
-        at_eta = np.matmul(np.swapaxes(a, -1, -2), eta_next[..., None])[..., 0]
-        ct_zeta = np.matmul(np.swapaxes(c, -1, -2), zeta_est[..., None])[..., 0]
-        kb = np.matmul(k_i, np.broadcast_to(bd, eta_next.shape)[..., None])[..., 0]
-        ksig = np.matmul(k_i, np.broadcast_to(sg, eta_next.shape)[..., None])[..., 0]
-        ct_ksig = np.matmul(np.swapaxes(c, -1, -2), ksig[..., None])[..., 0]
-        lsig = np.matmul(l_i, np.broadcast_to(sg, eta_next.shape)[..., None])[..., 0]
-        return at_eta + ct_zeta + kb + ct_ksig + lsig + lam
+        at, ct, bd, sg = at_at(i), ct_at(i), b_at(i)[..., None], sigma_at(i)[..., None]
+        at_eta = np.matmul(at, eta_next[..., None])[..., 0]
+        ct_zeta = np.matmul(ct, zeta_est[..., None])[..., 0]
+        kb = np.matmul(k_i, bd)[..., 0]
+        ksig = np.matmul(k_i, sg)[..., 0]
+        ct_ksig = np.matmul(ct, ksig[..., None])[..., 0]
+        lsig = np.matmul(l_i, sg)[..., 0]
+        return at_eta + ct_zeta + kb + ct_ksig + lsig + lam_at(i)
 
     return _outer_fixed_point(drift, (n,), bundle, kl_solution.basis, tol, max_iter)
 

@@ -114,6 +114,7 @@ class PathBundle:
     increments: np.ndarray  # (n_steps, n_paths), N(0, dt); row k drives step k
     antithetic: bool = False
     _cumsum: Optional[np.ndarray] = field(default=None, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)  # regression plans, ones column
 
     @classmethod
     def generate(
@@ -187,17 +188,26 @@ class PathBundle:
             raise SimulationError(f"node {node} outside grid 0..{self.n_steps}")
         return self._sums()[node]
 
+    def _table(self, fn: CoefficientFn) -> np.ndarray:
+        """A path-free coefficient's value (constant) or (steps_per_period, *shape)
+        table: leaves evaluated once per phase on a zero partial sum, compositions
+        combined and finished once over their operands' tables."""
+        if fn.parts is not None:
+            combine, operands = fn.parts
+            return fn.finish(combine(*(self._table(f) for f in operands)))
+        zero = np.zeros(1)
+        phases = [0] if fn.kind == "constant" else range(self.steps_per_period)
+        table = np.stack([fn.eval_batch(self.phase(i), zero).reshape(fn.shape) for i in phases])
+        return table[0] if fn.kind == "constant" else table
+
     def bind(self, fn: CoefficientFn) -> Callable:
         """Bind a coefficient to this grid once; returns at(node).
 
-        A constant becomes one array and a deterministic-periodic
-        coefficient (composed trees included) a (steps_per_period, *shape)
-        table built from one evaluation per phase on a zero partial sum, so
-        neither grows with the path count.  A path-functional composition
-        binds each recorded operand the same way and combines their node
-        values, so its path-free subtrees are tables built once and each
-        path-functional leaf is evaluated once per node per bound tree, on
-        that node's partial sums.
+        A path-free coefficient, composed trees included, becomes the array
+        or per-phase table of ``_table``, so it does not grow with the path
+        count.  A path-functional composition binds each recorded operand the
+        same way and combines their node values, so each path-functional leaf
+        is evaluated once per node per bound tree, on that node's partial sums.
         """
         if fn.kind == "path-functional":
             if fn.parts is None:
@@ -205,12 +215,10 @@ class PathBundle:
             combine, operands = fn.parts
             operands_at = [self.bind(f) for f in operands]
             return lambda node: fn.finish(combine(*(at(node) for at in operands_at)))
-        zero = np.zeros(1)
-        n_phases = 1 if fn.kind == "constant" else self.steps_per_period
-        table = np.stack(
-            [fn.eval_batch(self.phase(i), zero).reshape(fn.shape) for i in range(n_phases)]
-        )
-        return lambda node: table[node % n_phases]
+        table = self._table(fn)
+        if fn.kind == "constant":
+            return lambda node: table
+        return lambda node: table[node % self.steps_per_period]
 
     def bind_law(self, law: FeedbackLaw) -> Callable:
         """Bind a feedback law; returns u(node, x) = Theta x + v for vector
@@ -223,7 +231,7 @@ class PathBundle:
         if n_periods > self.n_periods:
             raise SimulationError("cannot extend a bundle by restriction")
         head = self.increments[: n_periods * self.steps_per_period]
-        return replace(self, n_periods=n_periods, increments=head, _cumsum=None)
+        return replace(self, n_periods=n_periods, increments=head, _cumsum=None, _memo={})
 
 
 @dataclass(eq=False)
@@ -513,8 +521,10 @@ def ridge_plan(design: np.ndarray, ridge: float):
 
 
 def ridge_solve(design: np.ndarray, targets: np.ndarray, plan) -> np.ndarray:
-    """Ridge least-squares coefficients (n_features, n_targets) on a plan."""
-    return np.linalg.solve(plan[0], design.T @ targets / design.shape[0])
+    """Ridge least-squares coefficients (n_features, n_targets) on a plan; the
+    one-column plan, a constant design's, is exactly [[1.0]], so dividing is exact."""
+    rhs = design.T @ targets / design.shape[0]
+    return rhs / plan[0][0, 0] if plan[0].shape == (1, 1) else np.linalg.solve(plan[0], rhs)
 
 
 def estimate_gram_lower_bound(

@@ -7,6 +7,7 @@ from ergolq.bsde_engine import solution_coeff
 from ergolq.coefficients import (
     CoefficientFn,
     FeedbackLaw,
+    PeriodicCoefficientSet,
     builtin_scenarios,
     cf_add,
     cf_matmul,
@@ -256,6 +257,66 @@ def test_bound_compositions_equal_direct_evaluation(name):
                 at(k), fn.eval_batch(bundle.phase(k), bundle.partial_sum(k))
             )
             np.testing.assert_array_equal(got, want, err_msg=f"{label} at node {k}")
+
+
+def _harmonic_policy_problem():
+    """Theta = -R^{-1} B'K, A + B Theta and Q + Theta'R Theta on a 2x2 problem
+    whose R, A and Q vary with the phase and whose K is a harmonic stand-in;
+    R is not diagonal, so an inverse and a solve differ in the last bits, and
+    Q and sym(K + A) carry an asymmetry that their symmetrization records."""
+    tau, zero2, zero = 1.0, np.zeros((2, 2)), np.zeros(2)
+    scen = PeriodicCoefficientSet(
+        tau=tau, n=2, m=2,
+        A=harmonic_coeff(tau, [[-1.0, 0.3], [0.1, -0.8]], sin_terms={1: [[0.2, 0.0], [0.1, 0.3]]}),
+        B=constant_coeff([[1.0, 0.2], [0.3, 0.7]], tau),
+        C=constant_coeff(zero2, tau),
+        b=constant_coeff(zero, tau),
+        sigma=constant_coeff(zero, tau),
+        Q=harmonic_coeff(tau, [[1.0, 0.1], [0.1, 0.9]], cos_terms={1: [[0.2, 0.05], [-0.05, 0.1]]}),
+        S=constant_coeff(zero2, tau),
+        R=harmonic_coeff(
+            tau, [[1.3, 0.4], [0.4, 0.9]],
+            sin_terms={1: [[0.3, 0.1], [0.1, -0.2]]}, cos_terms={2: [[0.1, -0.15], [-0.15, 0.2]]},
+        ),
+        q=constant_coeff(zero, tau),
+        rho=constant_coeff(zero, tau),
+    )
+    k = harmonic_coeff(tau, [[0.8, 0.3], [0.2, 0.6]], sin_terms={1: [[0.1, 0.05], [0.0, 0.2]]})
+    theta = _policy_gain(scen, k)
+    a_cl, lam = _policy_problem(scen, theta)
+    sym = cf_add(k, scen.A)
+    sym.symmetrize = True
+    return {"theta": theta, "A+B theta": a_cl, "Q+theta'R theta": lam, "sym(K+A)": sym}
+
+
+def _tree(fn):
+    """fn and every recorded operand below it, depth first."""
+    yield fn
+    for op in fn.parts[1] if fn.parts is not None else ():
+        yield from _tree(op)
+
+
+def test_bound_path_free_compositions_equal_per_phase_evaluation():
+    # a path-free tree bound from its operands' tables returns at every node
+    # the bits of evaluating the whole tree there, R^{-1} included, and its
+    # symmetrizations record the asymmetry that evaluation records
+    bound, evaluated = _harmonic_policy_problem(), _harmonic_policy_problem()
+    bundle = PathBundle.generate(47, 8, SP, 2)
+    for label, fn in bound.items():
+        assert fn.kind == "deterministic-periodic"
+        at = bundle.bind(fn)
+        direct = evaluated[label]
+        for k in range(bundle.n_steps + 1):
+            np.testing.assert_array_equal(
+                at(k), direct.eval_batch(bundle.phase(k), bundle.partial_sum(k)),
+                err_msg=f"{label} at node {k}",
+            )
+    for label in bound:
+        got = [f.diagnostics for f in _tree(bound[label])]
+        want = [f.diagnostics for f in _tree(evaluated[label])]
+        assert got == want, label
+    assert bound["sym(K+A)"].diagnostics["max_asymmetry"] > 0.05
+    assert bound["Q+theta'R theta"].parts[1][0].diagnostics["max_asymmetry"] > 0.05
 
 
 def test_bound_path_functional_composition_is_symmetrized():

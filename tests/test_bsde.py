@@ -22,7 +22,8 @@ from ergolq.bsde_engine import (
     solve_linear_matrix_bsde,
     solve_vector_bsde,
 )
-from ergolq.coefficients import builtin_scenarios, constant_coeff
+from ergolq.coefficients import builtin_scenarios, constant_coeff, constant_feedback
+from ergolq.riccati import kleinman_solve
 from ergolq.sde_engine import RIDGE, PathBundle
 
 TAU = 1.0
@@ -121,9 +122,9 @@ def _reference_sweep(drift, terminal, bundle, basis):
     return values, integrand, value_coeffs, node0_target, max_cond
 
 
-def _lyapunov_case(name, degree, terminal):
+def _lyapunov_case(name, degree, terminal, n_paths=256):
     scen = builtin_scenarios()[name]
-    bundle = PathBundle.generate(11, 256, 16, 1, antithetic=True)
+    bundle = PathBundle.generate(11, n_paths, 16, 1, antithetic=n_paths > 1)
     a_at, c_at, q_at = (bundle.bind(f) for f in (scen.A, scen.C, scen.Q))
 
     def drift(i, k_next, l_est):
@@ -157,6 +158,10 @@ SWEEP_CASES = {
     ),
     "planar-vector": _vector_case,
     "scalar-random-periodic": lambda: _lyapunov_case("scalar-random-periodic", 3, [[0.7]]),
+    # one path is one row for a cubic basis too; its fit is still design @ beta
+    "scalar-random-periodic-one-path": lambda: _lyapunov_case(
+        "scalar-random-periodic", 3, [[0.7]], n_paths=1
+    ),
 }
 
 
@@ -179,7 +184,11 @@ def test_planned_sweep_is_bit_identical_to_per_path_reference(case):
     assert np.ptp(values[0].reshape(values.shape[1], -1), axis=0).max() > 0.0
 
 
-def test_regression_plans_are_built_once_per_solve(monkeypatch):
+def test_regression_plans_are_built_once_per_bundle(monkeypatch):
+    # every solve on one bundle and basis degree reads one plan per node: a
+    # matrix solve, the vector solve on its solution and every Kleinman
+    # policy; a second bundle builds its own, and keeping them there does
+    # not keep that bundle alive
     calls = []
 
     def counting(design, ridge):
@@ -187,12 +196,13 @@ def test_regression_plans_are_built_once_per_solve(monkeypatch):
         return ridge_plan(design, ridge)
 
     monkeypatch.setattr("ergolq.bsde_engine.ridge_plan", counting)
-    bundle = PathBundle.generate(5, 64, 32, 1, antithetic=True)
+    sp = 32
+    bundle = PathBundle.generate(5, 64, sp, 1, antithetic=True)
     ksol = solve_linear_matrix_bsde(
         scalar_const(-1.0), scalar_const(0.3), scalar_const(1.0), bundle, tol=1e-9
     )
     assert ksol.trace.n_iterations > 1
-    assert len(calls) == bundle.steps_per_period
+    assert len(calls) == sp
     esol = solve_vector_bsde(
         scalar_const(-1.0), scalar_const(0.3), ksol,
         constant_coeff([1.0], TAU), constant_coeff([1.0], TAU),
@@ -200,7 +210,26 @@ def test_regression_plans_are_built_once_per_solve(monkeypatch):
     )
     assert esol.bundle is bundle
     assert esol.trace.n_iterations > 1
-    assert len(calls) == 2 * bundle.steps_per_period
+    scen = builtin_scenarios()["scalar-constant"]
+    last, gaps, _, _ = kleinman_solve(scen, constant_feedback(scen, [[0.0]]), bundle, tol=1e-9)
+    assert last.basis.degree == ksol.basis.degree == 0
+    assert len(gaps) >= 2
+    assert len(calls) == sp
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fresh = PathBundle.generate(6, 64, sp, 1, antithetic=True)
+        alive = weakref.ref(fresh)
+        sol = solve_linear_matrix_bsde(
+            scalar_const(-1.0), scalar_const(0.3), scalar_const(1.0), fresh, tol=1e-9
+        )
+        assert len(calls) == 2 * sp
+        del sol, fresh
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_solution_records_worst_condition_number():

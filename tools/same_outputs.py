@@ -1,0 +1,140 @@
+"""Byte-compare the CLI outputs of two checkouts.
+
+    python3 tools/same_outputs.py PARENT CHANGE [--seed 7]
+
+Runs, in both checkouts, the CLI command of each benchmark workload (its
+argv is read from this repository's ``perfbench/workloads.py``, which is only
+imported), ``verify --scenario`` on every catalog scenario and the full
+``verify``.  Each command runs in a fresh interpreter with that checkout's
+``src/`` on ``PYTHONPATH`` and BLAS pinned to one thread, as the benchmark
+runs them.  Every output file is compared byte for byte; the one exception
+is ``manifest.json``, whose ``config.out`` field (the output directory) is
+dropped before comparing.  Exit codes are compared too.
+
+Prints one line per command and exits 1 if any output differs, else 0.
+A speed change that claims to leave every result alone needs this proof.
+Takes about 2.5 minutes on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+WORKLOADS_PY = os.path.join(HERE, os.pardir, "perfbench", "workloads.py")
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CLI = "import sys; from ergolq.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def workload_commands() -> dict:
+    """{workload name: CLI argv} from perfbench/workloads.py (stdlib only)."""
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolves the module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {name: list(w.argv) for name, w in module.WORKLOADS.items()}
+
+
+def _env(checkout: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.abspath(checkout), "src")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    for key in BLAS_ENV:
+        env[key] = "1"
+    return env
+
+
+def catalog(checkout: str) -> list:
+    code = "from ergolq.coefficients import builtin_scenarios; print(*sorted(builtin_scenarios()))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_env(checkout), check=True, capture_output=True, text=True
+    )
+    return out.stdout.split()
+
+
+def _files(root: str) -> dict:
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            found[os.path.relpath(path, root)] = path
+    return found
+
+
+def _content(rel: str, path: str):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(rel) != "manifest.json":
+        return data
+    manifest = json.loads(data)
+    manifest.get("config", {}).pop("out", None)
+    return manifest
+
+
+def differences(left: str, right: str) -> list:
+    """Relative paths (with a reason) at which two output trees differ."""
+    a, b = _files(left), _files(right)
+    problems = [f"{rel}: only in parent" for rel in sorted(set(a) - set(b))]
+    problems += [f"{rel}: only in change" for rel in sorted(set(b) - set(a))]
+    for rel in sorted(set(a) & set(b)):
+        if _content(rel, a[rel]) != _content(rel, b[rel]):
+            problems.append(f"{rel}: differs")
+    return problems
+
+
+def run_pair(checkouts: tuple, argv: list, workdir: str) -> tuple:
+    """Run argv in both checkouts at once; returns (exit codes, out dirs)."""
+    procs, outs = [], []
+    for tag, checkout in zip(("parent", "change"), checkouts):
+        out = os.path.join(workdir, tag)
+        log = open(os.path.join(workdir, f"{tag}.log"), "wb")
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", CLI, *argv, "--out", out],
+            env=_env(checkout), cwd=workdir, stdout=log, stderr=subprocess.STDOUT,
+        ))
+        log.close()
+        outs.append(out)
+    return tuple(p.wait() for p in procs), outs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="checkout whose outputs are the reference")
+    parser.add_argument("change", help="checkout to compare against it")
+    parser.add_argument("--seed", type=int, default=7, help="master seed (default 7)")
+    args = parser.parse_args(argv)
+    checkouts = (args.parent, args.change)
+    commands = workload_commands()
+    for name in catalog(args.change):
+        commands[f"verify {name}"] = ["verify", "--scenario", name]
+    commands["verify (battery)"] = ["verify"]
+
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        for i, (label, cmd) in enumerate(commands.items()):
+            workdir = os.path.join(tmp, str(i))
+            os.makedirs(workdir)
+            codes, outs = run_pair(checkouts, [*cmd, "--seed", str(args.seed)], workdir)
+            problems = differences(*outs)
+            if codes[0] != codes[1]:
+                problems.insert(0, f"exit code {codes[0]} vs {codes[1]}")
+            n_files = len(_files(outs[1]))
+            print(f"{'DIFF' if problems else 'same'}  {label} (exit {codes[1]}, {n_files} files)")
+            for problem in problems:
+                print(f"      {problem}")
+            failed += bool(problems)
+    print(f"{len(commands) - failed} of {len(commands)} commands give identical outputs")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,15 +8,19 @@ equation (the first-order correction) are both solved by the same scheme:
   ``K_{i+1} dW_i / dt`` on polynomial features of the within-period
   increment partial sum, and the node value as the regression of
   ``K_{i+1} + drift(i, K_{i+1}, L_i) dt``;
-* the periodic solution is the fixed point of the map sending a terminal
-  value to the resulting time-0 value.  Under mean-square stability the map
-  contracts at a rate comparable to E|Phi_tau|^2 < 1, so plain iteration
-  from zero converges geometrically.
+* the periodic solution is the fixed point of the period map sending a
+  terminal value to the resulting time-0 value.
 
-All sweeps of one solve run on a single frozen path bundle, which makes the
-iteration a deterministic map with an honest fixed point; the statistical
-error is then controlled by the stopping rule, which refuses to iterate
-below the Monte Carlo resolution of the update.
+All sweeps of one solve run on a single frozen path bundle with fixed
+regression plans, where the period map is affine in the terminal: the ridge
+solve is linear in its target, both drifts are linear in (value, integrand)
+plus a source, and symmetrisation is linear.  d + 1 probe sweeps (from 0 and
+from each basis terminal; d = n(n+1)/2 for a symmetric matrix, n for a
+vector) give its linear part M, the fixed point solves (I - M) t = F(0), and
+one last sweep at t gives the stored samples (a combination of the probes'
+would differ from a sweep in its last bits).  The spectral radius rho(M) is
+the bundle's certificate of the paper's random periodic mean-square
+stability: a solve with rho(M) >= 1 has no periodic solution to report.
 
 A bundle keeps each node's ridged normal matrix and condition number per
 basis degree (``ridge_plan``, shared with the Gram estimate) for every solve
@@ -24,7 +28,7 @@ on it; designs are rebuilt per node, since a period of cubic designs costs
 more memory than time.  A degree-0 solution is deterministic: the fitted
 integrand, drift and fitted value are computed on one row and broadcast,
 its [[1.0]] plans need no solve, and every reduction over paths (regression
-right-hand sides, node-0 target, stopping rule) reads full per-path rows.
+right-hand sides, node-0 target) reads full per-path rows.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ from .sde_engine import (
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the outer fixed-point iteration fails to contract."""
+    """Raised when a periodic solve has no certified fixed point: the period
+    map's linear part has rho(M) >= 1 (or NaN), policy iteration does not
+    settle, or the solved law fails its closed-loop certificate."""
 
 
 @dataclass
@@ -151,25 +157,9 @@ def backward_sweep(
 
 @dataclass
 class IterationTrace:
-    updates: List[float] = field(default_factory=list)
-    stop_reason: str = ""
+    n_iterations: int                # sweeps run: d + 1 probes and the final one
+    stop_reason: str = "direct"
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.updates)
-
-    @property
-    def contraction_ratio(self) -> Optional[float]:
-        usable = [
-            self.updates[i + 1] / self.updates[i]
-            for i in range(len(self.updates) - 1)
-            if self.updates[i] > 0.0
-        ]
-        if not usable:
-            return None
-        tail = usable[-3:]
-        return float(np.median(tail))
 
 
 @dataclass(eq=False)
@@ -262,65 +252,46 @@ def _min_eig_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def _outer_fixed_point(
-    drift: Callable,
-    shape: tuple,
-    bundle: PathBundle,
-    basis: RegressionBasis,
-    tol: float,
-    max_iter: int,
-    initial_terminal: Optional[np.ndarray] = None,
+    drift: Callable, shape: tuple, bundle: PathBundle, basis: RegressionBasis
 ) -> BsdeGridSolution:
-    if initial_terminal is None:
-        terminal = np.zeros(shape)
-    else:
-        terminal = np.array(initial_terminal, dtype=float)
-        if terminal.shape != shape:
-            raise ValueError(f"warm start shape {terminal.shape}, expected {shape}")
     plans = bundle._memo.get(("plans", basis.degree))
     if plans is None:
         # kept per bundle and degree; last node first, so a singular one raises as a sweep would
         nodes = range(bundle.steps_per_period - 1, -1, -1)
         plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in nodes][::-1]
         bundle._memo["plans", basis.degree] = plans
-    trace = IterationTrace(diagnostics={"max_cond": max(cond for _, cond in plans)})
-    prev_target = None
-    for _ in range(max_iter):
-        sweep = backward_sweep(drift, terminal, bundle, basis, plans)
-        fixed = sweep.values[0, 0].copy()
-        update = float(np.linalg.norm(fixed - terminal))
-        if prev_target is None:
-            se_norm = 0.0
-        else:
-            _, se = mean_se(sweep.node0_target - prev_target, bundle.antithetic)
-            se_norm = float(np.linalg.norm(se))
-        prev_target = sweep.node0_target
-        trace.updates.append(update)
-        scale = max(1.0, float(np.linalg.norm(fixed)))
-        stopped = update < max(tol * scale, 0.5 * se_norm)
-        old_terminal = terminal
-        terminal = fixed
-        if stopped:
-            trace.stop_reason = (
-                "tolerance" if update < tol * scale else "statistical floor"
-            )
-            _, fp_se = mean_se(sweep.node0_target, bundle.antithetic)
-            fp_se_norm = float(np.linalg.norm(fp_se))
-            return BsdeGridSolution(
-                kind="matrix" if len(shape) == 2 else "vector",
-                bundle=bundle,
-                values=sweep.values,
-                integrand=sweep.integrand,
-                value_coeffs=sweep.value_coeffs,
-                terminal=old_terminal,
-                fixed_point=fixed,
-                fixed_point_se=math.hypot(update, fp_se_norm),
-                trace=trace,
-                basis=basis,
-            )
-    ratio = trace.contraction_ratio
-    raise ConvergenceError(
-        f"no fixed point in {max_iter} outer iterations "
-        f"(last update {trace.updates[-1]:.3e}, ratio estimate {ratio})"
+    # terminal basis: e_i for a vector, E_ii and E_ij + E_ji (i <= j) for a
+    # symmetric matrix; a terminal's coordinates are then its entries at idx
+    idx = np.triu_indices(shape[0]) if len(shape) == 2 else (np.arange(shape[0]),)
+    d = len(idx[0])
+    probes = np.zeros((d,) + shape)
+    probes[(np.arange(d),) + idx] = probes[(np.arange(d),) + idx[::-1]] = 1.0
+
+    def time0(terminal):
+        return backward_sweep(drift, terminal, bundle, basis, plans).values[0, 0][idx]
+
+    f0 = time0(np.zeros(shape))
+    m = np.column_stack([time0(e) - f0 for e in probes])
+    rho = float(np.abs(np.linalg.eigvals(m)).max()) if np.isfinite(m).all() else math.nan
+    if not rho < 1.0:
+        raise ConvergenceError(f"period map not contracting on this bundle: rho(M) = {rho:.4g}")
+    terminal = np.tensordot(np.linalg.solve(np.eye(d) - m, f0), probes, 1)
+    final = backward_sweep(drift, terminal, bundle, basis, plans)
+    _, fp_se = mean_se(final.node0_target, bundle.antithetic)
+    return BsdeGridSolution(
+        kind="matrix" if len(shape) == 2 else "vector",
+        bundle=bundle,
+        values=final.values,
+        integrand=final.integrand,
+        value_coeffs=final.value_coeffs,
+        terminal=terminal,
+        fixed_point=final.values[0, 0].copy(),
+        fixed_point_se=float(np.linalg.norm(fp_se)),
+        trace=IterationTrace(
+            n_iterations=d + 2,
+            diagnostics={"max_cond": final.max_cond, "rho": rho},
+        ),
+        basis=basis,
     )
 
 
@@ -338,13 +309,10 @@ def solve_linear_matrix_bsde(
     lam_fn: CoefficientFn,
     bundle: PathBundle,
     basis: Optional[RegressionBasis] = None,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-    initial_terminal: Optional[np.ndarray] = None,
 ) -> BsdeGridSolution:
     """Periodic matrix equation with drift K A + A'K + C'K C + L C + C'L + Lam.
 
-    Iterates the terminal map from zero on a frozen bundle.  The source Lam
+    Solves the frozen-bundle period map directly.  The source Lam
     must be positive semidefinite (every caller's is), so the solution is
     too: returned samples are cleaned to min eigenvalue >= -1e-8 relative,
     and deeper violations are recorded in the trace diagnostics instead of
@@ -357,7 +325,7 @@ def solve_linear_matrix_bsde(
     def drift(i, k_next, l_est):
         return _lyapunov_drift(k_next, a_at(i), c_at(i), l_est) + lam_at(i)
 
-    solution = _outer_fixed_point(drift, (n, n), bundle, basis, tol, max_iter, initial_terminal)
+    solution = _outer_fixed_point(drift, (n, n), bundle, basis)
 
     eps = 1e-8 * max(1.0, float(np.linalg.norm(solution.fixed_point)))
     lows = _min_eig_batch(solution.values)
@@ -378,8 +346,6 @@ def solve_vector_bsde(
     b_fn: CoefficientFn,
     sigma_fn: CoefficientFn,
     lam_fn: CoefficientFn,
-    tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> BsdeGridSolution:
     """Periodic vector equation with drift A'eta + C'zeta + K b + C'K sigma
     + L sigma + lam, where (K, L) are the matrix solution's samples; it is
@@ -403,7 +369,7 @@ def solve_vector_bsde(
         lsig = np.matmul(l_i, sg)[..., 0]
         return at_eta + ct_zeta + kb + ct_ksig + lsig + lam_at(i)
 
-    return _outer_fixed_point(drift, (n,), bundle, kl_solution.basis, tol, max_iter)
+    return _outer_fixed_point(drift, (n,), bundle, kl_solution.basis)
 
 
 @dataclass

@@ -344,7 +344,7 @@ def _cmd_ergodic_cost(cfg: RunConfig, scen, out_dir: str) -> int:
         cfg.seed, cfg.n_paths, cfg.steps_per_period, 1, tau=scen.tau, antithetic=True
     )
     ric = solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
-    opt = optimal_feedback(ric, tol=cfg.tol)
+    opt = optimal_feedback(ric)
     val = value_function(opt)
     state = burn_in_state(
         scen,
@@ -389,7 +389,7 @@ def _cmd_scan(cfg: RunConfig, scen, out_dir: str) -> int:
         antithetic=True,
     )
     ric = solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
-    opt = optimal_feedback(ric, tol=cfg.tol)
+    opt = optimal_feedback(ric)
     val = value_function(opt)
     if direction == "theta":
         d_theta = np.ones((scen.m, scen.n)) / np.sqrt(scen.m * scen.n)

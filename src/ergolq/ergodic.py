@@ -321,7 +321,7 @@ class OptimalControl:
     feedback: FeedbackLaw
 
 
-def optimal_feedback(riccati: RiccatiSolution, tol: float = 1e-6) -> OptimalControl:
+def optimal_feedback(riccati: RiccatiSolution) -> OptimalControl:
     """Solve the affine offset on the Riccati solve bundle and assemble u*.
 
     The vector equation runs under the optimal closed-loop drift with
@@ -332,13 +332,7 @@ def optimal_feedback(riccati: RiccatiSolution, tol: float = 1e-6) -> OptimalCont
     a_cl = cf_add(coeffs.A, cf_matmul(coeffs.B, theta))
     lam = cf_add(coeffs.q, cf_matmul(cf_transpose(theta), coeffs.rho))
     eta_solution = solve_vector_bsde(
-        a_cl,
-        coeffs.C,
-        riccati.k_solution,
-        coeffs.b,
-        coeffs.sigma,
-        lam,
-        tol=tol,
+        a_cl, coeffs.C, riccati.k_solution, coeffs.b, coeffs.sigma, lam
     )
     eta_fn = solution_coeff(eta_solution)
     bt_eta = cf_matmul(cf_transpose(coeffs.B), eta_fn)

@@ -22,6 +22,11 @@ class OracleError(RuntimeError):
     """Raised when a reference solve cannot be produced."""
 
 
+# shooting stops once the terminal map is stationary to this (relative)
+SHOOTING_TOL = 1e-10
+SHOOTING_PASSES = 500
+
+
 @dataclass
 class OdeSolution:
     """Periodic solution sampled on a uniform phase grid including both ends."""
@@ -144,20 +149,18 @@ def _det_table(fn: CoefficientFn, times: np.ndarray, tau: float) -> np.ndarray:
     return np.stack([fn.eval_batch(float(t % tau), zero) for t in times])
 
 
-def _rk4_backward_periodic(
-    rhs: Callable, terminal: np.ndarray, tau: float, nodes: int, tol: float, max_iter: int
-):
+def _rk4_backward_periodic(rhs: Callable, terminal: np.ndarray, tau: float, nodes: int):
     """Terminal-value shooting for a backward periodic ODE.
 
     rhs(j, y) evaluates the time derivative at half-grid index j (time
     j * tau / (2 * nodes)).  Iterates terminal <- value-at-0 until the map
-    is stationary to tol (relative).  Returns the node values of the last
+    is stationary to SHOOTING_TOL.  Returns the node values of the last
     pass and the iteration count.
     """
     h = tau / nodes
     term = np.array(terminal, dtype=float)
     values = np.empty((nodes + 1,) + term.shape)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, SHOOTING_PASSES + 1):
         values[nodes] = term
         y = term
         for i in range(nodes, 0, -1):
@@ -169,10 +172,12 @@ def _rk4_backward_periodic(
             y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             values[i - 1] = y
         residual = float(np.linalg.norm(values[0] - term) / (1.0 + np.linalg.norm(values[0])))
-        if residual < tol:
+        if residual < SHOOTING_TOL:
             return values, iteration, residual
         term = values[0].copy()
-    raise OracleError(f"shooting did not settle in {max_iter} passes (residual {residual:.2e})")
+    raise OracleError(
+        f"shooting did not settle in {SHOOTING_PASSES} passes (residual {residual:.2e})"
+    )
 
 
 def periodic_lyapunov_ode(
@@ -181,8 +186,6 @@ def periodic_lyapunov_ode(
     lam_fn: CoefficientFn,
     tau: float,
     nodes_per_period: int = 1024,
-    tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> OdeSolution:
     """Periodic solution of K' = -(K A + A' K + C' K C + Lambda)."""
     fine = np.linspace(0.0, tau, 2 * nodes_per_period + 1)
@@ -197,9 +200,7 @@ def periodic_lyapunov_ode(
         ka = k @ a
         return -(ka + ka.T + c.T @ k @ c + lam_tab[j])
 
-    values, iters, residual = _rk4_backward_periodic(
-        rhs, np.zeros((n, n)), tau, nodes_per_period, tol, max_iter
-    )
+    values, iters, residual = _rk4_backward_periodic(rhs, np.zeros((n, n)), tau, nodes_per_period)
     return OdeSolution(
         times=np.linspace(0.0, tau, nodes_per_period + 1),
         values=values,
@@ -230,8 +231,6 @@ def _reduced_tables(coeffs: PeriodicCoefficientSet, fine: np.ndarray):
 def periodic_riccati_ode(
     coeffs: PeriodicCoefficientSet,
     nodes_per_period: int = 1024,
-    tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> OdeSolution:
     """Periodic stabilizing solution of the deterministic Riccati ODE.
 
@@ -248,9 +247,7 @@ def periodic_riccati_ode(
         ka = k @ a_til[j]
         return -(ka + ka.T + c_tab[j].T @ k @ c_tab[j] + q_til[j] - k @ gain[j] @ k)
 
-    values, iters, residual = _rk4_backward_periodic(
-        rhs, np.zeros((n, n)), tau, nodes_per_period, tol, max_iter
-    )
+    values, iters, residual = _rk4_backward_periodic(rhs, np.zeros((n, n)), tau, nodes_per_period)
     values = 0.5 * (values + np.swapaxes(values, 1, 2))
     return OdeSolution(
         times=np.linspace(0.0, tau, nodes_per_period + 1),
@@ -265,8 +262,6 @@ def periodic_linear_ode_eta(
     coeffs: PeriodicCoefficientSet,
     k_solution: OdeSolution,
     nodes_per_period: int = 1024,
-    tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> OdeSolution:
     """Periodic first-order correction eta for a deterministic set.
 
@@ -302,9 +297,7 @@ def periodic_linear_ode_eta(
         return np.concatenate([dk.reshape(-1), deta])
 
     terminal = np.concatenate([k_solution.values[-1].reshape(-1), np.zeros(n)])
-    values, iters, residual = _rk4_backward_periodic(
-        rhs, terminal, tau, nodes_per_period, tol, max_iter
-    )
+    values, iters, residual = _rk4_backward_periodic(rhs, terminal, tau, nodes_per_period)
     eta_values = values[:, n * n:]
     k_check = float(
         np.linalg.norm(values[0, : n * n].reshape(n, n) - k_solution.values[0])

@@ -198,15 +198,7 @@ def kleinman_solve(
     mono: List[float] = []
     for _ in range(MAX_POLICY_ITER):
         a_cl, lam = _policy_problem(reduced, theta)
-        new_solution = solve_linear_matrix_bsde(
-            a_cl,
-            reduced.C,
-            lam,
-            bundle,
-            basis=basis,
-            tol=tol,
-            initial_terminal=None if solution is None else solution.fixed_point,
-        )
+        new_solution = solve_linear_matrix_bsde(a_cl, reduced.C, lam, bundle, basis=basis)
         if solution is not None:
             diff = new_solution.fixed_point - solution.fixed_point
             gap = float(np.linalg.norm(diff))
@@ -237,8 +229,9 @@ def solve_stochastic_riccati(
 
     The solve runs on ``bundle`` (one period); the closed-loop decay
     certificate runs on an independent bundle derived from the solve seed.
-    Raises ConvergenceError when iteration stalls or, with require_stable,
-    when the certificate fails.
+    Raises ConvergenceError when a policy's period map has rho(M) >= 1,
+    when policy iteration stalls or, with require_stable, when the
+    certificate fails.
     """
     positivity = check_positivity(coeffs)
     if not positivity.passed:

@@ -117,7 +117,7 @@ class AcceptanceContext:
 
     def optimum(self, name: str, n_paths: int = 2048, tol: float = 1e-9):
         def build():
-            opt = optimal_feedback(self.riccati(name, n_paths=n_paths, tol=tol), tol=tol)
+            opt = optimal_feedback(self.riccati(name, n_paths=n_paths, tol=tol))
             return opt, value_function(opt)
 
         return self._get(("opt", name, n_paths, tol), build)
@@ -179,7 +179,7 @@ def check_a2_bsde_vs_ode(ctx: AcceptanceContext) -> CheckOutcome:
     bundle = PathBundle.generate(
         derive_seed(ctx.seed, "a2"), 20_000, 64, 1, tau=scen.tau, antithetic=True
     )
-    sol = solve_linear_matrix_bsde(scen.A, scen.C, lam, bundle, tol=1e-8)
+    sol = solve_linear_matrix_bsde(scen.A, scen.C, lam, bundle)
     ode = oracle.periodic_lyapunov_ode(scen.A, scen.C, lam, scen.tau)
     ref = ode.on_grid(64)
     worst = 0.0
@@ -315,7 +315,8 @@ def check_a7_value_formula(ctx: AcceptanceContext) -> CheckOutcome:
     cost = single_period_cost(ctx.steady_state("scalar-constant", steps_per_period=256))
 
     gap_ref = abs(val.value - SCALAR_VALUE)
-    allow_ref = 3.0 * val.se
+    # a relative floor: a deterministic solve's se is at round-off level
+    allow_ref = max(3.0 * val.se, 1e-12 * SCALAR_VALUE)
     gap_mc = abs(val.value - cost.value)
     allow_mc = 3.0 * math.hypot(val.se, cost.se)
     ok = gap_ref <= allow_ref and gap_mc <= allow_mc

@@ -13,6 +13,7 @@ from ergolq.bsde_engine import (
     RegressionBasis,
     RegressionError,
     _lyapunov_drift,
+    _outer_fixed_point,
     backward_sweep,
     export_node_table_csv,
     representation_check,
@@ -137,7 +138,7 @@ def _vector_case():
     # A'eta + C'zeta + K b + lam on the planar scenario, K from a matrix solve
     scen = builtin_scenarios()["planar-deterministic-periodic"]
     bundle = PathBundle.generate(11, 256, 16, 1, antithetic=True)
-    ksol = solve_linear_matrix_bsde(scen.A, scen.C, scen.Q, bundle, tol=1e-6)
+    ksol = solve_linear_matrix_bsde(scen.A, scen.C, scen.Q, bundle)
     a_at, c_at, b_at, q_at = (bundle.bind(f) for f in (scen.A, scen.C, scen.b, scen.q))
 
     def drift(i, eta_next, zeta_est):
@@ -199,17 +200,17 @@ def test_regression_plans_are_built_once_per_bundle(monkeypatch):
     sp = 32
     bundle = PathBundle.generate(5, 64, sp, 1, antithetic=True)
     ksol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.3), scalar_const(1.0), bundle, tol=1e-9
+        scalar_const(-1.0), scalar_const(0.3), scalar_const(1.0), bundle
     )
-    assert ksol.trace.n_iterations > 1
+    assert ksol.trace.n_iterations == 3  # d + 2 sweeps, d = 1
     assert len(calls) == sp
     esol = solve_vector_bsde(
         scalar_const(-1.0), scalar_const(0.3), ksol,
         constant_coeff([1.0], TAU), constant_coeff([1.0], TAU),
-        constant_coeff([0.0], TAU), tol=1e-9,
+        constant_coeff([0.0], TAU),
     )
     assert esol.bundle is bundle
-    assert esol.trace.n_iterations > 1
+    assert esol.trace.n_iterations == 3
     scen = builtin_scenarios()["scalar-constant"]
     last, gaps, _, _ = kleinman_solve(scen, constant_feedback(scen, [[0.0]]), bundle, tol=1e-9)
     assert last.basis.degree == ksol.basis.degree == 0
@@ -222,7 +223,7 @@ def test_regression_plans_are_built_once_per_bundle(monkeypatch):
         fresh = PathBundle.generate(6, 64, sp, 1, antithetic=True)
         alive = weakref.ref(fresh)
         sol = solve_linear_matrix_bsde(
-            scalar_const(-1.0), scalar_const(0.3), scalar_const(1.0), fresh, tol=1e-9
+            scalar_const(-1.0), scalar_const(0.3), scalar_const(1.0), fresh
         )
         assert len(calls) == 2 * sp
         del sol, fresh
@@ -235,14 +236,14 @@ def test_regression_plans_are_built_once_per_bundle(monkeypatch):
 def test_solution_records_worst_condition_number():
     bundle = PathBundle.generate(5, 64, 32, 1, antithetic=True)
     scen = builtin_scenarios()["scalar-constant"]
-    det = solve_linear_matrix_bsde(scen.A, scen.C, scen.Q, bundle, tol=1e-7)
+    det = solve_linear_matrix_bsde(scen.A, scen.C, scen.Q, bundle)
     assert det.basis.degree == 0
     assert det.trace.diagnostics["max_cond"] == 1.0
 
     rand_a = builtin_scenarios()["scalar-random-periodic"].A
     rand = solve_linear_matrix_bsde(
         rand_a, scalar_const(0.0), scalar_const(1.0),
-        PathBundle.generate(5, 512, 32, 1, antithetic=True), tol=1e-5,
+        PathBundle.generate(5, 512, 32, 1, antithetic=True),
     )
     assert rand.basis.degree == 3
     assert rand.trace.diagnostics["max_cond"] > 1.0
@@ -257,41 +258,55 @@ def test_constant_lyapunov_fixed_point_is_exact():
     # recursion shares that fixed point exactly
     bundle = PathBundle.generate(5, 64, 64, 1, antithetic=True)
     sol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-9
+        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
     )
     assert abs(sol.fixed_point[0, 0] - 0.5) < 1e-8
     assert sol.basis.degree == 0
     assert sol.periodic_residual < 1e-8
-    assert sol.trace.stop_reason == "tolerance"
+    assert sol.trace.stop_reason == "direct"
     assert sol.trace.diagnostics["min_sample_eig"] > 0.0
     # every node sample sits at the same constant
     assert np.abs(sol.values - 0.5).max() < 1e-7
 
 
-def test_warm_start_shortcuts_iteration():
-    bundle = PathBundle.generate(5, 64, 64, 1, antithetic=True)
-    cold = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-9
-    )
-    warm = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle,
-        tol=1e-9, initial_terminal=[[0.5]],
-    )
-    assert warm.trace.n_iterations < cold.trace.n_iterations
-    assert abs(warm.fixed_point[0, 0] - 0.5) < 1e-9
-    with pytest.raises(ValueError):
-        solve_linear_matrix_bsde(
-            scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle,
-            initial_terminal=np.zeros((2, 2)),
-        )
+def _picard_fixed_point(drift, shape, bundle, basis):
+    """Reference: plain iteration of the period map from zero until an
+    update drops below 1e-13 of the iterate."""
+    plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in range(bundle.steps_per_period)]
+    terminal = np.zeros(shape)
+    for _ in range(500):
+        fixed = backward_sweep(drift, terminal, bundle, basis, plans).values[0, 0]
+        if np.linalg.norm(fixed - terminal) <= 1e-13 * np.linalg.norm(fixed):
+            return fixed
+        terminal = fixed
+    raise AssertionError("reference iteration did not settle")
 
 
-def test_unstable_dynamics_raise_convergence_error():
+@pytest.mark.parametrize(
+    "case, d", [("scalar-random-periodic", 1), ("planar", 3), ("planar-vector", 2)]
+)
+def test_direct_fixed_point_matches_plain_iteration(case, d):
+    drift, terminal, bundle, basis = SWEEP_CASES[case]()
+    sol = _outer_fixed_point(drift, terminal.shape, bundle, basis)
+    scale = max(1.0, float(np.linalg.norm(sol.fixed_point)))
+    plans = bundle._memo["plans", basis.degree]
+    again = backward_sweep(drift, sol.terminal, bundle, basis, plans).values[0, 0]
+    np.testing.assert_array_equal(again, sol.fixed_point)
+    assert np.linalg.norm(again - sol.terminal) <= 1e-13 * scale
+    iterated = _picard_fixed_point(drift, terminal.shape, bundle, basis)
+    assert np.linalg.norm(iterated - sol.fixed_point) <= 1e-8 * scale
+    assert sol.trace.n_iterations == d + 2
+    assert sol.trace.stop_reason == "direct"
+    assert 0.0 < sol.trace.diagnostics["rho"] < 1.0
+
+
+@pytest.mark.parametrize("a, rho", [(1.0, r"\d"), (math.nan, "nan")], ids=["growth", "nan"])
+def test_unstable_dynamics_raise_convergence_error(a, rho):
+    # a NaN map has no spectral radius below 1 either
     bundle = PathBundle.generate(5, 32, 16, 1)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"rho\(M\) = " + rho):
         solve_linear_matrix_bsde(
-            scalar_const(1.0), scalar_const(0.0), scalar_const(1.0), bundle,
-            tol=1e-10, max_iter=25,
+            scalar_const(a), scalar_const(0.0), scalar_const(1.0), bundle
         )
 
 
@@ -300,7 +315,7 @@ def test_planar_solution_stays_symmetric():
     bundle = PathBundle.generate(9, 128, 32, 1, antithetic=True)
     sol = solve_linear_matrix_bsde(
         scen.A, scen.C, constant_coeff(np.eye(2), scen.tau, symmetrize=True),
-        bundle, tol=1e-7,
+        bundle,
     )
     gap = np.abs(sol.values - np.swapaxes(sol.values, -1, -2)).max()
     assert gap == 0.0
@@ -315,7 +330,7 @@ def test_planar_solution_stays_symmetric():
 def test_value_at_anchors_and_interior_nodes():
     bundle = PathBundle.generate(5, 64, 64, 1, antithetic=True)
     sol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-9
+        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
     )
     fresh = np.random.default_rng(2).normal(0, 0.1, size=(7, 16)).sum(axis=1)
     at0 = sol.value_at(0.0, fresh)
@@ -330,7 +345,7 @@ def test_value_at_anchors_and_interior_nodes():
 def test_solution_coeff_kind_tracks_basis():
     bundle = PathBundle.generate(5, 64, 64, 1, antithetic=True)
     det = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-9
+        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
     )
     fn = solution_coeff(det)
     assert fn.kind == "deterministic-periodic"
@@ -341,7 +356,7 @@ def test_solution_coeff_kind_tracks_basis():
     rand_a = builtin_scenarios()["scalar-random-periodic"].A
     rand = solve_linear_matrix_bsde(
         rand_a, scalar_const(0.0), scalar_const(1.0),
-        PathBundle.generate(5, 512, 32, 1, antithetic=True), tol=1e-5,
+        PathBundle.generate(5, 512, 32, 1, antithetic=True),
     )
     assert rand.basis.degree == 3
     assert solution_coeff(rand).kind == "path-functional"
@@ -354,12 +369,12 @@ def test_solution_coeff_kind_tracks_basis():
 def test_vector_solve_constant_chain():
     bundle = PathBundle.generate(5, 64, 64, 1, antithetic=True)
     ksol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-9
+        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
     )
     esol = solve_vector_bsde(
         scalar_const(-1.0), scalar_const(0.0), ksol,
         constant_coeff([1.0], TAU), constant_coeff([1.0], TAU),
-        constant_coeff([0.0], TAU), tol=1e-9,
+        constant_coeff([0.0], TAU),
     )
     # stationary: eta = K b / 1 = 1/2 (c = 0, lam = 0)
     assert esol.kind == "vector"
@@ -373,7 +388,7 @@ def test_vector_solve_constant_chain():
 def test_representation_check_matches_occupation_integral():
     bundle = PathBundle.generate(5, 64, 64, 1, antithetic=True)
     sol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-9
+        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
     )
     audit = PathBundle.generate(31, 64, 64, 12, antithetic=True)
     report = representation_check(
@@ -389,7 +404,7 @@ def test_representation_check_leaves_no_reference_cycle():
     # read, until the collector runs; with it off, refcounting alone must free
     bundle = PathBundle.generate(5, 64, 16, 1, antithetic=True)
     sol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-7
+        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
     )
     audit = PathBundle.generate(31, 16, 16, 2, antithetic=True)
     a_fn = scalar_const(-1.0)
@@ -408,7 +423,7 @@ def test_representation_check_leaves_no_reference_cycle():
 def test_node_table_csv(tmp_path):
     bundle = PathBundle.generate(5, 16, 8, 1, antithetic=True)
     sol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle, tol=1e-7
+        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
     )
     out = tmp_path / "nodes.csv"
     export_node_table_csv(sol, out)

@@ -37,7 +37,7 @@ def scalar_optimum():
     scen = builtin_scenarios()["scalar-constant"]
     bundle = PathBundle.generate(301, 2048, 64, 1, antithetic=True)
     ric = solve_stochastic_riccati(scen, bundle, tol=1e-9)
-    opt = optimal_feedback(ric, tol=1e-9)
+    opt = optimal_feedback(ric)
     return scen, bundle, ric, opt
 
 

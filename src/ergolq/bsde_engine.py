@@ -18,7 +18,8 @@ plus a source, and symmetrisation is linear.  d + 1 probe sweeps (from 0 and
 from each basis terminal; d = n(n+1)/2 for a symmetric matrix, n for a
 vector) give its linear part M, the fixed point solves (I - M) t = F(0), and
 one last sweep at t gives the stored samples (a combination of the probes'
-would differ from a sweep in its last bits).  The spectral radius rho(M) is
+would differ from a sweep in its last bits); every sweep of a solve fills
+the same (values, integrand) buffer pair.  The spectral radius rho(M) is
 the bundle's certificate of the paper's random periodic mean-square
 stability: a solve with rho(M) >= 1 has no periodic solution to report.
 
@@ -50,6 +51,7 @@ from .sde_engine import (
     poly_design,
     ridge_plan,
     ridge_solve,
+    stream_blocks,
     stream_fundamental,
 )
 
@@ -96,13 +98,15 @@ def backward_sweep(
     bundle: PathBundle,
     basis: RegressionBasis,
     plans: list,
+    out: Optional[tuple] = None,
 ) -> SweepResult:
     """One explicit backward pass over a single period on the node plans.
 
     drift(node, value_next, integrand_est) gets ``rows`` rows (1 for a
     degree-0 basis, else n_paths) and must return an array broadcastable to
     (rows,) + value shape.  Matrix-valued sweeps keep every stored node
-    value exactly symmetric.
+    value exactly symmetric.  ``out`` = (values, integrand) are filled in
+    place of fresh arrays; every entry is written.
     """
     if bundle.n_periods != 1:
         raise ValueError("backward sweeps operate on single-period bundles")
@@ -116,8 +120,10 @@ def backward_sweep(
     rows = 1 if const else n_paths
     symmetric = len(vshape) == 2 and flat_dim > 1
 
-    values = np.empty((n_paths, sp + 1) + vshape)
-    integrand = np.empty((n_paths, sp) + vshape)
+    increments = bundle.draw()
+    if out is None:
+        out = np.empty((n_paths, sp + 1) + vshape), np.empty((n_paths, sp) + vshape)
+    values, integrand = out
     values[:rows, sp] = terminal
     value_coeffs: List[Optional[np.ndarray]] = [None] * sp
 
@@ -126,7 +132,7 @@ def backward_sweep(
         v_next = values[:rows, i + 1]
         flat_next = v_next.reshape(rows, flat_dim)
 
-        dw = bundle.increments[i] / dt
+        dw = increments[i] / dt
         beta_l = ridge_solve(design, flat_next * dw[:, None], plans[i])
         l_est = (beta_l if const else design @ beta_l).reshape((rows,) + vshape)
         if symmetric:
@@ -267,16 +273,20 @@ def _outer_fixed_point(
     probes = np.zeros((d,) + shape)
     probes[(np.arange(d),) + idx] = probes[(np.arange(d),) + idx[::-1]] = 1.0
 
-    def time0(terminal):
-        return backward_sweep(drift, terminal, bundle, basis, plans).values[0, 0][idx]
+    # one buffer pair for every sweep: the probes read node 0, the last keeps all
+    sp, n_paths = bundle.steps_per_period, bundle.n_paths
+    buffers = np.empty((n_paths, sp + 1) + shape), np.empty((n_paths, sp) + shape)
 
-    f0 = time0(np.zeros(shape))
-    m = np.column_stack([time0(e) - f0 for e in probes])
+    def sweep(terminal):
+        return backward_sweep(drift, terminal, bundle, basis, plans, out=buffers)
+
+    f0 = sweep(np.zeros(shape)).values[0, 0][idx]
+    m = np.column_stack([sweep(e).values[0, 0][idx] - f0 for e in probes])
     rho = float(np.abs(np.linalg.eigvals(m)).max()) if np.isfinite(m).all() else math.nan
     if not rho < 1.0:
         raise ConvergenceError(f"period map not contracting on this bundle: rho(M) = {rho:.4g}")
     terminal = np.tensordot(np.linalg.solve(np.eye(d) - m, f0), probes, 1)
-    final = backward_sweep(drift, terminal, bundle, basis, plans)
+    final = sweep(terminal)
     _, fp_se = mean_se(final.node0_target, bundle.antithetic)
     return BsdeGridSolution(
         kind="matrix" if len(shape) == 2 else "vector",
@@ -399,16 +409,20 @@ def representation_check(
     acc = np.zeros((n_paths, n, n))
     n_steps = bundle.n_steps
     dt = bundle.dt
-    lam_at = bundle.bind(lam_fn)
-
-    def visit(k, phi):
-        lam = lam_at(k)
-        integ = np.matmul(np.swapaxes(phi, -1, -2), np.matmul(lam, phi))
-        weight = 0.5 * dt if (k == 0 or k == n_steps) else dt
-        np.add(acc, weight * integ, out=acc)
-
     # a namespace, not a class: a class is a reference cycle that pins its operands
-    overflow = stream_fundamental(SimpleNamespace(A=a_fn, C=c_fn, n=n), bundle, visit)
+    dynamics = SimpleNamespace(A=a_fn, C=c_fn, n=n)
+
+    def run(rows, block):
+        lam_at, out = block.bind(lam_fn), acc[rows]
+
+        def visit(k, phi):
+            integ = np.matmul(np.swapaxes(phi, -1, -2), np.matmul(lam_at(k), phi))
+            weight = 0.5 * dt if (k == 0 or k == n_steps) else dt
+            np.add(out, weight * integ, out=out)
+
+        return stream_fundamental(dynamics, block, visit)
+
+    overflow = stream_blocks(bundle, run)
     good = ~overflow
     paired = bundle.antithetic and bool(good.all())
     mean, se = mean_se(acc[good].reshape(int(good.sum()), -1), paired)

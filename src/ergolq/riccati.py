@@ -102,7 +102,7 @@ def stabilizer_check(
     steps_per_period: int = 64,
 ) -> StabilityReport:
     """Closed-loop mean-square decay estimate on a fresh bundle."""
-    bundle = PathBundle.generate(seed, n_paths, steps_per_period, n_periods, tau=coeffs.tau)
+    bundle = PathBundle.undrawn(seed, n_paths, steps_per_period, n_periods, tau=coeffs.tau)
     return estimate_second_moment_decay(coeffs, bundle, feedback=feedback)
 
 

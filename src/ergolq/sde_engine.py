@@ -7,9 +7,16 @@ Philox(key=[seed, i]), one generator re-keyed per path, so its increments
 never depend on how many paths are drawn or in which order.
 
 Layout and memory rule: increments are node-major, one contiguous
-(n_paths,) row per step.  A stream holds them plus O(n_paths x state)
-working state (generation: one block of NOISE_BLOCK paths); estimators
-reduce inside their visitors, the partial-sum table (the size of the
+(n_paths,) row per step.  The forward-only estimators (the fundamental
+solution's squared norms and decay fit, contraction, the occupation-integral
+representation, the Gram bound) stream an ``undrawn`` bundle in row blocks
+of at most BLOCK_ELEMENTS increments, each drawn just before it is streamed
+and dropped after it.  Their visitors write per-path results into rows of
+ensemble-wide arrays, and every reduction across paths runs after the last
+block on one contiguous (n_paths,) row, so no result depends on the block
+size.  Backward sweeps and closed-loop streams read a whole table, drawn on
+first read.  A stream also holds O(n_paths x state) working state
+(generation: NOISE_BLOCK drawn rows); the partial-sum table (the size of its
 increments) is built on the first read of a partial sum, and only
 ``simulate_closed_loop`` stores a whole trajectory.
 
@@ -40,7 +47,9 @@ from .coefficients import (
 
 OVERFLOW_LIMIT = 1e12
 # paths drawn as rows per block, then copied into the node-major increments
-NOISE_BLOCK = 512
+NOISE_BLOCK = 128
+# increments per row block of a forward-only estimator's stream (8 MB)
+BLOCK_ELEMENTS = 2**20
 # ridge added to the non-constant columns of every regression normal matrix
 RIDGE = 1e-8
 # the Gram estimate's feature degree and its allowed truncation tail
@@ -105,16 +114,30 @@ class PathBundle:
     increments summed since the last period boundary, so a bundle that
     starts at a boundary of another sees the same sums there: the period
     shift is exact.
+
+    An ``undrawn`` bundle holds no increments: forward-only estimators
+    stream it in ``blocks`` of paths, each drawn just before it is streamed,
+    and the whole table is drawn only when something reads all of it.
     """
 
     tau: float
     steps_per_period: int
     n_periods: int
     seed: int
-    increments: np.ndarray  # (n_steps, n_paths), N(0, dt); row k drives step k
+    increments: Optional[np.ndarray]  # (n_steps, n_paths), N(0, dt); row k drives step k
     antithetic: bool = False
+    _n_paths: int = field(default=0, repr=False)  # the path count while undrawn
     _cumsum: Optional[np.ndarray] = field(default=None, repr=False)
     _memo: dict = field(default_factory=dict, repr=False)  # regression plans, ones column
+    # path-free coefficient tables, shared by the row blocks of one stream
+    _tables: Optional[dict] = field(default=None, repr=False)
+
+    @staticmethod
+    def _check(n_paths, steps_per_period, n_periods, antithetic, first_path=0):
+        if n_paths < 1 or steps_per_period < 1 or n_periods < 1:
+            raise SimulationError("path count, steps and periods must be positive")
+        if antithetic and (n_paths % 2 or first_path % 2):
+            raise SimulationError("antithetic bundles need an even path count and offset")
 
     @classmethod
     def generate(
@@ -125,11 +148,10 @@ class PathBundle:
         n_periods: int,
         tau: float = 1.0,
         antithetic: bool = False,
+        first_path: int = 0,
     ) -> "PathBundle":
-        if n_paths < 1 or steps_per_period < 1 or n_periods < 1:
-            raise SimulationError("path count, steps and periods must be positive")
-        if antithetic and n_paths % 2:
-            raise SimulationError("antithetic bundles need an even path count")
+        """Draw paths first_path .. first_path + n_paths - 1 of the ensemble."""
+        cls._check(n_paths, steps_per_period, n_periods, antithetic, first_path)
         n_steps = steps_per_period * n_periods
         out = np.empty((n_steps, n_paths))
         # path (or antithetic pair) i re-keys the one generator to [seed, i]; a
@@ -139,11 +161,12 @@ class PathBundle:
         fresh = _rekey_template(bitgen)
         key = fresh["state"]["key"]
         drawn = out[:, 0::2] if antithetic else out
+        first = first_path // 2 if antithetic else first_path
         block = np.empty((min(NOISE_BLOCK, drawn.shape[1]), n_steps))
         for start in range(0, drawn.shape[1], NOISE_BLOCK):
             rows = block[: drawn.shape[1] - start]
             for i in range(len(rows)):
-                key[1] = start + i
+                key[1] = first + start + i
                 bitgen.state = fresh
                 rows[i] = gen.standard_normal(n_steps)
             rows *= math.sqrt(tau / steps_per_period)
@@ -152,13 +175,62 @@ class PathBundle:
             np.negative(drawn, out=out[:, 1::2])
         return cls(tau, steps_per_period, n_periods, seed, out, antithetic)
 
+    @classmethod
+    def undrawn(
+        cls,
+        seed: int,
+        n_paths: int,
+        steps_per_period: int,
+        n_periods: int,
+        tau: float = 1.0,
+        antithetic: bool = False,
+    ) -> "PathBundle":
+        """The bundle ``generate`` would draw, with no increments drawn yet."""
+        cls._check(n_paths, steps_per_period, n_periods, antithetic)
+        return cls(tau, steps_per_period, n_periods, seed, None, antithetic, n_paths)
+
+    def draw(self) -> np.ndarray:
+        """The whole increment table, drawn (and kept) on the first call."""
+        if self.increments is None:
+            self.increments = self._rows(slice(0, self._n_paths))
+        return self.increments
+
+    def _rows(self, rows: slice) -> np.ndarray:
+        """The increments of paths ``rows``: a view of a drawn table, else drawn."""
+        if self.increments is not None:
+            return self.increments[:, rows]
+        return type(self).generate(
+            self.seed, rows.stop - rows.start, self.steps_per_period, self.n_periods,
+            self.tau, self.antithetic, first_path=rows.start,
+        ).increments
+
+    def blocks(self):
+        """Yield (rows, block): the bundle as the fewest row blocks of at most
+        BLOCK_ELEMENTS increments (or one path), sized evenly, antithetic
+        pairs whole.
+
+        A drawn table is sliced; an undrawn one draws each block when it is
+        reached, so the caller must drop a block before asking for the next.
+        Either way a block holds exactly the bits of the table's rows.
+        """
+        unit = 2 if self.antithetic else 1
+        units = self.n_paths // unit
+        n_blocks = -(-units // max(BLOCK_ELEMENTS // (unit * self.n_steps), 1))
+        size = unit * -(-units // n_blocks)
+        tables = {}
+        for start in range(0, self.n_paths, size):
+            rows = slice(start, min(start + size, self.n_paths))
+            yield rows, replace(
+                self, increments=self._rows(rows), _cumsum=None, _memo={}, _tables=tables
+            )
+
     @property
     def n_paths(self) -> int:
-        return self.increments.shape[1]
+        return self._n_paths if self.increments is None else self.increments.shape[1]
 
     @property
     def n_steps(self) -> int:
-        return self.increments.shape[0]
+        return self.steps_per_period * self.n_periods
 
     @property
     def dt(self) -> float:
@@ -175,7 +247,7 @@ class PathBundle:
             shape = (self.n_periods, self.steps_per_period, self.n_paths)
             self._cumsum = np.zeros((self.n_steps + 1, self.n_paths))
             blocks = self._cumsum[:-1].reshape(shape)
-            np.cumsum(self.increments.reshape(shape)[:, :-1], axis=1, out=blocks[:, 1:])
+            np.cumsum(self.draw().reshape(shape)[:, :-1], axis=1, out=blocks[:, 1:])
         return self._cumsum
 
     def phase(self, node: int) -> float:
@@ -188,19 +260,25 @@ class PathBundle:
             raise SimulationError(f"node {node} outside grid 0..{self.n_steps}")
         return self._sums()[node]
 
-    def _table(self, fn: CoefficientFn) -> np.ndarray:
+    def _table(self, fn: CoefficientFn, tables: dict) -> np.ndarray:
         """A path-free coefficient's value (constant) or (steps_per_period, *shape)
         table: leaves evaluated once per phase on a zero partial sum, compositions
-        combined and finished once over their operands' tables."""
+        combined and finished once over their operands' tables; each operand
+        is tabulated once per ``tables`` memo, however often it occurs."""
+        if fn in tables:
+            return tables[fn]
         if fn.parts is not None:
             combine, operands = fn.parts
-            return fn.finish(combine(*(self._table(f) for f in operands)))
-        zero = np.zeros(1)
-        phases = [0] if fn.kind == "constant" else range(self.steps_per_period)
-        table = np.stack([fn.eval_batch(self.phase(i), zero).reshape(fn.shape) for i in phases])
-        return table[0] if fn.kind == "constant" else table
+            table = fn.finish(combine(*(self._table(f, tables) for f in operands)))
+        else:
+            zero = np.zeros(1)
+            phases = [0] if fn.kind == "constant" else range(self.steps_per_period)
+            table = np.stack([fn.eval_batch(self.phase(i), zero).reshape(fn.shape) for i in phases])
+            table = table[0] if fn.kind == "constant" else table
+        tables[fn] = table
+        return table
 
-    def bind(self, fn: CoefficientFn) -> Callable:
+    def bind(self, fn: CoefficientFn, tables: Optional[dict] = None) -> Callable:
         """Bind a coefficient to this grid once; returns at(node).
 
         A path-free coefficient, composed trees included, becomes the array
@@ -208,14 +286,18 @@ class PathBundle:
         count.  A path-functional composition binds each recorded operand the
         same way and combines their node values, so each path-functional leaf
         is evaluated once per node per bound tree, on that node's partial sums.
+        Tables are memoized per operand within one call, or across the row
+        blocks of one stream.
         """
+        if tables is None:
+            tables = {} if self._tables is None else self._tables
         if fn.kind == "path-functional":
             if fn.parts is None:
                 return lambda node: fn.eval_batch(self.phase(node), self.partial_sum(node))
             combine, operands = fn.parts
-            operands_at = [self.bind(f) for f in operands]
+            operands_at = [self.bind(f, tables) for f in operands]
             return lambda node: fn.finish(combine(*(at(node) for at in operands_at)))
-        table = self._table(fn)
+        table = self._table(fn, tables)
         if fn.kind == "constant":
             return lambda node: table
         return lambda node: table[node % self.steps_per_period]
@@ -227,10 +309,13 @@ class PathBundle:
         return lambda node, x: _times(theta_at(node), x[..., None])[..., 0] + v_at(node)
 
     def restrict(self, n_periods: int) -> "PathBundle":
-        """View of the first n_periods periods (shares increment storage)."""
+        """The first n_periods periods: a view of a drawn table (shared
+        storage), else an undrawn bundle whose paths are the same prefixes."""
         if n_periods > self.n_periods:
             raise SimulationError("cannot extend a bundle by restriction")
-        head = self.increments[: n_periods * self.steps_per_period]
+        head = self.increments
+        if head is not None:
+            head = head[: n_periods * self.steps_per_period]
         return replace(self, n_periods=n_periods, increments=head, _cumsum=None, _memo={})
 
 
@@ -297,15 +382,17 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
         coeffs, law = affine
         control = bundle.bind_law(law)
         b_at, drift_at, sigma_at = (bundle.bind(f) for f in (coeffs.B, coeffs.b, coeffs.sigma))
+    dws = bundle.draw()[:, :, None, None]
+    dt, n_steps = bundle.dt, bundle.n_steps
     overflow = np.zeros(bundle.n_paths, dtype=bool)
-    for k in range(bundle.n_steps + 1):
+    for k in range(n_steps + 1):
         view = x[..., 0] if vector else x
         if affine is None:
             visit(k, view)
         else:
             u = control(k, view)
             visit(k, view, u)
-        if k == bundle.n_steps:
+        if k == n_steps:
             break
         drift = _times(a_at(k), x)
         diffusion = _times(c_at(k), x)
@@ -314,29 +401,49 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
             drift += drift_at(k)[..., None]
             diffusion += sigma_at(k)[..., None]
         # x + dt drift + dW diffusion, formed in the fresh product buffers
-        drift *= bundle.dt
+        drift *= dt
         drift += x
-        diffusion *= bundle.increments[k][:, None, None]
+        diffusion *= dws[k]
         x = np.add(drift, diffusion, out=drift)
-        if not np.abs(x).max() <= OVERFLOW_LIMIT:
+        if not np.maximum.reduce(np.abs(x), axis=None) <= OVERFLOW_LIMIT:
             bad = ~(np.abs(x).max(axis=(1, 2)) <= OVERFLOW_LIMIT)
             x[bad] = np.nan
             overflow |= bad
     return overflow
 
 
+def stream_blocks(bundle: PathBundle, run: Callable) -> np.ndarray:
+    """A forward-only stream over the bundle's row blocks; returns the
+    ensemble's overflow mask.
+
+    run(rows, block) streams one block and returns its overflow mask.  Its
+    visitor writes per-path results into ``rows`` of ensemble-wide arrays;
+    reductions across paths wait until every block has run, then read one
+    contiguous (n_paths,) row each, so they take the sums one stream would.
+    """
+    overflow = np.empty(bundle.n_paths, dtype=bool)
+    for rows, block in bundle.blocks():
+        overflow[rows] = run(rows, block)
+        del block  # an undrawn bundle draws the next block on the next step
+    return overflow
+
+
 def fundamental_squared_norms(
     coeffs: PeriodicCoefficientSet, bundle: PathBundle, nodes, feedback: Optional[FeedbackLaw] = None
 ):
-    """Stream the fundamental solution keeping only its per-path squared
-    norms at ``nodes``; returns ({node: (n_paths,) array}, overflow mask)."""
-    kept = {}
+    """Stream the fundamental solution in row blocks keeping only its
+    per-path squared norms at ``nodes``; returns ({node: (n_paths,) array},
+    overflow mask)."""
+    kept = {k: np.empty(bundle.n_paths) for k in nodes if 0 <= k <= bundle.n_steps}
 
-    def visit(k, phi):
-        if k in nodes:
-            kept[k] = path_squared_norms(phi)
+    def run(rows, block):
+        def visit(k, phi):
+            if k in kept:
+                kept[k][rows] = path_squared_norms(phi)
 
-    return kept, stream_fundamental(coeffs, bundle, visit, feedback=feedback)
+        return stream_fundamental(coeffs, block, visit, feedback=feedback)
+
+    return kept, stream_blocks(bundle, run)
 
 
 def _homogeneous_drift(coeffs, feedback: Optional[FeedbackLaw]) -> CoefficientFn:
@@ -548,31 +655,40 @@ def estimate_gram_lower_bound(
     r_nodes = sorted({0, sp // 4, sp // 2, (3 * sp) // 4})
     dt = bundle.dt
     n_paths = bundle.n_paths
-    inv_at = {}
-    grams = {r: np.zeros((n_paths, n, n)) for r in r_nodes}
     n_steps = bundle.n_steps
-    boundary_moments = []
+    grams = {r: np.zeros((n_paths, n, n)) for r in r_nodes}
+    sums = {r: np.empty(n_paths) for r in r_nodes}
+    boundary_sq = np.empty((bundle.n_periods + 1, n_paths))
 
-    def visit(k, phi):
-        if k % sp == 0:
-            boundary_moments.append(path_squared_norms(phi).mean())
-        if k in grams and k not in inv_at:
-            inv_at[k] = np.linalg.inv(phi)
-        for r, inv in inv_at.items():
-            if k < r:
-                continue
-            psi = _times(phi, inv)
-            weight = 0.5 * dt if (k == r or k == n_steps) else dt
-            grams[r] += weight * _times(np.swapaxes(psi, -1, -2), psi)
+    def run(rows, block):
+        inv_at = {}
+        acc = {r: grams[r][rows] for r in r_nodes}
 
-    overflow = stream_fundamental(coeffs, bundle, visit, feedback=feedback)
+        def visit(k, phi):
+            if k % sp == 0:
+                boundary_sq[k // sp, rows] = path_squared_norms(phi)
+            if k in acc and k not in inv_at:
+                inv_at[k] = np.linalg.inv(phi)
+            for r, inv in inv_at.items():
+                psi = _times(phi, inv)
+                weight = 0.5 * dt if (k == r or k == n_steps) else dt
+                acc[r] += weight * _times(np.swapaxes(psi, -1, -2), psi)
+
+        overflow = stream_fundamental(coeffs, block, visit, feedback=feedback)
+        # partial_sum(r)'s sequential sums, without the block's whole sum table
+        head = np.cumsum(block.draw()[: r_nodes[-1]], axis=0)
+        for r in r_nodes:
+            sums[r][rows] = head[r - 1] if r else 0.0
+        return overflow
+
+    overflow = stream_blocks(bundle, run)
     if overflow.any():
         raise SimulationError(f"{int(overflow.sum())} paths overflowed in Gram estimate")
 
     worst = math.inf
     worst_se = math.nan
     for r in r_nodes:
-        design = poly_design(bundle.partial_sum(r), bundle.phase(r), GRAM_DEGREE)
+        design = poly_design(sums[r], bundle.phase(r), GRAM_DEGREE)
         plan = ridge_plan(design, RIDGE)
         target = grams[r].reshape(n_paths, -1)
         beta = ridge_solve(design, target, plan)
@@ -592,7 +708,7 @@ def estimate_gram_lower_bound(
 
     report = _decay_report(
         bundle.tau,
-        np.array(boundary_moments),
+        boundary_sq.mean(axis=1),
         delta_hat=max(worst, 0.0),
         delta_se=worst_se,
         diagnostics={"delta_raw": worst, "r_nodes": r_nodes},
@@ -618,20 +734,24 @@ def contraction_check(
     influence the result even at round-off level.
     """
     delta0 = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)
+    delta0 = np.broadcast_to(delta0, (bundle.n_paths, coeffs.n))
     sp = bundle.steps_per_period
-    moments = []
+    boundary_sq = np.empty((bundle.n_periods + 1, bundle.n_paths))
 
-    def visit(k, d):
-        if k % sp == 0:
-            moments.append(float(path_squared_norms(d).mean()))
+    def run(rows, block):
+        def visit(k, d):
+            if k % sp == 0:
+                boundary_sq[k // sp, rows] = path_squared_norms(d)
 
-    overflow = _difference_step_stream(coeffs, feedback, delta0, bundle, visit)
-    moments_arr = np.array(moments)
+        return _difference_step_stream(coeffs, feedback, delta0[rows], block, visit)
+
+    overflow = stream_blocks(bundle, run)
+    moments_arr = boundary_sq.mean(axis=1)
     if np.all(moments_arr == 0.0):
         return StabilityReport(
             lambda_hat=math.inf, beta_hat=0.0, lambda_se=0.0,
             ci_low=math.inf, ci_high=math.inf, r_squared=1.0,
-            n_points=len(moments), overflow_paths=int(overflow.sum()),
+            n_points=len(moments_arr), overflow_paths=int(overflow.sum()),
             diagnostics={"identically_zero": True, "period_end_moments": moments_arr},
         )
     if bundle.n_periods < 3:

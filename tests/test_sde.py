@@ -1,14 +1,17 @@
 """Path bundles, Euler stepping and moment estimators."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ergolq.bsde_engine import RegressionBasis, solve_linear_matrix_bsde
+from ergolq import sde_engine
+from ergolq.bsde_engine import RegressionBasis, representation_check, solve_linear_matrix_bsde
 from ergolq.coefficients import (
     PeriodicCoefficientSet,
     builtin_scenarios,
@@ -30,7 +33,9 @@ from ergolq.sde_engine import (
     estimate_second_moment_decay,
     export_moments_csv,
     export_trajectory_csv,
+    fundamental_squared_norms,
     mean_se,
+    path_squared_norms,
     poly_design,
     simulate_closed_loop,
     stream_closed_loop,
@@ -218,6 +223,30 @@ def test_restrict_shares_increments():
     assert head.increments.base is bundle.increments
     with pytest.raises(SimulationError):
         bundle.restrict(6)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_undrawn_bundle_draws_the_generated_table_in_row_blocks(monkeypatch, antithetic):
+    # blocks of an undrawn bundle, drawn one by one, and of a drawn table,
+    # sliced, both hold exactly the generated rows; a budget of 7 rows splits
+    # 30 paths into 5 even blocks of 6, which also keeps antithetic pairs whole
+    monkeypatch.setattr(sde_engine, "BLOCK_ELEMENTS", 7 * 48)
+    want = PathBundle.generate(9, 30, 16, 3, antithetic=antithetic)
+    lazy = PathBundle.undrawn(9, 30, 16, 3, antithetic=antithetic)
+    assert lazy.increments is None and (lazy.n_paths, lazy.n_steps) == (30, 48)
+    for bundle in (lazy, want):
+        rows = []
+        for sl, block in bundle.blocks():
+            rows.append((sl.start, sl.stop))
+            np.testing.assert_array_equal(block.increments, want.increments[:, sl])
+            assert block.antithetic == antithetic and block.seed == 9
+        assert rows == [(0, 6), (6, 12), (12, 18), (18, 24), (24, 30)]
+    assert lazy.increments is None
+    head = lazy.restrict(2)
+    assert head.increments is None
+    np.testing.assert_array_equal(head.draw(), want.increments[:32])
+    np.testing.assert_array_equal(lazy.draw(), want.increments)
+    assert lazy.draw() is lazy.increments
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():
@@ -433,18 +462,136 @@ def test_decay_certificate_equals_the_stored_trajectory_reduction(name):
     assert got == want
 
 
-def test_decay_certificate_memory_stays_near_the_increments():
-    # 4000 paths x 12 periods x 64 steps: the certificate may hold the
-    # increments plus per-path working state, not a trajectory or its norms
+def test_decay_certificate_memory_stays_near_one_block(monkeypatch):
+    # 4000 paths x 12 periods x 64 steps in 4 blocks of 1000 paths: the
+    # certificate holds one block of increments at a time, the generator's
+    # buffer of NOISE_BLOCK drawn rows and per-path state (13 period-end
+    # squared norms, kept and then stacked), never the whole table
     scen = builtin_scenarios()["scalar-moment-decay"]
-    increment_bytes = 4000 * 12 * 64 * 8
+    n_paths, n_steps = 4000, 12 * 64
+    monkeypatch.setattr(sde_engine, "BLOCK_ELEMENTS", 1000 * n_steps)
+    block_bytes = 1000 * n_steps * 8
+    per_path_bytes = 2 * 13 * n_paths * 8
+    law = constant_feedback(scen, [[0.0]])
+    stabilizer_check(scen, law, seed=3, n_paths=16)  # one-time set-up, untraced
     tracemalloc.start()
     try:
-        stabilizer_check(scen, constant_feedback(scen, [[0.0]]), seed=3)
+        stabilizer_check(scen, law, seed=3, n_paths=n_paths)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * increment_bytes
+    assert peak < block_bytes + NOISE_BLOCK * n_steps * 8 + per_path_bytes
+    assert peak < 0.5 * n_paths * n_steps * 8
+
+
+@pytest.mark.parametrize("name", ["planar-deterministic-periodic", "scalar-random-periodic"])
+def test_contraction_and_gram_reductions_equal_the_stored_trajectory_reduction(
+    monkeypatch, name
+):
+    # period-end moments are 1-D means of the stored squared norms, and the
+    # Gram regression's features read the bundle's own partial sums
+    scen = builtin_scenarios()[name]
+    law = constant_feedback(scen, np.full((scen.m, scen.n), -0.2))
+    bundle = PathBundle.generate(43, 40, 16, 4)
+    ends = range(0, bundle.n_steps + 1, bundle.steps_per_period)
+    diffs = {}
+    _difference_step_stream(
+        scen, law, np.full(scen.n, 2.0), bundle, lambda k, d: diffs.__setitem__(k, d.copy())
+    )
+    want = np.array([path_squared_norms(diffs[k]).mean() for k in ends])
+    got = contraction_check(scen, law, np.ones(scen.n), -np.ones(scen.n), bundle)
+    np.testing.assert_array_equal(got.diagnostics["period_end_moments"], want)
+
+    phi = simulate_fundamental(scen, bundle, feedback=law)
+    ref = _decay_report(
+        bundle.tau, np.array([path_squared_norms(phi.values[:, k]).mean() for k in ends])
+    )
+    features = []
+
+    def design(sums, phase, degree):
+        features.append((phase, sums.copy()))
+        return poly_design(sums, phase, degree)
+
+    monkeypatch.setattr(sde_engine, "poly_design", design)
+    gram = estimate_gram_lower_bound(scen, bundle, law)
+    fit = ("lambda_hat", "beta_hat", "lambda_se", "r_squared", "n_points")
+    assert [getattr(gram, f) for f in fit] == [getattr(ref, f) for f in fit]
+    assert [phase for phase, _ in features] == [bundle.phase(r) for r in (0, 4, 8, 12)]
+    for r, (_, sums) in zip((0, 4, 8, 12), features):
+        np.testing.assert_array_equal(sums, bundle.partial_sum(r))
+
+
+# ---------------------------------------------------------------------------
+# row-block invariance of the forward-only estimators
+
+
+def _forward_only_results(scen, bundle):
+    """Every blocked estimator's results on one bundle, as nested values."""
+    law = constant_feedback(scen, np.full((scen.m, scen.n), -0.2))
+    ones = np.ones(scen.n)
+    out = {"norms": fundamental_squared_norms(scen, bundle, range(0, bundle.n_steps + 1, 5), law)}
+    try:
+        out["decay"] = estimate_second_moment_decay(scen, bundle, law)
+    except SimulationError as exc:
+        out["decay"] = str(exc)
+    out["contraction"] = contraction_check(scen, law, ones, -ones, bundle)
+    try:
+        out["gram"] = estimate_gram_lower_bound(scen, bundle, law)
+    except SimulationError as exc:
+        out["gram"] = str(exc)
+    # the check reads only the solution's fixed point
+    reference = SimpleNamespace(fixed_point=np.eye(scen.n))
+    out["representation"] = representation_check(scen.A, scen.C, scen.Q, reference, bundle)
+    return out
+
+
+def _assert_same_bits(got, want, where="results"):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_same_bits(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_bits(g, w, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(want):
+        _assert_same_bits(vars(got), vars(want), where)
+    elif isinstance(want, str):
+        assert got == want, where
+    else:
+        np.testing.assert_array_equal(got, want, err_msg=where)
+
+
+@pytest.mark.parametrize(
+    "name, antithetic",
+    [
+        ("scalar-moment-decay", False),
+        ("planar-deterministic-periodic", False),
+        ("scalar-random-periodic", False),
+        ("scalar-random-periodic", True),
+        ("runaway", False),
+    ],
+)
+def test_forward_only_estimators_are_block_invariant(monkeypatch, name, antithetic):
+    # blocks of 1, 7 (6 with whole pairs) and all 28 paths, drawn block by
+    # block or sliced from a drawn table: every per-path result and every
+    # reduction keeps the bits of one stream over the whole ensemble
+    if name == "runaway":
+        scen, grid = _runaway_scalar(), (45, 28, 16, 6)  # exactly one path overflows
+    else:
+        scen, grid = builtin_scenarios()[name], (43, 28, 16, 4)
+    want = _forward_only_results(scen, PathBundle.generate(*grid, antithetic=antithetic))
+    if name == "runaway":
+        assert int(want["norms"][1].sum()) == want["contraction"].overflow_paths == 1
+        assert want["gram"] == "1 paths overflowed in Gram estimate"
+    n_steps = grid[2] * grid[3]
+    for rows in (1, 7, grid[1]):
+        monkeypatch.setattr(sde_engine, "BLOCK_ELEMENTS", rows * n_steps)
+        for drawn in (False, True):
+            make = PathBundle.generate if drawn else PathBundle.undrawn
+            bundle = make(*grid, antithetic=antithetic)
+            _assert_same_bits(_forward_only_results(scen, bundle), want, f"{rows} rows")
+            assert (bundle.increments is not None) == drawn
 
 
 def test_contraction_deterministic_dynamics_fits_exactly():

@@ -384,7 +384,6 @@ def solve_vector_bsde(
 
 @dataclass
 class RepresentationReport:
-    estimate: np.ndarray
     se: float
     reference: np.ndarray
     residual: float
@@ -426,12 +425,10 @@ def representation_check(
     good = ~overflow
     paired = bundle.antithetic and bool(good.all())
     mean, se = mean_se(acc[good].reshape(int(good.sum()), -1), paired)
-    estimate = mean.reshape(n, n)
     se_norm = float(np.linalg.norm(se))
-    residual = float(np.linalg.norm(estimate - solution.fixed_point))
+    residual = float(np.linalg.norm(mean.reshape(n, n) - solution.fixed_point))
     ref_norm = float(np.linalg.norm(solution.fixed_point))
     return RepresentationReport(
-        estimate=estimate,
         se=se_norm,
         reference=solution.fixed_point,
         residual=residual,

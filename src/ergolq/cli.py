@@ -60,7 +60,7 @@ from .sde_engine import (
     export_trajectory_csv,
     simulate_closed_loop,
 )
-from .verify import CHECK_IDS, RUN_ERRORS, run_acceptance, run_scenario_checks
+from .verify import CHECK_IDS, RUN_ERRORS, run_acceptance, run_scenario_checks, scenario_check_ids
 
 SUMMARY_SCHEMA = "ergolq-summary/1"
 MANIFEST_SCHEMA = "ergolq-run/1"
@@ -71,15 +71,6 @@ _DEFAULT_PATHS = {
     "ergodic-cost": 8192,
     "verify": 4096,
     "scan": 20000,
-}
-
-# criteria that exercise one specific catalog scenario
-_SCENARIO_CRITERIA = {
-    "scalar-moment-decay": ["A1"],
-    "planar-deterministic-periodic": ["A2"],
-    "scalar-constant": ["A3", "A6", "A7", "A8"],
-    "scalar-noisy": ["A4"],
-    "scalar-random-periodic": ["A10"],
 }
 
 
@@ -447,7 +438,7 @@ def _cmd_verify(cfg: RunConfig, scen, out_dir: str) -> int:
         outcomes = run_scenario_checks(
             scen, seed=cfg.seed, n_paths=cfg.n_paths, tol=cfg.tol, echo=print
         )
-        extra = _SCENARIO_CRITERIA.get(cfg.scenario, [])
+        extra = scenario_check_ids(cfg.scenario)
         if extra:
             outcomes.extend(run_acceptance(seed=cfg.seed, only=extra, echo=print))
     ok = all(o.passed for o in outcomes)

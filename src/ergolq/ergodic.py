@@ -35,7 +35,7 @@ from .coefficients import (
     perturbed_feedback,
     rinv_apply,
 )
-from .riccati import RiccatiSolution, stabilizer_check
+from .riccati import RiccatiSolution
 from .sde_engine import (
     PathBundle,
     _times,
@@ -46,7 +46,7 @@ from .sde_engine import (
 
 
 class BurnInError(RuntimeError):
-    """Raised when a law has no certified decay or the reached state fails
+    """Raised when a decay rate is not positive or the reached state fails
     the stationarity audit."""
 
 
@@ -118,31 +118,12 @@ class RandomPeriodicState:
         return self.samples.shape[0]
 
 
-def _burn_in_periods(
-    coeffs: PeriodicCoefficientSet,
-    law: FeedbackLaw,
-    lambda_hat: Optional[float],
-    seed: int,
-    cert_paths: int,
-    steps_per_period: int,
-    slack: float = 1.0,
-) -> tuple:
-    """(lambda_hat, k_burn) with k_burn = TARGET_EFOLD / (lambda_hat tau) in
-    2..MAX_BURN_PERIODS; without a rate, slack times the rate certified on
-    cert_paths fresh paths is used, and an uncertified law raises BurnInError.
-    """
-    if lambda_hat is None:
-        report = stabilizer_check(
-            coeffs, law, seed, n_paths=cert_paths, steps_per_period=steps_per_period
-        )
-        if not report.stable:
-            raise BurnInError(
-                f"law {law.label!r} is not mean-square stable (decay {report.lambda_hat:.4f}, "
-                f"95% low {report.ci_low:.4f}); no steady state to reach"
-            )
-        lambda_hat = slack * report.lambda_hat
-    k_burn = int(np.clip(math.ceil(TARGET_EFOLD / (lambda_hat * coeffs.tau)), 2, MAX_BURN_PERIODS))
-    return lambda_hat, k_burn
+def _burn_in_periods(lambda_hat: float, tau: float) -> int:
+    """TARGET_EFOLD / (lambda_hat tau) periods, clipped to 2..MAX_BURN_PERIODS;
+    a rate that is not positive (or NaN) raises BurnInError."""
+    if not lambda_hat > 0:
+        raise BurnInError(f"decay rate {lambda_hat!r} is not positive; no steady state to reach")
+    return int(np.clip(math.ceil(TARGET_EFOLD / (lambda_hat * tau)), 2, MAX_BURN_PERIODS))
 
 
 def burn_in_state(
@@ -150,21 +131,18 @@ def burn_in_state(
     feedback: FeedbackLaw,
     seed: int,
     n_paths: int,
+    lambda_hat: float,
     steps_per_period: int = 64,
-    lambda_hat: Optional[float] = None,
 ) -> RandomPeriodicState:
     """Run the closed loop from zero to its random-periodic steady state.
 
     The number of discarded periods is TARGET_EFOLD / (lambda_hat tau),
-    with the decay rate measured on auxiliary paths when not supplied.
+    with lambda_hat the law's certified mean-square decay rate.
     The last two period boundaries must agree in second moment within
     three paired standard errors (plus a small absolute slack); otherwise
     BurnInError is raised.
     """
-    lambda_hat, k_burn = _burn_in_periods(
-        coeffs, feedback, lambda_hat,
-        derive_seed(seed, "burn-decay"), min(n_paths, 4000), steps_per_period,
-    )
+    k_burn = _burn_in_periods(lambda_hat, coeffs.tau)
 
     bundle = PathBundle.generate(seed, n_paths, steps_per_period, k_burn, tau=coeffs.tau)
     sp = steps_per_period
@@ -351,7 +329,6 @@ class ValueEstimate:
 
     value: float
     se: float
-    mc_se: float
     solver_floor: float
     n_paths: int
 
@@ -397,7 +374,6 @@ def value_function(opt: OptimalControl) -> ValueEstimate:
     return ValueEstimate(
         value=float(mean),
         se=float(math.hypot(mc_se, floor)),
-        mc_se=float(mc_se),
         solver_floor=float(floor),
         n_paths=n_paths,
     )
@@ -437,9 +413,9 @@ def completion_identity_check(
     opt: OptimalControl,
     feedback: FeedbackLaw,
     seed: int,
-    n_paths: int = 20000,
+    n_paths: int,
+    lambda_hat: float,
     steps_per_period: int = 64,
-    lambda_hat: Optional[float] = None,
     tag: str = "completion",
 ) -> CompletionReport:
     """Paired form of the quadratic penalty identity.
@@ -452,13 +428,9 @@ def completion_identity_check(
     the optimum's own measured cost keeps the check first-order insensitive
     to error in the solved gain: a gain error d shifts the anchor and the
     penalty together, leaving only O(d * (law - optimum)) in the gap.
+    Both burn-ins are sized by lambda_hat, which must hold for both laws.
     """
     coeffs = opt.riccati.coeffs
-    # a certified rate of the optimum is scaled by 0.7: slack for the perturbed law
-    lambda_hat, _ = _burn_in_periods(
-        coeffs, opt.feedback, lambda_hat,
-        derive_seed(seed, "identity-decay"), 4000, steps_per_period, slack=0.7,
-    )
     state_u = burn_in_state(
         coeffs, feedback, seed, n_paths, steps_per_period=steps_per_period, lambda_hat=lambda_hat
     )
@@ -527,9 +499,9 @@ def optimality_scan(
     d_v,
     eps_grid: Sequence[float],
     seed: int,
-    n_paths: int = 20000,
+    n_paths: int,
+    lambda_hat: float,
     steps_per_period: int = 64,
-    lambda_hat: Optional[float] = None,
 ) -> ScanResult:
     """Estimate the ergodic cost of base + eps (d_theta, d_v) over a grid.
 
@@ -537,17 +509,15 @@ def optimality_scan(
     discarded, the final period is cost-averaged, and differences against
     eps = 0 are paired per path, which is what makes neighbor contrasts on
     the grid sharp enough to locate the minimizer.  The grid must contain 0
-    and every candidate starts from zero.
+    and every candidate starts from zero; lambda_hat, the base law's decay
+    rate, sizes the burn-in.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     zero_pos = int(np.argmin(np.abs(eps_grid)))
     if abs(eps_grid[zero_pos]) > 0:
         raise ValueError("the scan grid must contain eps = 0")
 
-    _, k_burn = _burn_in_periods(
-        coeffs, base, lambda_hat,
-        derive_seed(seed, "scan-decay"), min(n_paths, 4000), steps_per_period,
-    )
+    k_burn = _burn_in_periods(lambda_hat, coeffs.tau)
 
     bundle = PathBundle.generate(
         derive_seed(seed, "scan"), n_paths, steps_per_period, k_burn + 1, tau=coeffs.tau

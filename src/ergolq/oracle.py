@@ -35,7 +35,6 @@ class OdeSolution:
     values: np.ndarray
     tau: float
     periodic_residual: float
-    shooting_iterations: int
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -155,12 +154,12 @@ def _rk4_backward_periodic(rhs: Callable, terminal: np.ndarray, tau: float, node
     rhs(j, y) evaluates the time derivative at half-grid index j (time
     j * tau / (2 * nodes)).  Iterates terminal <- value-at-0 until the map
     is stationary to SHOOTING_TOL.  Returns the node values of the last
-    pass and the iteration count.
+    pass and its residual.
     """
     h = tau / nodes
     term = np.array(terminal, dtype=float)
     values = np.empty((nodes + 1,) + term.shape)
-    for iteration in range(1, SHOOTING_PASSES + 1):
+    for _ in range(SHOOTING_PASSES):
         values[nodes] = term
         y = term
         for i in range(nodes, 0, -1):
@@ -173,7 +172,7 @@ def _rk4_backward_periodic(rhs: Callable, terminal: np.ndarray, tau: float, node
             values[i - 1] = y
         residual = float(np.linalg.norm(values[0] - term) / (1.0 + np.linalg.norm(values[0])))
         if residual < SHOOTING_TOL:
-            return values, iteration, residual
+            return values, residual
         term = values[0].copy()
     raise OracleError(
         f"shooting did not settle in {SHOOTING_PASSES} passes (residual {residual:.2e})"
@@ -200,13 +199,12 @@ def periodic_lyapunov_ode(
         ka = k @ a
         return -(ka + ka.T + c.T @ k @ c + lam_tab[j])
 
-    values, iters, residual = _rk4_backward_periodic(rhs, np.zeros((n, n)), tau, nodes_per_period)
+    values, residual = _rk4_backward_periodic(rhs, np.zeros((n, n)), tau, nodes_per_period)
     return OdeSolution(
         times=np.linspace(0.0, tau, nodes_per_period + 1),
         values=values,
         tau=tau,
         periodic_residual=residual,
-        shooting_iterations=iters,
     )
 
 
@@ -247,14 +245,13 @@ def periodic_riccati_ode(
         ka = k @ a_til[j]
         return -(ka + ka.T + c_tab[j].T @ k @ c_tab[j] + q_til[j] - k @ gain[j] @ k)
 
-    values, iters, residual = _rk4_backward_periodic(rhs, np.zeros((n, n)), tau, nodes_per_period)
+    values, residual = _rk4_backward_periodic(rhs, np.zeros((n, n)), tau, nodes_per_period)
     values = 0.5 * (values + np.swapaxes(values, 1, 2))
     return OdeSolution(
         times=np.linspace(0.0, tau, nodes_per_period + 1),
         values=values,
         tau=tau,
         periodic_residual=residual,
-        shooting_iterations=iters,
     )
 
 
@@ -297,7 +294,7 @@ def periodic_linear_ode_eta(
         return np.concatenate([dk.reshape(-1), deta])
 
     terminal = np.concatenate([k_solution.values[-1].reshape(-1), np.zeros(n)])
-    values, iters, residual = _rk4_backward_periodic(rhs, terminal, tau, nodes_per_period)
+    values, residual = _rk4_backward_periodic(rhs, terminal, tau, nodes_per_period)
     eta_values = values[:, n * n:]
     k_check = float(
         np.linalg.norm(values[0, : n * n].reshape(n, n) - k_solution.values[0])
@@ -307,6 +304,5 @@ def periodic_linear_ode_eta(
         values=eta_values,
         tau=tau,
         periodic_residual=residual,
-        shooting_iterations=iters,
         diagnostics={"k_consistency": k_check},
     )

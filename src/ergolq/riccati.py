@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -143,14 +143,15 @@ class RiccatiSolution:
     k_solution holds the grid samples of the reduced (cross-term free)
     equation on its solve bundle, which agree with the full equation's
     solution; feedback is the optimal gain, including any cross-term
-    shift, with a zero offset.
+    shift, with a zero offset.  stability is the gain's certificate; its
+    decay rate is what every burn-in of the optimum is sized by.
     """
 
     coeffs: PeriodicCoefficientSet
     reduced: PeriodicCoefficientSet
     k_solution: BsdeGridSolution
     feedback: FeedbackLaw
-    stability: Optional[StabilityReport]
+    stability: StabilityReport
     policy_gaps: List[float] = field(default_factory=list)
     policy_floors: List[float] = field(default_factory=list)
     monotone_gaps: List[float] = field(default_factory=list)
@@ -223,15 +224,13 @@ def solve_stochastic_riccati(
     coeffs: PeriodicCoefficientSet,
     bundle: PathBundle,
     tol: float = 1e-6,
-    require_stable: bool = True,
 ) -> RiccatiSolution:
     """Solve the periodic Riccati equation and certify the optimal gain.
 
     The solve runs on ``bundle`` (one period); the closed-loop decay
     certificate runs on an independent bundle derived from the solve seed.
     Raises ConvergenceError when a policy's period map has rho(M) >= 1,
-    when policy iteration stalls or, with require_stable, when the
-    certificate fails.
+    when policy iteration stalls or when the certificate fails.
     """
     positivity = check_positivity(coeffs)
     if not positivity.passed:
@@ -260,19 +259,17 @@ def solve_stochastic_riccati(
         Theta=theta, v=constant_coeff(np.zeros(coeffs.m), coeffs.tau), label="riccati-gain"
     )
 
-    stability = None
-    if require_stable:
-        stability = stabilizer_check(
-            coeffs,
-            feedback,
-            derive_seed(bundle.seed, "stability"),
-            steps_per_period=bundle.steps_per_period,
+    stability = stabilizer_check(
+        coeffs,
+        feedback,
+        derive_seed(bundle.seed, "stability"),
+        steps_per_period=bundle.steps_per_period,
+    )
+    if not stability.stable:
+        raise ConvergenceError(
+            "closed-loop certificate failed: decay rate "
+            f"{stability.lambda_hat:.4f} (95% low {stability.ci_low:.4f})"
         )
-        if not stability.stable:
-            raise ConvergenceError(
-                "closed-loop certificate failed: decay rate "
-                f"{stability.lambda_hat:.4f} (95% low {stability.ci_low:.4f})"
-            )
 
     return RiccatiSolution(
         coeffs=coeffs,
@@ -286,7 +283,6 @@ def solve_stochastic_riccati(
         diagnostics={
             "positivity_margin": positivity.margin,
             "min_fixed_point_eig": fp_low,
-            "inner_stop": k_solution.trace.stop_reason,
         },
     )
 

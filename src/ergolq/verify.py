@@ -2,9 +2,12 @@
 
 Each check is a pure function of a seeded context, returns a CheckOutcome
 with a one-line verdict, and states its tolerance explicitly.  Checks
-A1..A10 form the full battery; run_scenario_checks applies the
-scenario-independent subset (positivity, stabilizer, Riccati convergence,
-contraction, representation, Gram bound) to any single scenario.
+A1..A10 form the full battery; each is registered in CHECKS with its id,
+label and the catalog scenario it exercises (if it exercises one), and
+scenario_check_ids reads that table.  run_scenario_checks applies the
+scenario-independent checks S1..S6 (positivity, stabilizer, Riccati
+convergence, contraction, representation, Gram bound) to any single
+scenario.
 
 Statistical checks use derived seeds so that every random input is pinned
 by the master seed; the battery is deterministic end to end.
@@ -12,6 +15,7 @@ by the master seed; the battery is deterministic end to end.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -137,7 +141,7 @@ class AcceptanceContext:
         return self._get(("state", name, steps_per_period), build)
 
 
-def _outcome(check_id, label, passed, detail, t0, metrics=None) -> CheckOutcome:
+def _outcome(check_id, label, t0, passed, detail, metrics=None) -> CheckOutcome:
     return CheckOutcome(
         check_id=check_id,
         label=label,
@@ -148,9 +152,34 @@ def _outcome(check_id, label, passed, detail, t0, metrics=None) -> CheckOutcome:
     )
 
 
-def check_a1_moment_decay(ctx: AcceptanceContext) -> CheckOutcome:
+# the battery in run order: check id -> (catalog scenario it exercises or None, check)
+CHECKS: Dict[str, tuple] = {}
+
+
+def _check(check_id: str, label: str, scenario: Optional[str] = None):
+    """Register a battery check whose body returns (passed, detail, metrics);
+    the registered check times the body into a CheckOutcome.  A body that
+    raises one of RUN_ERRORS fails, labelled by the error type, with the
+    error text as its detail."""
+
+    def register(body):
+        @functools.wraps(body)
+        def check(ctx: AcceptanceContext) -> CheckOutcome:
+            t0 = time.perf_counter()
+            try:
+                return _outcome(check_id, label, t0, *body(ctx))
+            except RUN_ERRORS as exc:
+                return _outcome(check_id, type(exc).__name__, t0, False, str(exc))
+
+        CHECKS[check_id] = (scenario, check)
+        return check
+
+    return register
+
+
+@_check("A1", "moment decay vs explicit rate", "scalar-moment-decay")
+def check_a1_moment_decay(ctx: AcceptanceContext):
     """E|Phi_t|^2 against the explicit rate exp((2a+c^2)t), a=-1, c=0.5."""
-    t0 = time.perf_counter()
     scen = ctx.scenarios["scalar-moment-decay"]
     bundle = PathBundle.undrawn(derive_seed(ctx.seed, "a1"), 100_000, 64, 1, tau=scen.tau)
     nodes = {32: 0.5, 64: 1.0}
@@ -168,12 +197,12 @@ def check_a1_moment_decay(ctx: AcceptanceContext) -> CheckOutcome:
         metrics[f"mc_{t_query:g}"] = float(mc)
         metrics[f"ref_{t_query:g}"] = ref
         metrics[f"se_{t_query:g}"] = float(se)
-    return _outcome("A1", "moment decay vs explicit rate", ok, "; ".join(parts), t0, metrics)
+    return ok, "; ".join(parts), metrics
 
 
-def check_a2_bsde_vs_ode(ctx: AcceptanceContext) -> CheckOutcome:
+@_check("A2", "matrix equation vs ODE oracle", "planar-deterministic-periodic")
+def check_a2_bsde_vs_ode(ctx: AcceptanceContext):
     """Matrix equation with unit source against the periodic ODE oracle."""
-    t0 = time.perf_counter()
     scen = ctx.scenarios["planar-deterministic-periodic"]
     lam = constant_coeff(np.eye(scen.n), scen.tau, symmetrize=True)
     bundle = PathBundle.generate(
@@ -187,15 +216,8 @@ def check_a2_bsde_vs_ode(ctx: AcceptanceContext) -> CheckOutcome:
         mc = sol.values[:, node].mean(axis=0)
         rel = np.linalg.norm(mc - ref[node]) / max(np.linalg.norm(ref[node]), 1e-12)
         worst = max(worst, float(rel))
-    ok = worst < 0.05
-    return _outcome(
-        "A2",
-        "matrix equation vs ODE oracle",
-        ok,
-        f"max node-wise rel Frobenius error {worst:.4f} < 0.05",
-        t0,
-        {"max_rel_error": worst, "ode_residual": ode.periodic_residual},
-    )
+    metrics = {"max_rel_error": worst, "ode_residual": ode.periodic_residual}
+    return worst < 0.05, f"max node-wise rel Frobenius error {worst:.4f} < 0.05", metrics
 
 
 def _monotone(ric) -> bool:
@@ -204,40 +226,33 @@ def _monotone(ric) -> bool:
     return all(g >= -s for g, s in zip(ric.monotone_gaps, slack))
 
 
-def _riccati_outcome(ctx, check_id, name, target, rel_tol, t0) -> CheckOutcome:
+def _riccati_verdict(ctx, name, target, rel_tol):
     ric = ctx.riccati(name)
     k0 = float(ric.fixed_point[0, 0])
     rel = abs(k0 - target) / target
     iter_ok = ric.n_policies <= 10
     mono_ok = _monotone(ric)
-    ok = rel < rel_tol and iter_ok and mono_ok
     detail = (
         f"K0={k0:.6f} vs {target:.6f} (rel {rel:.2e} < {rel_tol}); "
         f"{ric.n_policies} policies (<=10: {iter_ok}); monotone: {mono_ok}"
     )
-    return _outcome(
-        check_id,
-        f"Riccati fixed point on {name}",
-        ok,
-        detail,
-        t0,
-        {"k0": k0, "target": target, "rel_error": rel, "n_policies": ric.n_policies},
-    )
+    metrics = {"k0": k0, "target": target, "rel_error": rel, "n_policies": ric.n_policies}
+    return rel < rel_tol and iter_ok and mono_ok, detail, metrics
 
 
-def check_a3_riccati_constant(ctx: AcceptanceContext) -> CheckOutcome:
-    t0 = time.perf_counter()
-    return _riccati_outcome(ctx, "A3", "scalar-constant", SQRT2_M1, 0.03, t0)
+@_check("A3", "Riccati fixed point on scalar-constant", "scalar-constant")
+def check_a3_riccati_constant(ctx: AcceptanceContext):
+    return _riccati_verdict(ctx, "scalar-constant", SQRT2_M1, 0.03)
 
 
-def check_a4_riccati_noisy(ctx: AcceptanceContext) -> CheckOutcome:
-    t0 = time.perf_counter()
-    return _riccati_outcome(ctx, "A4", "scalar-noisy", GOLDEN_M1, 0.05, t0)
+@_check("A4", "Riccati fixed point on scalar-noisy", "scalar-noisy")
+def check_a4_riccati_noisy(ctx: AcceptanceContext):
+    return _riccati_verdict(ctx, "scalar-noisy", GOLDEN_M1, 0.05)
 
 
-def check_a5_stabilizer_certificate(ctx: AcceptanceContext) -> CheckOutcome:
+@_check("A5", "closed-loop decay certificates")
+def check_a5_stabilizer_certificate(ctx: AcceptanceContext):
     """The solved gains must certify mean-square stability on fresh paths."""
-    t0 = time.perf_counter()
     parts = []
     ok = True
     metrics = {}
@@ -254,12 +269,12 @@ def check_a5_stabilizer_certificate(ctx: AcceptanceContext) -> CheckOutcome:
         )
         metrics[f"lambda_{name}"] = report.lambda_hat
         metrics[f"ci_low_{name}"] = report.ci_low
-    return _outcome("A5", "closed-loop decay certificates", ok, "; ".join(parts), t0, metrics)
+    return ok, "; ".join(parts), metrics
 
 
-def check_a6_ergodic_equivalence(ctx: AcceptanceContext) -> CheckOutcome:
+@_check("A6", "ergodic cost equivalence", "scalar-constant")
+def check_a6_ergodic_equivalence(ctx: AcceptanceContext):
     """Finite-horizon averages approach the stationary one-period average."""
-    t0 = time.perf_counter()
     scen = ctx.scenarios["scalar-constant"]
     opt, _ = ctx.optimum("scalar-constant")
     state = ctx.steady_state("scalar-constant")
@@ -285,32 +300,20 @@ def check_a6_ergodic_equivalence(ctx: AcceptanceContext) -> CheckOutcome:
     gap50 = abs(avg50 - stat_cost.value)
     gap10 = abs(avg10 - stat_cost.value)
     allow = 3.0 * math.hypot(se50, stat_cost.se)
-    ok = gap50 < allow and gap50 < gap10
     detail = (
         f"|avg(50t)-stationary|={gap50:.4f} < {allow:.4f}; "
         f"gap(10t)={gap10:.4f} > gap(50t): {gap50 < gap10}"
     )
-    return _outcome(
-        "A6",
-        "ergodic cost equivalence",
-        ok,
-        detail,
-        t0,
-        {
-            "avg10": avg10,
-            "avg50": avg50,
-            "stationary": stat_cost.value,
-            "gap50": gap50,
-            "gap10": gap10,
-            "allow": allow,
-            "se10": se10,
-        },
+    metrics = dict(
+        avg10=avg10, avg50=avg50, stationary=stat_cost.value,
+        gap50=gap50, gap10=gap10, allow=allow, se10=se10,
     )
+    return gap50 < allow and gap50 < gap10, detail, metrics
 
 
-def check_a7_value_formula(ctx: AcceptanceContext) -> CheckOutcome:
+@_check("A7", "value formula", "scalar-constant")
+def check_a7_value_formula(ctx: AcceptanceContext):
     """Predicted value against the closed form and against simulation."""
-    t0 = time.perf_counter()
     _, val = ctx.optimum("scalar-constant")
     # fine simulation grid: the Euler stationary variance carries an O(dt)
     # bias that 3 SE cannot absorb at 64 steps/period and 2e4 paths
@@ -321,30 +324,20 @@ def check_a7_value_formula(ctx: AcceptanceContext) -> CheckOutcome:
     allow_ref = max(3.0 * val.se, 1e-12 * SCALAR_VALUE)
     gap_mc = abs(val.value - cost.value)
     allow_mc = 3.0 * math.hypot(val.se, cost.se)
-    ok = gap_ref <= allow_ref and gap_mc <= allow_mc
     detail = (
         f"V={val.value:.6f}: |V-closed form|={gap_ref:.2e}<={allow_ref:.2e}; "
         f"|V-MC cost|={gap_mc:.4f}<={allow_mc:.4f}"
     )
-    return _outcome(
-        "A7",
-        "value formula",
-        ok,
-        detail,
-        t0,
-        {
-            "value": val.value,
-            "closed_form": SCALAR_VALUE,
-            "mc_cost": cost.value,
-            "value_se": val.se,
-            "mc_se": cost.se,
-        },
+    metrics = dict(
+        value=val.value, closed_form=SCALAR_VALUE, mc_cost=cost.value,
+        value_se=val.se, mc_se=cost.se,
     )
+    return gap_ref <= allow_ref and gap_mc <= allow_mc, detail, metrics
 
 
-def check_a8_optimality_scan(ctx: AcceptanceContext) -> CheckOutcome:
+@_check("A8", "optimality of the solved gain", "scalar-constant")
+def check_a8_optimality_scan(ctx: AcceptanceContext):
     """Cost along a gain perturbation line: minimum at 0, convex, above V."""
-    t0 = time.perf_counter()
     scen = ctx.scenarios["scalar-constant"]
     opt, val = ctx.optimum("scalar-constant")
     scan = optimality_scan(
@@ -364,29 +357,18 @@ def check_a8_optimality_scan(ctx: AcceptanceContext) -> CheckOutcome:
     )
     argmin_ok = scan.eps_star == 0.0
     curv_ok = fit.curvature > 0 and fit.curvature_t > 1.96
-    ok = argmin_ok and curv_ok and above
     detail = (
         f"argmin eps={scan.eps_star:g} (==0: {argmin_ok}); "
         f"curvature {fit.curvature:.3f}+-{fit.curvature_se:.3f} "
         f"(t={fit.curvature_t:.1f}>1.96); all costs >= V-3SE: {above}"
     )
-    return _outcome(
-        "A8",
-        "optimality of the solved gain",
-        ok,
-        detail,
-        t0,
-        {
-            "eps_star": scan.eps_star,
-            "curvature": fit.curvature,
-            "curvature_t": fit.curvature_t,
-        },
-    )
+    metrics = dict(eps_star=scan.eps_star, curvature=fit.curvature, curvature_t=fit.curvature_t)
+    return argmin_ok and curv_ok and above, detail, metrics
 
 
-def check_a9_contraction(ctx: AcceptanceContext) -> CheckOutcome:
+@_check("A9", "pathwise contraction")
+def check_a9_contraction(ctx: AcceptanceContext):
     """Two-start coupling decays exponentially on every catalog scenario."""
-    t0 = time.perf_counter()
     parts = []
     ok = True
     metrics = {}
@@ -404,17 +386,17 @@ def check_a9_contraction(ctx: AcceptanceContext) -> CheckOutcome:
         ok &= good
         parts.append(f"{name}: lambda={report.lambda_hat:.2f} low={report.ci_low:.2f}")
         metrics[f"lambda_{name}"] = report.lambda_hat
-    return _outcome("A9", "pathwise contraction", ok, "; ".join(parts), t0, metrics)
+    return ok, "; ".join(parts), metrics
 
 
-def check_a10_completion_of_square(ctx: AcceptanceContext) -> CheckOutcome:
+@_check("A10", "completion of square", "scalar-random-periodic")
+def check_a10_completion_of_square(ctx: AcceptanceContext):
     """Cost identity for perturbed laws on the path-dependent scenario.
 
     The value anchor is the measured ergodic cost of the solved optimum on
     common random numbers (see completion_identity_check); the predicted
     value from the solved pair is reported alongside for reference.
     """
-    t0 = time.perf_counter()
     name = "scalar-random-periodic"
     opt, val = ctx.optimum(name, n_paths=16384, tol=1e-6)
     perturbations = [
@@ -429,7 +411,8 @@ def check_a10_completion_of_square(ctx: AcceptanceContext) -> CheckOutcome:
         law = perturbed_feedback(opt.feedback, pert["d_theta"], pert["d_v"], eps=1.0)
         # 4000 paired paths: sized so the Monte Carlo standard error of the
         # paired differences stays above the solve-replicate noise floor of
-        # the fitted gain (which does not shrink with identity paths)
+        # the fitted gain (which does not shrink with identity paths); the
+        # optimum's certified rate is discounted by 0.7 for the perturbed law
         report = completion_identity_check(
             opt,
             law,
@@ -448,23 +431,15 @@ def check_a10_completion_of_square(ctx: AcceptanceContext) -> CheckOutcome:
         metrics[f"gap_in_se_{idx}"] = report.gap_in_se
         metrics[f"min_penalty_{idx}"] = report.min_penalty
         metrics[f"anchor_{idx}"] = report.value
-    return _outcome("A10", "completion of square", ok, "; ".join(parts), t0, metrics)
+    return ok, "; ".join(parts), metrics
 
 
-ALL_CHECKS = [
-    check_a1_moment_decay,
-    check_a2_bsde_vs_ode,
-    check_a3_riccati_constant,
-    check_a4_riccati_noisy,
-    check_a5_stabilizer_certificate,
-    check_a6_ergodic_equivalence,
-    check_a7_value_formula,
-    check_a8_optimality_scan,
-    check_a9_contraction,
-    check_a10_completion_of_square,
-]
+CHECK_IDS = list(CHECKS)
 
-CHECK_IDS = [f"A{i}" for i in range(1, 11)]
+
+def scenario_check_ids(name: str) -> List[str]:
+    """Ids of the battery checks that exercise catalog scenario name, in order."""
+    return [cid for cid, (scenario, _) in CHECKS.items() if scenario == name]
 
 
 def run_acceptance(
@@ -474,23 +449,18 @@ def run_acceptance(
 ) -> List[CheckOutcome]:
     """Run the battery (or the named subset) and return outcomes in order.
 
-    A check that raises one of RUN_ERRORS fails with the error text as its
-    detail, labelled by the error type, and the battery goes on.
+    A check that raises one of RUN_ERRORS fails (see _check) and the
+    battery goes on.
     """
     ctx = AcceptanceContext(seed)
     wanted = None if only is None else {c.upper() for c in only}
     outcomes = []
-    for cid, fn in zip(CHECK_IDS, ALL_CHECKS):
+    for cid, (_, check) in CHECKS.items():
         if wanted is not None and cid not in wanted:
             continue
-        t0 = time.perf_counter()
-        try:
-            out = fn(ctx)
-        except RUN_ERRORS as exc:
-            out = _outcome(cid, type(exc).__name__, False, str(exc), t0)
-        outcomes.append(out)
+        outcomes.append(check(ctx))
         if echo is not None:
-            echo(out.line())
+            echo(outcomes[-1].line())
     return outcomes
 
 
@@ -513,7 +483,7 @@ def run_scenario_checks(
 
     def push(passed, detail, metrics=None):
         # the outcome of the current check, named by check and timed from t0
-        outcomes.append(_outcome(*check, passed, detail, t0, metrics))
+        outcomes.append(_outcome(*check, t0, passed, detail, metrics))
         if echo is not None:
             echo(outcomes[-1].line())
 

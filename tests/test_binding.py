@@ -85,7 +85,7 @@ def _assert_close(got, want):
 def laws(request):
     scen = builtin_scenarios()[request.param]
     solve = PathBundle.generate(31, 512, SP, 1, antithetic=True)
-    ric = solve_stochastic_riccati(scen, solve, tol=1e-5, require_stable=False)
+    ric = solve_stochastic_riccati(scen, solve, tol=1e-5)
     optimal = optimal_feedback(ric).feedback
     perturbed = perturbed_feedback(
         optimal, np.full((scen.m, scen.n), 0.1), np.full(scen.m, 0.05), eps=1.0
@@ -235,7 +235,7 @@ def test_bound_compositions_equal_direct_evaluation(name):
     # at each node exactly what a direct evaluation on that node returns
     scen = builtin_scenarios()[name]
     solve = PathBundle.generate(31, 256, SP, 1, antithetic=True)
-    ric = solve_stochastic_riccati(scen, solve, tol=1e-5, require_stable=False)
+    ric = solve_stochastic_riccati(scen, solve, tol=1e-5)
     optimal = optimal_feedback(ric).feedback
     fns = {
         "theta": optimal.Theta,

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import ergolq
-from ergolq import cli
+from ergolq import cli, verify
 from ergolq.coefficients import builtin_scenarios, save_scenario
 from ergolq.sde_engine import SimulationError
 
@@ -276,6 +276,20 @@ def test_scenario_file_is_embedded_for_reruns(tmp_path):
 
 # ---------------------------------------------------------------------------
 # verify plumbing
+
+
+def test_check_table_maps_checks_to_scenarios():
+    # verify --scenario runs S1..S6 plus these battery checks; A5 and A9
+    # span several scenarios and belong to none
+    assert verify.CHECK_IDS == [f"A{i}" for i in range(1, 11)]
+    assert {name: verify.scenario_check_ids(name) for name in builtin_scenarios()} == {
+        "scalar-moment-decay": ["A1"],
+        "planar-deterministic-periodic": ["A2"],
+        "scalar-constant": ["A3", "A6", "A7", "A8"],
+        "scalar-noisy": ["A4"],
+        "scalar-random-periodic": ["A10"],
+    }
+    assert verify.scenario_check_ids("no-such-model") == []
 
 
 def test_verify_single_check_subset(tmp_path):

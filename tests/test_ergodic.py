@@ -85,12 +85,20 @@ def test_burn_in_is_reproducible_and_sized_by_decay():
 
 
 def test_burn_in_rejects_unstable_law():
-    # drift +0.2: slow enough to avoid overflow, so the decay certificate
-    # itself is what fails
+    # drift +0.2: slow enough to avoid overflow, so a claimed positive rate
+    # is caught by the stationarity audit of the reached state
     scen = builtin_scenarios()["scalar-constant"]
     drifting = constant_feedback(scen, [[1.2]])
-    with pytest.raises(BurnInError):
-        burn_in_state(scen, drifting, seed=42, n_paths=200)
+    with pytest.raises(BurnInError, match="still drifting"):
+        burn_in_state(scen, drifting, seed=42, n_paths=200, lambda_hat=2.5)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+def test_burn_in_rejects_a_rate_that_is_not_positive(rate):
+    scen = builtin_scenarios()["scalar-constant"]
+    law = constant_feedback(scen, [[-0.4]])
+    with pytest.raises(BurnInError, match="not positive"):
+        burn_in_state(scen, law, seed=43, n_paths=200, lambda_hat=rate)
 
 
 def test_single_period_cost_matches_discrete_stationary_law():

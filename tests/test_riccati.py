@@ -107,7 +107,6 @@ def test_scalar_constant_gain_matches_algebraic_root():
     assert ric.n_policies <= 10
     assert all(g >= -1e-9 for g in ric.monotone_gaps)
     assert ric.stability is not None and ric.stability.stable
-    assert ric.diagnostics["inner_stop"] == "direct"
 
 
 def test_scalar_noisy_gain_matches_algebraic_root():

@@ -9,8 +9,10 @@ Subcommands
 
 Every run resolves its configuration (defaults < config file < flags),
 creates the output directory, writes manifest.json first, then the data
-files, then summary.json.  Timing never enters the persisted artifacts, so
-rerunning a manifest reproduces every output byte for byte.
+files.  Each subcommand returns its exit code, summary body and stdout line,
+and one skeleton in main writes summary.json and prints "<line> -> <out>".
+Timing never enters the persisted artifacts, so rerunning a manifest
+reproduces every output byte for byte.
 
 Exit codes: 0 success, 1 failed verification or diverged solve, 2 bad
 configuration.  The default output root is $ERGOLQ_OUT_ROOT (else ./runs).
@@ -65,13 +67,8 @@ from .verify import CHECK_IDS, RUN_ERRORS, run_acceptance, run_scenario_checks, 
 SUMMARY_SCHEMA = "ergolq-summary/1"
 MANIFEST_SCHEMA = "ergolq-run/1"
 
-_DEFAULT_PATHS = {
-    "simulate": 4096,
-    "solve-riccati": 4096,
-    "ergodic-cost": 8192,
-    "verify": 4096,
-    "scan": 20000,
-}
+# scan solves its Riccati law on at most this many paths
+_SCAN_SOLVE_PATHS = 8192
 
 
 class ConfigError(ValueError):
@@ -113,27 +110,18 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    base = RunConfig(command=args.command)
-    base.n_paths = _DEFAULT_PATHS[args.command]
-    layered = base.to_dict()
+    layered = RunConfig(command=args.command, n_paths=_COMMANDS[args.command][2]).to_dict()
     if args.config:
         file_values = _load_config_file(args.config)
-        unknown = set(file_values) - set(layered) - {"command"}
+        unknown = set(file_values) - set(layered)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in file_values.items():
-            if key != "command":
-                layered[key] = val
-    flag_map = {
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "n_paths": args.paths,
-        "steps_per_period": args.steps_per_period,
-        "n_periods": args.periods,
-        "tol": args.tol,
-        "out": args.out,
-    }
-    for key, val in flag_map.items():
+        layered.update((k, v) for k, v in file_values.items() if k != "command")
+    if args.scenario is not None:
+        # a fresh scenario flag invalidates any serialized text from a config file
+        layered["scenario_text"] = None
+    for key in layered:
+        val = getattr(args, key, None)
         if val is not None:
             layered[key] = val
     if not isinstance(layered.get("options"), dict):
@@ -142,17 +130,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             layered["options"][key] = val
-    cfg = RunConfig(**{k: layered[k] for k in layered if k != "command"}, command=args.command)
-    if args.scenario is not None:
-        # a fresh scenario flag invalidates any serialized text from a config file
-        if cfg.scenario_text is not None and args.config:
-            cfg.scenario_text = None
-        cfg.scenario = args.scenario
+    cfg = RunConfig(**layered)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
+    for key in ("seed", "n_paths", "steps_per_period", "n_periods"):
+        if type(getattr(cfg, key)) is not int:
+            raise ConfigError(f"{key} must be an integer")
+    if type(cfg.tol) not in (int, float):
+        raise ConfigError("tol must be a number")
     if cfg.n_paths < 2:
         raise ConfigError("--paths must be at least 2")
     if cfg.steps_per_period < 2:
@@ -161,8 +149,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("--periods must be at least 1")
     if not cfg.tol > 0:
         raise ConfigError("--tol must be positive")
-    if cfg.seed < 0:
-        raise ConfigError("--seed must be nonnegative")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError("--seed must be in [0, 2**64)")
+    antithetic = {"solve-riccati": True, "ergodic-cost": True, "verify": cfg.scenario is not None,
+                  "scan": cfg.n_paths < _SCAN_SOLVE_PATHS}
+    if cfg.n_paths % 2 and antithetic.get(cfg.command):
+        raise ConfigError("--paths must be even: the Riccati solve uses antithetic pairs")
     if cfg.command == "scan":
         eps_text = cfg.options.get("eps_grid", "-0.2,-0.1,0,0.1,0.2")
         try:
@@ -241,16 +233,6 @@ def _write_manifest(out_dir: str, cfg: RunConfig) -> None:
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _summary(cfg: RunConfig, body: dict) -> dict:
-    return {
-        "schema": SUMMARY_SCHEMA,
-        "command": cfg.command,
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        **body,
-    }
-
-
 def _report_dict(report) -> dict:
     return {
         "lambda_hat": report.lambda_hat,
@@ -263,10 +245,20 @@ def _report_dict(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies (scenario resolved, out_dir exists, manifest written)
+# subcommand bodies (scenario resolved, out_dir exists, manifest written);
+# each returns (exit code, summary body, stdout line), or (exit code, None,
+# message) when it fails without a summary
 
 
-def _cmd_simulate(cfg: RunConfig, scen, out_dir: str) -> int:
+def _solve(cfg: RunConfig, scen, seed: int, n_paths: int):
+    """Riccati solve on an antithetic one-period bundle."""
+    bundle = PathBundle.generate(
+        seed, n_paths, cfg.steps_per_period, 1, tau=scen.tau, antithetic=True
+    )
+    return solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
+
+
+def _cmd_simulate(cfg: RunConfig, scen, out_dir: str) -> tuple:
     law = default_stabilizer(scen, seed=derive_seed(cfg.seed, "stabilizer"))
     bundle = PathBundle.generate(
         cfg.seed, cfg.n_paths, cfg.steps_per_period, cfg.n_periods, tau=scen.tau
@@ -285,27 +277,17 @@ def _cmd_simulate(cfg: RunConfig, scen, out_dir: str) -> int:
     export_trajectory_csv(
         traj, os.path.join(out_dir, "trajectories.csv"), max_paths=min(cfg.n_paths, 20)
     )
-    _write_json(
-        os.path.join(out_dir, "summary.json"),
-        _summary(
-            cfg,
-            {
-                "feedback": law.label,
-                "stability": _report_dict(report),
-                "overflow_paths": int(traj.overflow.sum()),
-                "files": ["moments.csv", "trajectories.csv"],
-            },
-        ),
-    )
-    print(f"lambda_hat={report.lambda_hat:.4f} (stable: {report.stable}) -> {out_dir}")
-    return 0
+    body = {
+        "feedback": law.label,
+        "stability": _report_dict(report),
+        "overflow_paths": int(traj.overflow.sum()),
+        "files": ["moments.csv", "trajectories.csv"],
+    }
+    return 0, body, f"lambda_hat={report.lambda_hat:.4f} (stable: {report.stable})"
 
 
-def _cmd_solve_riccati(cfg: RunConfig, scen, out_dir: str) -> int:
-    bundle = PathBundle.generate(
-        cfg.seed, cfg.n_paths, cfg.steps_per_period, 1, tau=scen.tau, antithetic=True
-    )
-    ric = solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
+def _cmd_solve_riccati(cfg: RunConfig, scen, out_dir: str) -> tuple:
+    ric = _solve(cfg, scen, cfg.seed, cfg.n_paths)
     res = riccati_residual(ric)
     export_node_table_csv(ric.k_solution, os.path.join(out_dir, "riccati_nodes.csv"))
     body = {
@@ -322,19 +304,14 @@ def _cmd_solve_riccati(cfg: RunConfig, scen, out_dir: str) -> int:
         "stability": _report_dict(ric.stability),
         "files": ["riccati_nodes.csv"],
     }
-    _write_json(os.path.join(out_dir, "summary.json"), _summary(cfg, body))
-    print(
+    return 0, body, (
         f"K0={np.array2string(ric.fixed_point, precision=6)} "
-        f"({ric.n_policies} policies, defect {res.rel_max_defect:.2e}) -> {out_dir}"
+        f"({ric.n_policies} policies, defect {res.rel_max_defect:.2e})"
     )
-    return 0
 
 
-def _cmd_ergodic_cost(cfg: RunConfig, scen, out_dir: str) -> int:
-    bundle = PathBundle.generate(
-        cfg.seed, cfg.n_paths, cfg.steps_per_period, 1, tau=scen.tau, antithetic=True
-    )
-    ric = solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
+def _cmd_ergodic_cost(cfg: RunConfig, scen, out_dir: str) -> tuple:
+    ric = _solve(cfg, scen, cfg.seed, cfg.n_paths)
     opt = optimal_feedback(ric)
     val = value_function(opt)
     state = burn_in_state(
@@ -360,40 +337,27 @@ def _cmd_ergodic_cost(cfg: RunConfig, scen, out_dir: str) -> int:
         "k0": ric.fixed_point.tolist(),
         "files": ["eta_nodes.csv"],
     }
-    _write_json(os.path.join(out_dir, "summary.json"), _summary(cfg, body))
-    print(
+    return 0, body, (
         f"value={val.value:.6f} (+-{val.se:.2e}), mc={cost.value:.6f} "
-        f"(+-{cost.se:.2e}), gap {body['gap_in_se']:.2f} SE -> {out_dir}"
+        f"(+-{cost.se:.2e}), gap {body['gap_in_se']:.2f} SE"
     )
-    return 0
 
 
-def _cmd_scan(cfg: RunConfig, scen, out_dir: str) -> int:
-    eps_grid = cfg.options["eps_grid_values"]
+def _cmd_scan(cfg: RunConfig, scen, out_dir: str) -> tuple:
     direction = cfg.options.get("direction", "theta")
-    bundle = PathBundle.generate(
-        derive_seed(cfg.seed, "solve"),
-        min(cfg.n_paths, 8192),
-        cfg.steps_per_period,
-        1,
-        tau=scen.tau,
-        antithetic=True,
-    )
-    ric = solve_stochastic_riccati(scen, bundle, tol=cfg.tol)
+    ric = _solve(cfg, scen, derive_seed(cfg.seed, "solve"), min(cfg.n_paths, _SCAN_SOLVE_PATHS))
     opt = optimal_feedback(ric)
     val = value_function(opt)
     if direction == "theta":
-        d_theta = np.ones((scen.m, scen.n)) / np.sqrt(scen.m * scen.n)
-        d_v = None
+        d_theta, d_v = np.ones((scen.m, scen.n)) / np.sqrt(scen.m * scen.n), None
     else:
-        d_theta = None
-        d_v = np.ones(scen.m) / np.sqrt(scen.m)
+        d_theta, d_v = None, np.ones(scen.m) / np.sqrt(scen.m)
     scan = optimality_scan(
         scen,
         opt.feedback,
         d_theta,
         d_v,
-        eps_grid,
+        cfg.options["eps_grid_values"],
         seed=cfg.seed,
         n_paths=cfg.n_paths,
         steps_per_period=cfg.steps_per_period,
@@ -404,8 +368,7 @@ def _cmd_scan(cfg: RunConfig, scen, out_dir: str) -> int:
         fit = fit_quadratic_excess(scan)
     except ValueError as exc:
         # overflowed points can thin a valid grid below the fit's minimum
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
+        return 1, None, str(exc)
     body = {
         "direction": direction,
         "eps_star": scan.eps_star,
@@ -421,19 +384,12 @@ def _cmd_scan(cfg: RunConfig, scen, out_dir: str) -> int:
         },
         "files": ["scan.csv"],
     }
-    _write_json(os.path.join(out_dir, "summary.json"), _summary(cfg, body))
-    print(
-        f"eps*={scan.eps_star:g}, curvature {fit.curvature:.4f}+-{fit.curvature_se:.4f} "
-        f"-> {out_dir}"
-    )
-    return 0
+    return 0, body, f"eps*={scan.eps_star:g}, curvature {fit.curvature:.4f}+-{fit.curvature_se:.4f}"
 
 
-def _cmd_verify(cfg: RunConfig, scen, out_dir: str) -> int:
-    outcomes = []
-    if scen is None or cfg.scenario is None:
-        wanted = cfg.options.get("checks_list")
-        outcomes = run_acceptance(seed=cfg.seed, only=wanted, echo=print)
+def _cmd_verify(cfg: RunConfig, scen, out_dir: str) -> tuple:
+    if cfg.scenario is None:
+        outcomes = run_acceptance(seed=cfg.seed, only=cfg.options.get("checks_list"), echo=print)
     else:
         outcomes = run_scenario_checks(
             scen, seed=cfg.seed, n_paths=cfg.n_paths, tol=cfg.tol, echo=print
@@ -463,17 +419,25 @@ def _cmd_verify(cfg: RunConfig, scen, out_dir: str) -> int:
         ],
         "files": ["checks.csv"],
     }
-    _write_json(os.path.join(out_dir, "summary.json"), _summary(cfg, body))
-    print(f"{'ALL CHECKS PASSED' if ok else 'CHECKS FAILED'} -> {out_dir}")
-    return 0 if ok else 1
+    return (0 if ok else 1), body, "ALL CHECKS PASSED" if ok else "CHECKS FAILED"
 
 
+# name -> (runner, needs a scenario, default path count, help, extra flags)
 _COMMANDS = {
-    "simulate": (_cmd_simulate, True),
-    "solve-riccati": (_cmd_solve_riccati, True),
-    "ergodic-cost": (_cmd_ergodic_cost, True),
-    "scan": (_cmd_scan, True),
-    "verify": (_cmd_verify, False),
+    "simulate": (_cmd_simulate, True, 4096, "closed-loop paths + stability report", ()),
+    "solve-riccati": (
+        _cmd_solve_riccati, True, 4096, "periodic Riccati fixed point + residual", ()
+    ),
+    "ergodic-cost": (
+        _cmd_ergodic_cost, True, 8192, "optimal feedback, value and simulated cost", ()
+    ),
+    "scan": (_cmd_scan, True, 20000, "ergodic cost along a gain perturbation line", (
+        ("--eps-grid", dict(help="comma list containing 0")),
+        ("--direction", dict(choices=("theta", "v"), help="perturb gain or offset")),
+    )),
+    "verify": (_cmd_verify, False, 4096, "acceptance battery (exit 0 iff all pass)", (
+        ("--checks", dict(help="comma list like A1,A3 (full battery only)")),
+    )),
 }
 
 
@@ -484,27 +448,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # each dest is the RunConfig field the flag sets
+    for name, (_, _, _, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", help="catalog name or scenario file path")
         p.add_argument("--config", help="JSON config or an emitted manifest.json")
         p.add_argument("--seed", type=int, help="master seed (default 7)")
-        p.add_argument("--paths", type=int, help="Monte Carlo path count")
+        p.add_argument(
+            "--paths", dest="n_paths", metavar="PATHS", type=int, help="Monte Carlo path count"
+        )
         p.add_argument("--steps-per-period", type=int, help="grid nodes per period (default 64)")
-        p.add_argument("--periods", type=int, help="horizon in periods where applicable")
+        p.add_argument(
+            "--periods", dest="n_periods", metavar="PERIODS", type=int,
+            help="horizon in periods where applicable",
+        )
         p.add_argument("--out", help="output directory (default under $ERGOLQ_OUT_ROOT)")
         p.add_argument("--tol", type=float, help="solver tolerance (default 1e-7)")
-
-    common(sub.add_parser("simulate", help="closed-loop paths + stability report"))
-    common(sub.add_parser("solve-riccati", help="periodic Riccati fixed point + residual"))
-    common(sub.add_parser("ergodic-cost", help="optimal feedback, value and simulated cost"))
-    p_scan = sub.add_parser("scan", help="ergodic cost along a gain perturbation line")
-    common(p_scan)
-    p_scan.add_argument("--eps-grid", dest="eps_grid", help="comma list containing 0")
-    p_scan.add_argument("--direction", choices=("theta", "v"), help="perturb gain or offset")
-    p_verify = sub.add_parser("verify", help="acceptance battery (exit 0 iff all pass)")
-    common(p_verify)
-    p_verify.add_argument("--checks", help="comma list like A1,A3 (full battery only)")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -514,7 +475,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         scen = _resolve_scenario(cfg)
-        runner, needs_scenario = _COMMANDS[cfg.command]
+        runner, needs_scenario = _COMMANDS[cfg.command][:2]
         if needs_scenario and scen is None:
             raise ConfigError(f"{cfg.command} requires --scenario (or a config with one)")
         if scen is not None:
@@ -524,7 +485,7 @@ def main(argv=None) -> int:
                     f"scenario fails the positivity requirement "
                     f"(min eig R {pos.min_eig_R:.3e}, reduced cost {pos.min_eig_cost:.3e})"
                 )
-    except (ConfigError, CoefficientError) as exc:
+    except (ConfigError, CoefficientError, ScenarioFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -532,10 +493,17 @@ def main(argv=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     _write_manifest(out_dir, cfg)
     try:
-        return runner(cfg, scen, out_dir)
+        rc, body, line = runner(cfg, scen, out_dir)
     except RUN_ERRORS as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
+        rc, body, line = 1, None, str(exc)
+    if body is None:
+        print(f"failed: {line}", file=sys.stderr)
+        return rc
+    summary = {"schema": SUMMARY_SCHEMA, "command": cfg.command, "scenario": cfg.scenario,
+               "seed": cfg.seed, **body}
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    print(f"{line} -> {out_dir}")
+    return rc
 
 
 if __name__ == "__main__":

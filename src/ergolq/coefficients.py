@@ -634,29 +634,34 @@ def parse_scenario(text: str) -> PeriodicCoefficientSet:
             raise ScenarioFormatError(f"missing [{key}] section")
         sec = cp[key]
         family = sec.get("family")
-        if family == "constant":
-            fns[key] = constant_coeff(_parse_matrix(sec["value"], shape), tau)
-        elif family == "harmonic":
-            sin_terms, cos_terms = {}, {}
-            for opt in sec:
-                match = _HARM_KEY.match(opt)
-                if match:
-                    target = sin_terms if match.group(1) == "sin" else cos_terms
-                    target[int(match.group(2))] = _parse_matrix(sec[opt], shape)
-            fns[key] = harmonic_coeff(
-                tau, _parse_matrix(sec["base"], shape), sin_terms, cos_terms
-            )
-        elif family == "tanh_sum":
-            fns[key] = tanh_sum_coeff(
-                tau,
-                _parse_matrix(sec["base"], shape),
-                _parse_matrix(sec["amp"], shape),
-                scale=float(sec.get("scale", "1.0")),
-                offset=float(sec.get("offset", "0.0")),
-                link=sec.get("link", "tanh"),
-            )
-        else:
+        if family not in ("constant", "harmonic", "tanh_sum"):
             raise ScenarioFormatError(f"[{key}] has unknown family {family!r}")
+        try:
+            if family == "constant":
+                fns[key] = constant_coeff(_parse_matrix(sec["value"], shape), tau)
+            elif family == "harmonic":
+                sin_terms, cos_terms = {}, {}
+                for opt in sec:
+                    match = _HARM_KEY.match(opt)
+                    if match:
+                        target = sin_terms if match.group(1) == "sin" else cos_terms
+                        target[int(match.group(2))] = _parse_matrix(sec[opt], shape)
+                fns[key] = harmonic_coeff(
+                    tau, _parse_matrix(sec["base"], shape), sin_terms, cos_terms
+                )
+            else:
+                fns[key] = tanh_sum_coeff(
+                    tau,
+                    _parse_matrix(sec["base"], shape),
+                    _parse_matrix(sec["amp"], shape),
+                    scale=float(sec.get("scale", "1.0")),
+                    offset=float(sec.get("offset", "0.0")),
+                    link=sec.get("link", "tanh"),
+                )
+        except KeyError as exc:
+            raise ScenarioFormatError(f"[{key}] lacks {exc}") from exc
+        except ValueError as exc:
+            raise ScenarioFormatError(f"bad [{key}] section: {exc}") from exc
     return PeriodicCoefficientSet(tau=tau, n=n, m=m, name=name, **fns)
 
 

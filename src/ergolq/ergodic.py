@@ -228,26 +228,14 @@ def single_period_cost(state: RandomPeriodicState) -> CostEstimate:
     burn-in noise), which is exactly the one-step transition of the
     period-to-period chain started from its steady state.
     """
-    coeffs = state.coeffs
     bundle = PathBundle.generate(
         derive_seed(state.seed, "cost-period"),
         state.n_paths,
         state.steps_per_period,
         1,
-        tau=coeffs.tau,
+        tau=state.coeffs.tau,
     )
-    totals, _, overflow = _accumulate_cost(coeffs, state.feedback, state.samples, bundle)
-    good = ~overflow
-    per_path = totals[-1][good] / coeffs.tau
-    mean, se = mean_se(per_path)
-    return CostEstimate(
-        value=float(mean),
-        se=float(se),
-        n_paths=state.n_paths,
-        n_overflow=int(overflow.sum()),
-        duration=coeffs.tau,
-        per_path=per_path,
-    )
+    return finite_horizon_cost(state.coeffs, state.feedback, state.samples, bundle)
 
 
 def finite_horizon_cost(

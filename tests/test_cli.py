@@ -12,7 +12,7 @@ import pytest
 
 import ergolq
 from ergolq import cli, verify
-from ergolq.coefficients import builtin_scenarios, save_scenario
+from ergolq.coefficients import builtin_scenarios, save_scenario, serialize_scenario
 from ergolq.sde_engine import SimulationError
 
 
@@ -43,7 +43,16 @@ def test_bad_flag_values_exit_2(tmp_path):
     assert cli.main(args + ["--paths", "1"]) == 2
     assert cli.main(args + ["--tol", "0"]) == 2
     assert cli.main(args + ["--seed", "-3"]) == 2
+    assert cli.main(args + ["--seed", str(2**64)]) == 2
+    # an odd path count cannot fill an antithetic Riccati solve bundle
+    for cmd, paths in (("solve-riccati", "5"), ("ergodic-cost", "5"), ("verify", "5"),
+                       ("scan", "8191")):
+        rc = cli.main([cmd, "--scenario", "scalar-constant", "--paths", paths,
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2, cmd
     assert not (tmp_path / "x").exists()
+    # simulate draws no antithetic pairs, so an odd count is fine there
+    assert cli.main(args + ["--paths", "5", "--periods", "2"]) == 0
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -55,6 +64,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+    # known keys holding values of the wrong type, and embedded scenario text
+    # that does not parse
+    for values, message in (
+        ({"seed": "7"}, "must be an integer"),
+        ({"steps_per_period": 2.5}, "must be an integer"),
+        ({"scenario_text": "not a scenario"}, "unparseable scenario"),
+    ):
+        cfg.write_text(json.dumps(values))
+        rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2, values
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_scan_grid_must_contain_zero(tmp_path):
@@ -103,19 +124,39 @@ def test_indefinite_scenario_rejected_before_output(tmp_path):
         rc = cli.main(["simulate", "--scenario", str(path), "--out", str(out)])
         assert rc == 2, (weight, value)
         assert not out.exists()
+    # malformed files: a constant section without its value, and a tanh_sum
+    # scale that is not a number
+    for name, old, new in (
+        ("scalar-constant", "family = constant\nvalue = -1.0\n", "family = constant\n"),
+        ("scalar-random-periodic", "scale = 1.0", "scale = fast"),
+    ):
+        text = serialize_scenario(builtin_scenarios()[name])
+        assert old in text
+        path = tmp_path / f"malformed-{name}.ini"
+        path.write_text(text.replace(old, new, 1))
+        rc = cli.main(["simulate", "--scenario", str(path), "--out", str(out)])
+        assert rc == 2, name
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
 # artifacts
 
 
-def test_simulate_writes_manifest_then_data(tmp_path):
+def assert_run_protocol(capsys, out):
+    # one skeleton ends every successful run: summary.json, then "<line> -> <out>"
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f"-> {out}")
+    assert (out / "summary.json").exists()
+
+
+def test_simulate_writes_manifest_then_data(tmp_path, capsys):
     out = tmp_path / "sim"
     rc = cli.main([
         "simulate", "--scenario", "scalar-moment-decay",
         "--paths", "256", "--periods", "6", "--out", str(out),
     ])
     assert rc == 0
+    assert_run_protocol(capsys, out)
     names = sorted(p.name for p in out.iterdir())
     assert names == ["manifest.json", "moments.csv", "summary.json", "trajectories.csv"]
     manifest = read_json(out / "manifest.json")
@@ -147,13 +188,14 @@ def test_simulate_certifies_stability_of_forced_loop(tmp_path):
     assert read_json(out / "summary.json")["overflow_paths"] == 0
 
 
-def test_solve_riccati_reports_algebraic_gain(tmp_path):
+def test_solve_riccati_reports_algebraic_gain(tmp_path, capsys):
     out = tmp_path / "ric"
     rc = cli.main([
         "solve-riccati", "--scenario", "scalar-constant",
         "--paths", "1024", "--out", str(out),
     ])
     assert rc == 0
+    assert_run_protocol(capsys, out)
     summary = read_json(out / "summary.json")
     assert summary["k0"][0][0] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-6)
     assert summary["n_policies"] <= 10
@@ -162,13 +204,14 @@ def test_solve_riccati_reports_algebraic_gain(tmp_path):
     assert (out / "riccati_nodes.csv").exists()
 
 
-def test_ergodic_cost_summary(tmp_path):
+def test_ergodic_cost_summary(tmp_path, capsys):
     out = tmp_path / "cost"
     rc = cli.main([
         "ergodic-cost", "--scenario", "scalar-constant",
         "--paths", "2048", "--out", str(out),
     ])
     assert rc == 0
+    assert_run_protocol(capsys, out)
     summary = read_json(out / "summary.json")
     assert summary["value"] == pytest.approx(math.sqrt(2.0) - 0.5, abs=1e-4)
     assert abs(summary["gap"]) < 0.05
@@ -176,13 +219,14 @@ def test_ergodic_cost_summary(tmp_path):
     assert (out / "eta_nodes.csv").exists()
 
 
-def test_scan_artifacts(tmp_path):
+def test_scan_artifacts(tmp_path, capsys):
     out = tmp_path / "scan"
     rc = cli.main([
         "scan", "--scenario", "scalar-constant", "--paths", "2000",
         "--eps-grid=-0.15,-0.05,0,0.05,0.15", "--out", str(out),
     ])
     assert rc == 0
+    assert_run_protocol(capsys, out)
     summary = read_json(out / "summary.json")
     assert summary["eps_star"] == 0.0
     assert summary["quadratic_fit"]["curvature"] > 0.0
@@ -292,10 +336,11 @@ def test_check_table_maps_checks_to_scenarios():
     assert verify.scenario_check_ids("no-such-model") == []
 
 
-def test_verify_single_check_subset(tmp_path):
+def test_verify_single_check_subset(tmp_path, capsys):
     out = tmp_path / "ver"
     rc = cli.main(["verify", "--checks", "A3", "--out", str(out)])
     assert rc == 0
+    assert_run_protocol(capsys, out)
     summary = read_json(out / "summary.json")
     assert summary["passed"] is True
     assert summary["n_checks"] == 1

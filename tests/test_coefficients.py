@@ -235,3 +235,11 @@ def test_parse_scenario_rejects_garbage():
     good = serialize_scenario(builtin_scenarios()["scalar-constant"])
     with pytest.raises(ScenarioFormatError):
         parse_scenario(good.replace("family = constant", "family = mystery", 1))
+    # a section missing a required key, and a tanh_sum scale that is not a number
+    with pytest.raises(ScenarioFormatError, match="lacks 'value'"):
+        parse_scenario(good.replace("value = -1.0\n", "", 1))
+    periodic = serialize_scenario(builtin_scenarios()["scalar-random-periodic"])
+    with pytest.raises(ScenarioFormatError, match=r"bad \[A\] section"):
+        parse_scenario(periodic.replace("scale = 1.0", "scale = fast", 1))
+    with pytest.raises(ScenarioFormatError, match="lacks 'amp'"):
+        parse_scenario(periodic.replace("amp = ", "amplitude = ", 1))

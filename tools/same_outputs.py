@@ -4,12 +4,15 @@
 
 Runs, in both checkouts, the CLI command of each benchmark workload (its
 argv is read from this repository's ``perfbench/workloads.py``, which is only
-imported), ``verify --scenario`` on every catalog scenario and the full
-``verify``.  Each command runs in a fresh interpreter with that checkout's
+imported), ``simulate`` and ``scan --direction v`` on ``scalar-constant``,
+``verify --scenario`` on every catalog scenario and the full ``verify``.
+Each command runs in a fresh interpreter with that checkout's
 ``src/`` on ``PYTHONPATH`` and BLAS pinned to one thread, as the benchmark
 runs them.  Every output file is compared byte for byte; the one exception
 is ``manifest.json``, whose ``config.out`` field (the output directory) is
-dropped before comparing.  Exit codes are compared too.
+dropped before comparing.  Exit codes are compared too, and so is the last
+stdout line, with the output directory replaced by ``<out>`` (only the last
+line, because verify's per-check lines carry wall times).
 
 Prints one line per command, with each checkout's peak resident set size
 (``ru_maxrss`` of the child, read by ``os.wait4``), and exits 1 if any
@@ -93,18 +96,24 @@ def differences(left: str, right: str) -> list:
     return problems
 
 
+def _last_line(path: str, out: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return lines[-1].replace(out, "<out>") if lines else ""
+
+
 def run_pair(checkouts: tuple, argv: list, workdir: str) -> tuple:
     """Run argv in both checkouts at once; returns (exit codes, peak RSS in
-    MB, out dirs)."""
+    MB, out dirs, last stdout lines)."""
     procs, outs = [], []
     for tag, checkout in zip(("parent", "change"), checkouts):
         out = os.path.join(workdir, tag)
-        log = open(os.path.join(workdir, f"{tag}.log"), "wb")
-        procs.append(subprocess.Popen(
-            [sys.executable, "-c", CLI, *argv, "--out", out],
-            env=_env(checkout), cwd=workdir, stdout=log, stderr=subprocess.STDOUT,
-        ))
-        log.close()
+        with open(os.path.join(workdir, f"{tag}.stdout"), "wb") as stdout, \
+                open(os.path.join(workdir, f"{tag}.stderr"), "wb") as stderr:
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", CLI, *argv, "--out", out],
+                env=_env(checkout), cwd=workdir, stdout=stdout, stderr=stderr,
+            ))
         outs.append(out)
     codes, peaks = [], []
     for proc in procs:
@@ -112,7 +121,11 @@ def run_pair(checkouts: tuple, argv: list, workdir: str) -> tuple:
         proc.returncode = os.waitstatus_to_exitcode(status)
         codes.append(proc.returncode)
         peaks.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
-    return tuple(codes), tuple(peaks), outs
+    lines = tuple(
+        _last_line(os.path.join(workdir, f"{tag}.stdout"), out)
+        for tag, out in zip(("parent", "change"), outs)
+    )
+    return tuple(codes), tuple(peaks), outs, lines
 
 
 def main(argv=None) -> int:
@@ -123,6 +136,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = (args.parent, args.change)
     commands = workload_commands()
+    commands["simulate scalar-constant"] = ["simulate", "--scenario", "scalar-constant"]
+    commands["scan scalar-constant v"] = [
+        "scan", "--scenario", "scalar-constant", "--direction", "v", "--paths", "2000"
+    ]
     for name in catalog(args.change):
         commands[f"verify {name}"] = ["verify", "--scenario", name]
     commands["verify (battery)"] = ["verify"]
@@ -132,8 +149,12 @@ def main(argv=None) -> int:
         for i, (label, cmd) in enumerate(commands.items()):
             workdir = os.path.join(tmp, str(i))
             os.makedirs(workdir)
-            codes, peaks, outs = run_pair(checkouts, [*cmd, "--seed", str(args.seed)], workdir)
+            codes, peaks, outs, lines = run_pair(
+                checkouts, [*cmd, "--seed", str(args.seed)], workdir
+            )
             problems = differences(*outs)
+            if lines[0] != lines[1]:
+                problems.insert(0, f"last stdout line {lines[0]!r} vs {lines[1]!r}")
             if codes[0] != codes[1]:
                 problems.insert(0, f"exit code {codes[0]} vs {codes[1]}")
             n_files = len(_files(outs[1]))

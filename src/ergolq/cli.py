@@ -136,6 +136,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    for key in ("scenario", "scenario_text", "out"):
+        if not isinstance(getattr(cfg, key), (str, type(None))):
+            raise ConfigError(f"{key} must be a string")
     for key in ("seed", "n_paths", "steps_per_period", "n_periods"):
         if type(getattr(cfg, key)) is not int:
             raise ConfigError(f"{key} must be an integer")
@@ -259,7 +262,9 @@ def _solve(cfg: RunConfig, scen, seed: int, n_paths: int):
 
 
 def _cmd_simulate(cfg: RunConfig, scen, out_dir: str) -> tuple:
-    law = default_stabilizer(scen, seed=derive_seed(cfg.seed, "stabilizer"))
+    law = default_stabilizer(
+        scen, seed=derive_seed(cfg.seed, "stabilizer"), steps_per_period=cfg.steps_per_period
+    )
     bundle = PathBundle.generate(
         cfg.seed, cfg.n_paths, cfg.steps_per_period, cfg.n_periods, tau=scen.tau
     )

@@ -261,16 +261,16 @@ def finite_horizon_cost(
         vals = totals[kper] / (kper * bundle.tau)
         m, s = mean_se(vals[np.isfinite(vals)])
         cp_stats[kper] = (float(m), float(s))
-    last = totals[-1] / bundle.duration
-    mean, se = mean_se(last[~overflow & np.isfinite(last)])
+    # an overflowed path's total is NaN from its first NaN state on
+    value, se = cp_stats[bundle.n_periods]
     return CostEstimate(
-        value=float(mean),
-        se=float(se),
+        value=value,
+        se=se,
         n_paths=bundle.n_paths,
         n_overflow=int(overflow.sum()),
         duration=bundle.duration,
         checkpoints=cp_stats,
-        per_path=last,
+        per_path=totals[-1] / bundle.duration,
     )
 
 

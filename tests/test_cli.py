@@ -70,9 +70,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ({"seed": "7"}, "must be an integer"),
         ({"steps_per_period": 2.5}, "must be an integer"),
         ({"scenario_text": "not a scenario"}, "unparseable scenario"),
+        ({"scenario": "scalar-constant", "out": 5}, "out must be a string"),
+        ({"scenario": "scalar-constant", "scenario_text": 3}, "scenario_text must be a string"),
+        ({"scenario": 5}, "scenario must be a string"),
     ):
         cfg.write_text(json.dumps(values))
-        rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        # an --out flag would override the config's own out
+        out = [] if "out" in values else ["--out", str(tmp_path / "x")]
+        rc = cli.main(["simulate", "--config", str(cfg), *out])
         assert rc == 2, values
         assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -186,6 +191,23 @@ def test_simulate_certifies_stability_of_forced_loop(tmp_path):
     assert stab["stable"] is True
     assert abs(stab["lambda_hat"] - 2.0) < 0.2
     assert read_json(out / "summary.json")["overflow_paths"] == 0
+
+
+def test_simulate_searches_stabilizer_on_its_own_grid(tmp_path, monkeypatch):
+    seen = []
+    search = cli.default_stabilizer
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("steps_per_period"))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr("ergolq.cli.default_stabilizer", recording)
+    rc = cli.main([
+        "simulate", "--scenario", "scalar-constant", "--steps-per-period", "32",
+        "--paths", "64", "--periods", "2", "--out", str(tmp_path / "sim"),
+    ])
+    assert rc == 0
+    assert seen == [32]
 
 
 def test_solve_riccati_reports_algebraic_gain(tmp_path, capsys):
@@ -442,11 +464,22 @@ def test_public_names_resolve():
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy is the bulk of start-up time and only the quadrature oracle needs it
+    # numpy is the only run-time dependency: every module and both oracle
+    # families must work with scipy unimportable
     src = os.path.dirname(os.path.dirname(os.path.abspath(ergolq.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, ergolq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    code = "\n".join([
+        "import importlib, pkgutil, sys",
+        "sys.modules['scipy'] = None",
+        "import ergolq",
+        "for mod in pkgutil.iter_modules(ergolq.__path__):",
+        "    importlib.import_module('ergolq.' + mod.name)",
+        "from ergolq import oracle",
+        "from ergolq.coefficients import builtin_scenarios, constant_coeff",
+        "oracle.explicit_phi_moment_1d(-1.0, 0.5, 1.0)",
+        "s = builtin_scenarios()['planar-deterministic-periodic']",
+        "lam = constant_coeff([[1.0, 0.0], [0.0, 1.0]], s.tau)",
+        "oracle.periodic_lyapunov_ode(s.A, s.C, lam, s.tau, nodes_per_period=64)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

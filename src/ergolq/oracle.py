@@ -66,7 +66,8 @@ def _shoot(a_tab, c_tab, q_tab, g_tab: Optional[np.ndarray], tau: float, nodes: 
     The tables hold the data at the 2 * nodes + 1 half-grid times; G = None
     drops the quadratic term.  RK4 runs backward from a terminal value that
     is replaced by the value at phase 0 until that map is stationary to
-    SHOOTING_TOL; the nodes of the last pass come back symmetrized.
+    SHOOTING_TOL; the nodes of the last pass come back symmetrized.  A map
+    that runs off to overflow raises instead of reading as settled.
     """
 
     def rhs(j, k):
@@ -91,7 +92,12 @@ def _shoot(a_tab, c_tab, q_tab, g_tab: Optional[np.ndarray], tau: float, nodes: 
             k4 = rhs(j - 2, y - h * k3)
             y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             values[i - 1] = y
-        residual = float(np.linalg.norm(values[0] - term) / (1.0 + np.linalg.norm(values[0])))
+        with np.errstate(over="ignore"):
+            size = np.linalg.norm(values[0])
+        if not math.isfinite(size):
+            # a norm that overflows would divide the residual down to zero
+            raise OracleError("shooting diverged: the terminal value overflowed")
+        residual = float(np.linalg.norm(values[0] - term) / (1.0 + size))
         if residual < SHOOTING_TOL:
             return OdeSolution(0.5 * (values + np.swapaxes(values, 1, 2)), residual)
         term = values[0].copy()

@@ -145,6 +145,22 @@ def test_finite_horizon_checkpoints_are_paired(name):
         finite_horizon_cost(scen, law, x0, bundle, checkpoint_periods=[7])
 
 
+def test_finite_horizon_cost_drops_overflowed_paths():
+    # starting near the overflow limit, the multiplicative noise pushes some
+    # paths past it; their totals are NaN and leave the estimate, which is
+    # the mean over the surviving paths
+    scen = builtin_scenarios()["scalar-noisy"]
+    law = constant_feedback(scen, np.zeros((1, 1)))
+    bundle = PathBundle.generate(5, 400, 32, 4)
+    est = finite_horizon_cost(scen, law, np.full(1, 3e11), bundle, checkpoint_periods=[1])
+    finite = np.isfinite(est.per_path)
+    assert 0 < est.n_overflow == int((~finite).sum()) < bundle.n_paths
+    mean, se = mean_se(est.per_path[finite])
+    assert (est.value, est.se) == (float(mean), float(se))
+    assert est.checkpoints[4] == (est.value, est.se)
+    assert all(math.isfinite(v) for v in est.checkpoints[1])
+
+
 # ---------------------------------------------------------------------------
 # optimal control assembly
 

@@ -19,6 +19,7 @@ from ergolq.oracle import (
 )
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
+GOLDEN_M1 = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +67,27 @@ def test_lyapunov_planar_identity_weight():
     np.testing.assert_allclose(sol.values[0], sol.values[-1], atol=1e-9)
 
 
+def test_lyapunov_rejects_path_functional_coefficients():
+    scen = builtin_scenarios()["scalar-random-periodic"]
+    with pytest.raises(OracleError):
+        periodic_lyapunov_ode(scen.A, scen.C, scen.Q, scen.tau, nodes_per_period=64)
+
+
+def test_divergent_shooting_raises():
+    # A = +1/2 is unstable backward in time: each pass multiplies the
+    # terminal value by about e until its norm overflows, which must not
+    # read as a zero residual
+    tau = 1.0
+    with pytest.raises(OracleError, match="diverged"):
+        periodic_lyapunov_ode(
+            constant_coeff([[0.5]], tau),
+            constant_coeff([[0.0]], tau),
+            constant_coeff([[1.0]], tau),
+            tau,
+            nodes_per_period=8,
+        )
+
+
 # ---------------------------------------------------------------------------
 # periodic Riccati ODE
 
@@ -77,6 +99,28 @@ def test_riccati_constant_scenario_is_flat_at_algebraic_root():
     # stationary algebraic residual: -2k + 1 - k^2 = 0
     k = sol.values[0, 0, 0]
     assert abs(-2.0 * k + 1.0 - k * k) < 1e-8
+
+
+def test_riccati_noisy_scenario_is_flat_at_golden_root():
+    # -2k + k + 1 - k^2 = 0: the C'KC term and the quadratic gain together
+    scen = builtin_scenarios()["scalar-noisy"]
+    sol = periodic_riccati_ode(scen, nodes_per_period=256)
+    np.testing.assert_allclose(sol.values[:, 0, 0], GOLDEN_M1, atol=1e-10)
+    assert sol.periodic_residual < 1e-10
+
+
+def test_riccati_without_control_is_the_lyapunov_solve():
+    # with B = 0 and S = 0 the gain and the cross-term reduction vanish, so
+    # both entry points run the same shooting loop on the same tables
+    scen = builtin_scenarios()["planar-deterministic-periodic"]
+    kwargs = {k: getattr(scen, k) for k in
+              ("tau", "n", "m", "A", "C", "b", "sigma", "Q", "R", "q", "rho")}
+    kwargs["B"] = constant_coeff(np.zeros((scen.n, scen.m)), scen.tau)
+    kwargs["S"] = constant_coeff(np.zeros((scen.m, scen.n)), scen.tau)
+    ric = periodic_riccati_ode(PeriodicCoefficientSet(**kwargs), nodes_per_period=128)
+    lyap = periodic_lyapunov_ode(scen.A, scen.C, scen.Q, scen.tau, nodes_per_period=128)
+    np.testing.assert_allclose(ric.values, lyap.values, rtol=1e-12, atol=1e-14)
+    assert ric.periodic_residual < 1e-10
 
 
 def test_riccati_trivial_cost_gives_zero():

@@ -47,6 +47,7 @@ from .sde_engine import (
     RIDGE,
     PathBundle,
     RegressionError,
+    feature_degree,
     mean_se,
     poly_design,
     ridge_plan,
@@ -217,18 +218,9 @@ class BsdeGridSolution:
 
 
 def _default_basis(*fns: CoefficientFn) -> RegressionBasis:
-    """Constant basis when no input carries path dependence, else cubic.
-
-    A deterministic problem has a deterministic solution; fitting it on
-    path features would only launder martingale noise into spurious slope
-    coefficients, so the basis collapses to the constant column.  For
-    path-functional problems the cubic captures the leading odd component
-    of smooth link functions of the partial sum; stopping at the quadratic
-    leaves a deterministic projection bias in the solved feedback that
-    paired cost tests resolve at several standard errors.
-    """
-    degree = 0 if all(fn.kind != "path-functional" for fn in fns) else 3
-    return RegressionBasis(degree=degree)
+    """Constant basis when no input carries path dependence, else cubic
+    (see ``sde_engine.feature_degree``)."""
+    return RegressionBasis(degree=feature_degree(*fns))
 
 
 def solution_coeff(solution: BsdeGridSolution) -> CoefficientFn:

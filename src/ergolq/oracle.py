@@ -1,7 +1,8 @@
 """Deterministic reference solutions used to audit the Monte Carlo stack.
 
 Scope is deliberately narrow: the explicit second moment of a scalar
-fundamental solution, and deterministic-periodic coefficient sets where the
+fundamental solution, the exact second moment of its Euler scheme under
+path-free coefficients, and deterministic-periodic coefficient sets where the
 matrix equations reduce to backward ODEs.  The periodic solutions are found
 by shooting on the terminal value with a classical fixed-step RK4
 integrator; self-consistency is testable by node doubling.
@@ -47,6 +48,23 @@ def explicit_phi_moment_1d(a: float, c: float, t: float) -> float:
     if t < 0:
         raise OracleError("time must be nonnegative")
     return math.exp((2.0 * a + c * c) * t)
+
+
+def scheme_moment_operator(a_at, c_at, dt: float, n_steps: int) -> np.ndarray:
+    """E[Phi (x) Phi] of the Euler scheme's fundamental solution after n_steps.
+
+    With path-free coefficients the step factors F_k = I + A_k dt + C_k dW_k
+    are independent, so the n^2 x n^2 moment is the ordered product of
+    E[F_k (x) F_k] = (I + A_k dt) (x) (I + A_k dt) + (C_k (x) C_k) dt, later
+    steps on the left; no draws.  a_at(k) and c_at(k) give the (n, n) values
+    at node k, such as a grid's bound tables.  E|Phi|^2 = vec(I)' M vec(I).
+    """
+    n = np.shape(a_at(0))[-1]
+    moment = np.eye(n * n)
+    for k in range(n_steps):
+        step = np.eye(n) + dt * a_at(k)
+        moment = (np.kron(step, step) + dt * np.kron(c_at(k), c_at(k))) @ moment
+    return moment
 
 
 # ---------------------------------------------------------------------------

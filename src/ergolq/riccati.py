@@ -5,8 +5,13 @@ matrix equation on one frozen path bundle, and reads the next gain off the
 solution.  Starting from a mean-square stabilizing gain the node-0 values
 decrease monotonically (in the semidefinite order, up to Monte Carlo
 resolution) and converge to the periodic Riccati solution; the optimal
-gain is assembled from the converged solution and certified by an
-independent closed-loop decay estimate on fresh paths.
+gain is assembled from the converged solution.
+
+Every gain, the stabilizer the search starts from and the solved optimum,
+is certified mean-square stabilizing by the spectral radius of its
+closed loop's one-period second-moment operator: the scheme's exact
+product when the loop reads no path, else a one-period Monte Carlo
+estimate on fresh paths that must stay below one with 95% confidence.
 
 A nonzero state-control cross weight is removed exactly up front: the
 drift matrix and state weight are shifted so the reduced problem has no
@@ -48,8 +53,8 @@ from .sde_engine import (
     PathBundle,
     StabilityReport,
     derive_seed,
-    estimate_second_moment_decay,
     mean_se,
+    moment_operator,
 )
 
 
@@ -98,12 +103,13 @@ def stabilizer_check(
     feedback: FeedbackLaw,
     seed: int,
     n_paths: int = 4000,
-    n_periods: int = 12,
     steps_per_period: int = 64,
 ) -> StabilityReport:
-    """Closed-loop mean-square decay estimate on a fresh bundle."""
-    bundle = PathBundle.undrawn(seed, n_paths, steps_per_period, n_periods, tau=coeffs.tau)
-    return estimate_second_moment_decay(coeffs, bundle, feedback=feedback)
+    """Mean-square stability certificate of the closed loop: its one-period
+    second-moment operator, exact on a path-free loop (no draws), else on
+    n_paths fresh one-period paths (see sde_engine.moment_operator)."""
+    bundle = PathBundle.undrawn(seed, n_paths, steps_per_period, 1, tau=coeffs.tau)
+    return moment_operator(coeffs, bundle, feedback)
 
 
 def default_stabilizer(
@@ -111,7 +117,6 @@ def default_stabilizer(
     seed: int = 0,
     steps_per_period: int = 64,
     n_paths: int = 2000,
-    n_periods: int = 12,
 ) -> FeedbackLaw:
     """First gain -kappa B', kappa in STABILIZER_KAPPAS, that is mean-square stabilizing."""
     v_zero = constant_coeff(np.zeros(coeffs.m), coeffs.tau)
@@ -119,14 +124,8 @@ def default_stabilizer(
     for kappa in STABILIZER_KAPPAS:
         theta = cf_scale(cf_transpose(coeffs.B), -float(kappa))
         law = FeedbackLaw(Theta=theta, v=v_zero, label=f"stabilizer-kappa={kappa:g}")
-        report = stabilizer_check(
-            coeffs,
-            law,
-            derive_seed(seed, f"stabilizer-{kappa:g}"),
-            n_paths=n_paths,
-            n_periods=n_periods,
-            steps_per_period=steps_per_period,
-        )
+        seed_k = derive_seed(seed, f"stabilizer-{kappa:g}")
+        report = stabilizer_check(coeffs, law, seed_k, n_paths, steps_per_period)
         reports[kappa] = (report.lambda_hat, report.ci_low)
         if report.stable:
             return law
@@ -227,8 +226,8 @@ def solve_stochastic_riccati(
 ) -> RiccatiSolution:
     """Solve the periodic Riccati equation and certify the optimal gain.
 
-    The solve runs on ``bundle`` (one period); the closed-loop decay
-    certificate runs on an independent bundle derived from the solve seed.
+    The solve runs on ``bundle`` (one period); the closed-loop certificate
+    runs on an independent seed derived from the solve seed.
     Raises ConvergenceError when a policy's period map has rho(M) >= 1,
     when policy iteration stalls or when the certificate fails.
     """

@@ -8,23 +8,26 @@ never depend on how many paths are drawn or in which order.
 
 Layout and memory rule: increments are node-major, one contiguous
 (n_paths,) row per step.  The forward-only estimators (the fundamental
-solution's squared norms and decay fit, contraction, the occupation-integral
-representation, the Gram bound) stream an ``undrawn`` bundle in row blocks
-of at most BLOCK_ELEMENTS increments, each drawn just before it is streamed
-and dropped after it.  Their visitors write per-path results into rows of
-ensemble-wide arrays, and every reduction across paths runs after the last
-block on one contiguous (n_paths,) row, so no result depends on the block
-size.  Backward sweeps and closed-loop streams read a whole table, drawn on
-first read.  A stream also holds O(n_paths x state) working state
-(generation: NOISE_BLOCK drawn rows); the partial-sum table (the size of its
-increments) is built on the first read of a partial sum, and only
-``simulate_closed_loop`` stores a whole trajectory.
+solution's squared norms, the one-period second-moment operator, the
+occupation-integral representation, the Gram bound) stream an ``undrawn``
+bundle in row blocks of at most BLOCK_ELEMENTS increments, each drawn just
+before it is streamed and dropped after it.  Their visitors write per-path
+results into rows of ensemble-wide arrays, and every reduction across paths
+runs after the last block on one contiguous (n_paths,) row, so no result
+depends on the block size.  Backward sweeps and closed-loop streams read a
+whole table, drawn on first read.  A stream also holds O(n_paths x state)
+working state (generation: NOISE_BLOCK drawn rows); the partial-sum table
+(the size of its increments) is built on the first read of a partial sum,
+and only ``simulate_closed_loop`` stores a whole trajectory.
 
 Stability diagnostics follow the moment characterization of the dynamics:
-a feedback is accepted as stabilizing when the fitted exponential decay
-rate of the second moment of the fundamental solution is positive with a
-confidence interval excluding zero, and the conditional Gram integral has
-a positive estimated lower bound.
+a feedback is accepted as mean-square stabilizing when the spectral radius
+rho of the one-period second-moment operator E[Phi(tau) (x) Phi(tau)] is
+below one with 95% confidence, i.e. lambda = -ln(rho) / tau > 0.  The
+operator is the scheme's exact product when the loop reads no path (no
+draws), else a one-period Monte Carlo mean with a delta-method standard
+error.  The conditional Gram integral must have a positive estimated lower
+bound.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import oracle
 from .coefficients import (
     CoefficientFn,
     FeedbackLaw,
@@ -52,8 +56,7 @@ NOISE_BLOCK = 128
 BLOCK_ELEMENTS = 2**20
 # ridge added to the non-constant columns of every regression normal matrix
 RIDGE = 1e-8
-# the Gram estimate's feature degree and its allowed truncation tail
-GRAM_DEGREE = 2
+# the Gram estimate's allowed truncation tail
 GRAM_TAIL_TOL = 1e-3
 
 
@@ -513,15 +516,24 @@ def simulate_closed_loop(
 
 @dataclass
 class StabilityReport:
-    """Exponential moment fit E|X_t|^2 ~ beta * exp(-lambda t) at period ends."""
+    """Mean-square decay of a homogeneous loop by its one-period
+    second-moment operator T(K) = E[Phi(tau)' K Phi(tau)].
+
+    The period maps of the loop are i.i.d. under the coefficient contract,
+    so E|Phi(k tau)|^2 decays like rho^k with rho = rho(T), and the loop is
+    mean-square exponentially stable iff rho < 1; lambda = -ln(rho) / tau.
+    The 95% interval is rho -+ 1.96 rho_se mapped through -ln(.) / tau, so
+    ``stable`` holds iff rho + 1.96 rho_se < 1 (rho_se = 0 if T is exact).
+    beta_hat = n = |Phi(0)|^2 anchors E|Phi_t|^2 ~ beta exp(-lambda t).
+    """
 
     lambda_hat: float
     beta_hat: float
     lambda_se: float
     ci_low: float
     ci_high: float
-    r_squared: float
-    n_points: int
+    rho: float
+    rho_se: float
     overflow_paths: int = 0
     delta_hat: Optional[float] = None
     delta_se: Optional[float] = None
@@ -532,68 +544,80 @@ class StabilityReport:
         return self.lambda_hat > 0.0 and self.ci_low > 0.0
 
 
-def _loglinear_fit(times: np.ndarray, moments: np.ndarray):
-    y = np.log(moments)
-    x = np.asarray(times, dtype=float)
-    xm = x - x.mean()
-    sxx = float(np.dot(xm, xm))
-    slope = float(np.dot(xm, y) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    dof = len(x) - 2
-    s2 = float(np.dot(resid, resid)) / max(dof, 1)
-    slope_se = math.sqrt(s2 / sxx)
-    tss = float(np.dot(y - y.mean(), y - y.mean()))
-    r2 = 1.0 if tss == 0.0 else 1.0 - float(np.dot(resid, resid)) / tss
-    return slope, intercept, slope_se, r2
+def feature_degree(*fns: CoefficientFn) -> int:
+    """Regression degree for inputs fns: 0 when none reads the path, else 3.
 
-
-def _decay_report(tau: float, moments: np.ndarray, **fields) -> StabilityReport:
-    """Fit log moments against time at period ends (one per period, from 0).
-
-    lambda_hat is the negated slope; the 95% interval uses the OLS standard
-    error of the slope.  ``fields`` fills the remaining report fields.
+    A deterministic problem has a deterministic solution; fitting it on
+    path features would only launder martingale noise into spurious slope
+    coefficients, so the basis collapses to the constant column.  For
+    path-functional problems the cubic captures the leading odd component
+    of smooth link functions of the partial sum; stopping at the quadratic
+    leaves a deterministic projection bias in the solved feedback that
+    paired cost tests resolve at several standard errors.
     """
-    times = tau * np.arange(len(moments))
-    slope, intercept, slope_se, r2 = _loglinear_fit(times, moments)
-    lam = -slope
+    return 0 if all(fn.kind != "path-functional" for fn in fns) else 3
+
+
+def operator_report(op: np.ndarray, tau: float, samples=None, overflow_paths: int = 0):
+    """StabilityReport of the one-period moment ``op`` = E[Phi(tau) (x) Phi(tau)].
+
+    ``samples`` are per-path Phi(tau) (x) Phi(tau) with mean op, or None for
+    an exact op.  rho's SE is the delta method's: the SE of the per-path
+    scalars u' Z_p v / u'v, with u and v op's left and right Perron
+    vectors.  An overflowed path makes rho infinite.
+    """
+    rho, rho_se = math.inf, 0.0
+    if not overflow_paths:
+        vals, right = np.linalg.eig(op)
+        top = int(np.argmax(np.abs(vals)))
+        rho = float(abs(vals[top]))
+        if samples is not None:
+            lvals, left = np.linalg.eig(op.T)
+            u, v = left[:, int(np.argmax(np.abs(lvals)))].real, right[:, top].real
+            rho_se = float(mean_se(np.einsum("i,pij,j->p", u, samples, v) / float(u @ v))[1])
+
+    def rate(r):
+        return -math.log(r) / tau if r > 0 else math.inf
+
     return StabilityReport(
-        lambda_hat=lam,
-        beta_hat=math.exp(intercept),
-        lambda_se=slope_se,
-        ci_low=lam - 1.96 * slope_se,
-        ci_high=lam + 1.96 * slope_se,
-        r_squared=r2,
-        n_points=len(moments),
-        **fields,
+        lambda_hat=rate(rho),
+        beta_hat=float(math.isqrt(op.shape[0])),
+        lambda_se=rho_se / (rho * tau) if rho > 0 else math.inf,
+        ci_low=rate(rho + 1.96 * rho_se),
+        ci_high=rate(rho - 1.96 * rho_se),
+        rho=rho,
+        rho_se=rho_se,
+        overflow_paths=overflow_paths,
     )
 
 
-def estimate_second_moment_decay(
+def moment_operator(
     coeffs: PeriodicCoefficientSet, bundle: PathBundle, feedback: Optional[FeedbackLaw] = None
 ) -> StabilityReport:
-    """Fit log E|Phi|^2 of the fundamental solution at period boundaries.
+    """Mean-square stability of the homogeneous loop (A + B Theta, C) by its
+    one-period second-moment operator.
 
-    Only per-path squared norms at period ends are kept while streaming;
-    overflowed paths are excluded.  Requires at least 3 periods.
+    A loop with no path-functional drift or noise gets the exact product of
+    the scheme's step moments (``oracle.scheme_moment_operator``) from the
+    grid's bound tables: no draws.  Otherwise Phi(tau) (x) Phi(tau) is
+    averaged over the bundle's first period, streamed in row blocks.
     """
-    if bundle.n_periods < 3:
-        raise SimulationError("decay fit needs a trajectory spanning >= 3 periods")
-    ends = range(0, bundle.n_steps + 1, bundle.steps_per_period)
-    columns, overflow = fundamental_squared_norms(coeffs, bundle, ends, feedback)
-    if overflow.all():
-        raise SimulationError("all paths overflowed")
-    # each period end's surviving paths reduced as one contiguous row: the
-    # same pairwise sums numpy takes over a stored trajectory's columns
-    moments = np.stack([columns[k][~overflow] for k in ends]).mean(axis=1)
-    if np.any(moments <= 0.0):
-        raise SimulationError("nonpositive moment at a period boundary")
-    return _decay_report(
-        bundle.tau,
-        moments,
-        overflow_paths=int(overflow.sum()),
-        diagnostics={"period_end_moments": moments},
-    )
+    drift, n, sp = _homogeneous_drift(coeffs, feedback), coeffs.n, bundle.steps_per_period
+    if feature_degree(drift, coeffs.C) == 0:
+        op = oracle.scheme_moment_operator(bundle.bind(drift), bundle.bind(coeffs.C), bundle.dt, sp)
+        return operator_report(op, bundle.tau)
+    ends = np.empty((bundle.n_paths, n, n))
+
+    def run(rows, block):
+        def visit(k, phi):
+            if k == sp:
+                ends[rows] = phi
+
+        return stream_fundamental(coeffs, block, visit, feedback=feedback)
+
+    overflow = stream_blocks(bundle.restrict(1), run)
+    samples = np.einsum("pij,pkl->pikjl", ends, ends).reshape(-1, n * n, n * n)
+    return operator_report(samples.mean(axis=0), bundle.tau, samples, int(overflow.sum()))
 
 
 def poly_design(partial_sum: np.ndarray, phase: float, degree: int) -> np.ndarray:
@@ -645,28 +669,27 @@ def estimate_gram_lower_bound(
     (sp steps per period, floored), the pathwise integral
     int_r^T (Phi_s Phi_r^{-1})' (Phi_s Phi_r^{-1}) ds is accumulated while
     streaming, then regressed on polynomial features of the increments seen
-    up to r.  delta_hat is the smallest eigenvalue of the fitted conditional
+    up to r, at ``feature_degree`` of the loop (constant on a path-free
+    loop).  delta_hat is the smallest eigenvalue of the fitted conditional
     expectations over all anchors and paths (clipped at zero; the raw value
-    is kept in diagnostics).
+    is kept in diagnostics).  The report's rate is the loop's
+    ``moment_operator``, which also bounds the truncation tail beyond the
+    bundle's horizon.
     """
     n, sp = coeffs.n, bundle.steps_per_period
-    if bundle.n_periods < 3:
-        raise SimulationError("Gram estimate needs >= 3 periods for the tail fit")
+    degree = feature_degree(_homogeneous_drift(coeffs, feedback), coeffs.C)
     r_nodes = sorted({0, sp // 4, sp // 2, (3 * sp) // 4})
     dt = bundle.dt
     n_paths = bundle.n_paths
     n_steps = bundle.n_steps
     grams = {r: np.zeros((n_paths, n, n)) for r in r_nodes}
     sums = {r: np.empty(n_paths) for r in r_nodes}
-    boundary_sq = np.empty((bundle.n_periods + 1, n_paths))
 
     def run(rows, block):
         inv_at = {}
         acc = {r: grams[r][rows] for r in r_nodes}
 
         def visit(k, phi):
-            if k % sp == 0:
-                boundary_sq[k // sp, rows] = path_squared_norms(phi)
             if k in acc and k not in inv_at:
                 inv_at[k] = np.linalg.inv(phi)
             for r, inv in inv_at.items():
@@ -688,7 +711,7 @@ def estimate_gram_lower_bound(
     worst = math.inf
     worst_se = math.nan
     for r in r_nodes:
-        design = poly_design(sums[r], bundle.phase(r), GRAM_DEGREE)
+        design = poly_design(sums[r], bundle.phase(r), degree)
         plan = ridge_plan(design, RIDGE)
         target = grams[r].reshape(n_paths, -1)
         beta = ridge_solve(design, target, plan)
@@ -706,9 +729,8 @@ def estimate_gram_lower_bound(
             wmat = np.outer(vecs, vecs).reshape(-1) ** 2
             worst_se = math.sqrt(max(lever * float(wmat @ sig2), 0.0))
 
-    report = _decay_report(
-        bundle.tau,
-        boundary_sq.mean(axis=1),
+    report = replace(
+        moment_operator(coeffs, bundle, feedback),
         delta_hat=max(worst, 0.0),
         delta_se=worst_se,
         diagnostics={"delta_raw": worst, "r_nodes": r_nodes},
@@ -725,43 +747,12 @@ def estimate_gram_lower_bound(
 
 
 def contraction_check(
-    coeffs: PeriodicCoefficientSet, feedback: FeedbackLaw, x1, x2, bundle: PathBundle
+    coeffs: PeriodicCoefficientSet, feedback: FeedbackLaw, bundle: PathBundle
 ) -> StabilityReport:
-    """Decay fit of E|X^1 - X^2|^2 for two starts on identical increments.
-
-    The difference solves the homogeneous closed-loop recursion exactly, so
-    it is simulated directly; drift, noise level and open-loop offset cannot
-    influence the result even at round-off level.
-    """
-    delta0 = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)
-    delta0 = np.broadcast_to(delta0, (bundle.n_paths, coeffs.n))
-    sp = bundle.steps_per_period
-    boundary_sq = np.empty((bundle.n_periods + 1, bundle.n_paths))
-
-    def run(rows, block):
-        def visit(k, d):
-            if k % sp == 0:
-                boundary_sq[k // sp, rows] = path_squared_norms(d)
-
-        return _difference_step_stream(coeffs, feedback, delta0[rows], block, visit)
-
-    overflow = stream_blocks(bundle, run)
-    moments_arr = boundary_sq.mean(axis=1)
-    if np.all(moments_arr == 0.0):
-        return StabilityReport(
-            lambda_hat=math.inf, beta_hat=0.0, lambda_se=0.0,
-            ci_low=math.inf, ci_high=math.inf, r_squared=1.0,
-            n_points=len(moments_arr), overflow_paths=int(overflow.sum()),
-            diagnostics={"identically_zero": True, "period_end_moments": moments_arr},
-        )
-    if bundle.n_periods < 3:
-        raise SimulationError("contraction fit needs >= 3 periods")
-    return _decay_report(
-        bundle.tau,
-        moments_arr,
-        overflow_paths=int(overflow.sum()),
-        diagnostics={"identically_zero": False, "period_end_moments": moments_arr},
-    )
+    """Mean-square contraction of two closed-loop starts on common noise: they
+    differ by Phi delta0, and E|Phi(k tau) delta0|^2 = delta0' T^k(I) delta0
+    decays iff rho(T) < 1, so this is the loop's ``moment_operator``."""
+    return moment_operator(coeffs, bundle, feedback)
 
 
 # ---------------------------------------------------------------------------

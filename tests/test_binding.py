@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ergolq import oracle
 from ergolq.bsde_engine import solution_coeff
 from ergolq.coefficients import (
     CoefficientFn,
@@ -28,6 +29,7 @@ from ergolq.sde_engine import (
     PathBundle,
     _difference_step_stream,
     _homogeneous_drift,
+    moment_operator,
     stream_closed_loop,
     stream_fundamental,
 )
@@ -118,6 +120,18 @@ def test_bound_kernel_matches_per_node_evaluation(laws, which):
     _difference_step_stream(scen, law, x0, bundle, lambda k, d: diffs.append(d))
     delta = np.broadcast_to(x0, (bundle.n_paths, scen.n)).copy()
     _assert_close(np.stack(diffs, axis=1), _hand_homogeneous(scen, law, delta, bundle))
+
+    # the operator of the bound loop against per-node evaluation: the exact
+    # product of a path-free loop, else the first period's mean Phi (x) Phi
+    report = moment_operator(scen, bundle, law)
+    drift = _homogeneous_drift(scen, law)
+    if drift.kind != "path-functional" and scen.C.kind != "path-functional":
+        at = lambda fn: (lambda k: _at(fn, bundle, k).reshape(-1, scen.n, scen.n)[0])
+        op = oracle.scheme_moment_operator(at(drift), at(scen.C), bundle.dt, SP)
+    else:
+        ends = _hand_homogeneous(scen, law, eye.copy(), bundle)[:, SP]
+        op = np.mean([np.kron(p, p) for p in ends], axis=0)
+    assert report.rho == pytest.approx(np.abs(np.linalg.eigvals(op)).max(), rel=1e-12)
 
 
 def _stacked_euler(bundle, state, a_fn, c_fn, affine=None):
@@ -220,6 +234,7 @@ def test_deterministic_composed_gain_is_tabulated_once_per_phase(n_periods):
              bundle.n_steps),
             (lambda: _difference_step_stream(scen, law, np.ones(2), bundle, lambda *a: None),
              bundle.n_steps),
+            (lambda: moment_operator(scen, bundle, law), SP),
         ]
         for run, n_reads in streams:
             phases.clear()

@@ -193,6 +193,39 @@ def test_simulate_certifies_stability_of_forced_loop(tmp_path):
     assert read_json(out / "summary.json")["overflow_paths"] == 0
 
 
+# scalar-noisy with C = 1.6: the uncontrolled loop is mean-square unstable
+# (2a + c^2 = 0.56 > 0) while kappa = 1 stabilizes it (2 (a - 1) + c^2 < 0)
+NOISY_C16 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "scalar-noisy-c1.6.ini")
+
+
+def test_simulate_does_not_certify_a_mean_square_unstable_law(tmp_path):
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", "--scenario", NOISY_C16, "--paths", "64", "--periods", "2",
+                   "--out", str(out)])
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["feedback"] == "stabilizer-kappa=1"
+    stab = summary["stability"]
+    assert stab["stable"] is True
+    # the exact scheme rate of the kappa = 1 loop, with a collapsed interval
+    dt = 1.0 / 64
+    want = -64.0 * math.log((1.0 - 2.0 * dt) ** 2 + 2.56 * dt)
+    assert stab["lambda_hat"] == pytest.approx(want, rel=1e-12)
+    assert stab["lambda_ci"] == [stab["lambda_hat"]] * 2
+
+
+def test_solve_riccati_succeeds_through_the_first_stabilizing_gain(tmp_path):
+    out = tmp_path / "ric"
+    rc = cli.main(["solve-riccati", "--scenario", NOISY_C16, "--paths", "256",
+                   "--out", str(out)])
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    # K^2 - (2a + c^2) K - 1 = 0 with b = q = r = 1
+    root = 0.5 * (0.56 + math.sqrt(0.56**2 + 4.0))
+    assert abs(summary["k0"][0][0] - root) < 0.02 * root
+    assert summary["stability"]["stable"] is True
+
+
 def test_simulate_searches_stabilizer_on_its_own_grid(tmp_path, monkeypatch):
     seen = []
     search = cli.default_stabilizer

@@ -91,7 +91,7 @@ def test_default_stabilizer_reports_failure():
         name="unstabilizable",
     )
     with pytest.raises(ConvergenceError):
-        default_stabilizer(hopeless, seed=3, n_paths=200, n_periods=4)
+        default_stabilizer(hopeless, seed=3, n_paths=200)
 
 
 # ---------------------------------------------------------------------------

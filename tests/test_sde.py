@@ -10,13 +10,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ergolq import sde_engine
+from ergolq import oracle, sde_engine
 from ergolq.bsde_engine import RegressionBasis, representation_check, solve_linear_matrix_bsde
 from ergolq.coefficients import (
     PeriodicCoefficientSet,
     builtin_scenarios,
     constant_coeff,
     constant_feedback,
+    tanh_sum_coeff,
 )
 from ergolq.sde_engine import (
     NOISE_BLOCK,
@@ -24,18 +25,17 @@ from ergolq.sde_engine import (
     PathBundle,
     SimulationError,
     StateTrajectory,
-    _decay_report,
     _difference_step_stream,
     _rekey_template,
     contraction_check,
     derive_seed,
     estimate_gram_lower_bound,
-    estimate_second_moment_decay,
     export_moments_csv,
     export_trajectory_csv,
     fundamental_squared_norms,
     mean_se,
-    path_squared_norms,
+    moment_operator,
+    operator_report,
     poly_design,
     simulate_closed_loop,
     stream_closed_loop,
@@ -345,8 +345,12 @@ def test_overflow_paths_are_flagged_and_nan():
     traj = simulate_closed_loop(scen, runaway, np.array([1.0]), bundle)
     assert traj.overflow.all()
     assert np.isnan(traj.values[:, -1, 0]).all()
-    with pytest.raises(SimulationError, match="all paths overflowed"):
-        estimate_second_moment_decay(scen, bundle, runaway)  # all paths excluded
+    # a Monte Carlo operator over overflowed paths certifies nothing
+    wild = _runaway_scalar(a=400.0, path_functional=True)
+    report = moment_operator(wild, bundle)
+    assert report.overflow_paths == 3
+    assert report.rho == math.inf and report.lambda_hat == -math.inf
+    assert not report.stable
 
 
 def test_every_stream_applies_the_same_overflow_rule():
@@ -363,8 +367,9 @@ def test_every_stream_applies_the_same_overflow_rule():
     overflow = _difference_step_stream(scen, runaway, np.array([2.0]), bundle, visit)
     assert overflow.all()
     assert np.isnan(last[0]).all()
-    report = contraction_check(scen, runaway, np.array([1.0]), np.array([-1.0]), bundle)
-    assert report.overflow_paths == 3
+    # the exact operator of the same loop: mean square grows, no certificate
+    report = contraction_check(scen, runaway, bundle)
+    assert report.overflow_paths == 0 and report.rho > 1.0
     assert not report.stable
     phi = simulate_fundamental(scen, bundle, feedback=runaway)
     assert phi.overflow.all()
@@ -404,74 +409,139 @@ def test_one_overflowing_path_leaves_the_others_untouched():
 
 
 # ---------------------------------------------------------------------------
-# moment estimators
+# the one-period second-moment operator
 
 
-def test_decay_estimate_matches_discrete_rate():
+def test_exact_operator_is_the_scheme_product():
+    # scalar-moment-decay: T = ((1 - dt)^2 + c^2 dt)^64 with c = 0.5, no noise
     scen = builtin_scenarios()["scalar-moment-decay"]
-    bundle = PathBundle.generate(17, 20000, 64, 4, antithetic=True)
-    report = estimate_second_moment_decay(scen, bundle)
+    report = moment_operator(scen, PathBundle.undrawn(3, 16, 64, 1))
     dt = 1.0 / 64
-    discrete = -math.log((1.0 - dt) ** 2 + 0.25 * dt) / dt
+    want = ((1.0 - dt) ** 2 + 0.25 * dt) ** 64
+    assert report.rho == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert report.lambda_hat == pytest.approx(-math.log(want), rel=1e-13, abs=0.0)
+    assert report.rho_se == report.lambda_se == 0.0
+    assert report.ci_low == report.lambda_hat == report.ci_high
+    assert report.beta_hat == 1.0
     assert report.stable
-    assert abs(report.lambda_hat - discrete) < 0.15
-    assert report.n_points == 5
 
 
-def test_decay_estimate_needs_three_periods():
-    scen = builtin_scenarios()["scalar-moment-decay"]
-    bundle = PathBundle.generate(17, 16, 16, 2)
-    with pytest.raises(SimulationError):
-        estimate_second_moment_decay(scen, bundle)
+def test_scheme_moment_operator_matches_the_kronecker_recursion():
+    # planar: the product against E[Phi (x) Phi] stepped by hand, and
+    # E|Phi|^2 = vec(I)' M vec(I)
+    scen = builtin_scenarios()["planar-deterministic-periodic"]
+    bundle = PathBundle.undrawn(3, 16, 16, 1)
+    a_at, c_at = bundle.bind(scen.A), bundle.bind(scen.C)
+    moment = np.eye(4)
+    for k in range(10):
+        step = np.eye(2) + bundle.dt * a_at(k)
+        moment = (np.kron(step, step) + bundle.dt * np.kron(c_at(k), c_at(k))) @ moment
+    got = oracle.scheme_moment_operator(a_at, c_at, bundle.dt, 10)
+    np.testing.assert_allclose(got, moment, rtol=1e-14, atol=1e-15)
+    eye = np.eye(2).reshape(-1)
+    assert eye @ got @ eye > 0.0
 
 
-def _runaway_scalar(a=5.0, c=2.0):
+def _path_functional_copy(scen):
+    """scen with a path-functional A that equals A's value (amplitude 0)."""
+    base = scen.A.eval_batch(0.0, np.zeros(1)).reshape(scen.n, scen.n)
+    return dataclasses.replace(
+        scen, A=tanh_sum_coeff(scen.tau, base, np.zeros((scen.n, scen.n)))
+    )
+
+
+def test_monte_carlo_operator_agrees_with_the_exact_one():
+    # scalar-noisy with A = tanh_sum(-1, 0): the same loop, read through the
+    # path, so the Monte Carlo branch runs; its rho covers the exact one
+    scen = builtin_scenarios()["scalar-noisy"]
+    copy = _path_functional_copy(scen)
+    law = constant_feedback(scen, [[0.0]])
+    bundle = PathBundle.undrawn(11, 16_000, 64, 1)
+    exact, mc = moment_operator(scen, bundle, law), moment_operator(copy, bundle, law)
+    assert exact.rho_se == 0.0 < mc.rho_se
+    assert abs(mc.rho - exact.rho) <= 3.0 * mc.rho_se
+    assert mc.ci_low < mc.lambda_hat < mc.ci_high
+    assert mc.lambda_se == pytest.approx(mc.rho_se / mc.rho)
+
+
+def test_monte_carlo_operator_reads_one_period():
+    # the first period of a longer bundle is the whole estimate
+    scen = builtin_scenarios()["scalar-random-periodic"]
+    short = moment_operator(scen, PathBundle.generate(17, 40, 16, 1))
+    long = moment_operator(scen, PathBundle.generate(17, 40, 16, 3))
+    assert short == long
+    assert short.rho_se > 0.0
+
+
+def _runaway_scalar(a=5.0, c=2.0, path_functional=False):
     tau = 1.0
     mat = lambda v: constant_coeff([[v]], tau)
     vec = lambda v: constant_coeff([v], tau)
+    drift = tanh_sum_coeff(tau, [[a]], [[0.0]]) if path_functional else mat(a)
     return PeriodicCoefficientSet(
-        tau=tau, n=1, m=1, A=mat(a), B=mat(0.0), C=mat(c), b=vec(0.0),
+        tau=tau, n=1, m=1, A=drift, B=mat(0.0), C=mat(c), b=vec(0.0),
         sigma=vec(0.0), Q=mat(1.0), S=mat(0.0), R=mat(1.0), q=vec(0.0),
         rho=vec(0.0), name="runaway",
     )
 
 
-@pytest.mark.parametrize(
-    "name", ["scalar-moment-decay", "planar-deterministic-periodic", "runaway"]
-)
-def test_decay_certificate_equals_the_stored_trajectory_reduction(name):
-    # the streamed certificate against the reduction of a stored trajectory:
-    # squared norms of every node, period ends of the surviving paths, mean
+def _planar_path_functional():
+    scen = builtin_scenarios()["planar-deterministic-periodic"]
+    c = tanh_sum_coeff(scen.tau, [[0.3, 0.0], [0.1, 0.2]], [[0.2, 0.0], [0.0, 0.1]])
+    return dataclasses.replace(scen, C=c)
+
+
+@pytest.mark.parametrize("name", ["scalar-random-periodic", "planar", "runaway"])
+def test_monte_carlo_operator_equals_the_stored_trajectory_reduction(name):
+    # the streamed operator against a stored trajectory's Phi(tau) (x) Phi(tau)
     if name == "runaway":
-        scen, bundle = _runaway_scalar(), PathBundle.generate(41, 200, 16, 8)
+        scen = _runaway_scalar(a=40.0, c=4.0, path_functional=True)
+        bundle = PathBundle.generate(41, 200, 32, 1)
+    elif name == "planar":
+        scen, bundle = _planar_path_functional(), PathBundle.generate(43, 300, 32, 1)
     else:
-        scen, bundle = builtin_scenarios()[name], PathBundle.generate(43, 300, 32, 4)
+        scen, bundle = builtin_scenarios()[name], PathBundle.generate(43, 300, 32, 1)
     traj = simulate_fundamental(scen, bundle)
     if name == "runaway":
         assert 0 < traj.overflow.sum() < bundle.n_paths
-    idx = np.arange(0, traj.n_nodes, bundle.steps_per_period)
-    moments = squared_norms(traj)[~traj.overflow][:, idx].mean(axis=0)
-    want = _decay_report(
-        bundle.tau, moments, overflow_paths=int(traj.overflow.sum()),
-        diagnostics={"period_end_moments": moments},
-    )
-    got = estimate_second_moment_decay(scen, bundle)
-    np.testing.assert_array_equal(
-        got.diagnostics.pop("period_end_moments"), want.diagnostics.pop("period_end_moments")
-    )
+    end = traj.values[:, -1]
+    samples = np.stack([np.kron(p, p) for p in end])
+    want = operator_report(samples.mean(axis=0), bundle.tau, samples, int(traj.overflow.sum()))
+    got = moment_operator(scen, bundle)
     assert got == want
+    assert got.stable == (name != "runaway")
 
 
-def test_decay_certificate_memory_stays_near_one_block(monkeypatch):
-    # 4000 paths x 12 periods x 64 steps in 4 blocks of 1000 paths: the
-    # certificate holds one block of increments at a time, the generator's
-    # buffer of NOISE_BLOCK drawn rows and per-path state (13 period-end
-    # squared norms, kept and then stacked), never the whole table
-    scen = builtin_scenarios()["scalar-moment-decay"]
-    n_paths, n_steps = 4000, 12 * 64
+def test_delta_method_se_is_the_se_of_the_perron_scalars():
+    # rho is the mean of u' Z_p v / u'v over paths, and rho_se its SE
+    scen = _planar_path_functional()
+    bundle = PathBundle.generate(5, 500, 16, 1)
+    traj = simulate_fundamental(scen, bundle)
+    samples = np.stack([np.kron(p, p) for p in traj.values[:, -1]])
+    op = samples.mean(axis=0)
+    vals, right = np.linalg.eig(op)
+    lvals, left = np.linalg.eig(op.T)
+    v = right[:, np.argmax(np.abs(vals))].real
+    u = left[:, np.argmax(np.abs(lvals))].real
+    scalars = np.array([u @ z @ v for z in samples]) / (u @ v)
+    mean, se = mean_se(scalars)
+    report = moment_operator(scen, bundle)
+    assert report.rho == pytest.approx(float(mean), rel=1e-12)
+    assert report.rho_se == pytest.approx(float(se), rel=1e-10)
+    assert report.beta_hat == 2.0
+
+
+def test_monte_carlo_operator_memory_stays_near_one_block(monkeypatch):
+    # 16000 paths x one period of 64 steps in 16 blocks of 1000 paths: the
+    # operator holds one block of increments at a time (and its partial-sum
+    # table), the generator's buffer of NOISE_BLOCK drawn rows and per-path
+    # state (Phi(tau), its Kronecker square and the Perron scalars), never
+    # the whole table
+    scen = builtin_scenarios()["scalar-random-periodic"]
+    n_paths, n_steps = 16_000, 64
     monkeypatch.setattr(sde_engine, "BLOCK_ELEMENTS", 1000 * n_steps)
-    block_bytes = 1000 * n_steps * 8
-    per_path_bytes = 2 * 13 * n_paths * 8
+    block_bytes = 1000 * (2 * n_steps + 1) * 8
+    per_path_bytes = 6 * n_paths * 8
     law = constant_feedback(scen, [[0.0]])
     stabilizer_check(scen, law, seed=3, n_paths=16)  # one-time set-up, untraced
     tracemalloc.start()
@@ -485,39 +555,26 @@ def test_decay_certificate_memory_stays_near_one_block(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["planar-deterministic-periodic", "scalar-random-periodic"])
-def test_contraction_and_gram_reductions_equal_the_stored_trajectory_reduction(
-    monkeypatch, name
-):
-    # period-end moments are 1-D means of the stored squared norms, and the
-    # Gram regression's features read the bundle's own partial sums
+def test_gram_features_and_rate_read_the_bundle_and_the_operator(monkeypatch, name):
+    # the Gram regression's features read the bundle's own partial sums at
+    # the loop's feature degree, and its rate is the loop's operator
     scen = builtin_scenarios()[name]
     law = constant_feedback(scen, np.full((scen.m, scen.n), -0.2))
     bundle = PathBundle.generate(43, 40, 16, 4)
-    ends = range(0, bundle.n_steps + 1, bundle.steps_per_period)
-    diffs = {}
-    _difference_step_stream(
-        scen, law, np.full(scen.n, 2.0), bundle, lambda k, d: diffs.__setitem__(k, d.copy())
-    )
-    want = np.array([path_squared_norms(diffs[k]).mean() for k in ends])
-    got = contraction_check(scen, law, np.ones(scen.n), -np.ones(scen.n), bundle)
-    np.testing.assert_array_equal(got.diagnostics["period_end_moments"], want)
-
-    phi = simulate_fundamental(scen, bundle, feedback=law)
-    ref = _decay_report(
-        bundle.tau, np.array([path_squared_norms(phi.values[:, k]).mean() for k in ends])
-    )
     features = []
 
     def design(sums, phase, degree):
-        features.append((phase, sums.copy()))
+        features.append((phase, degree, sums.copy()))
         return poly_design(sums, phase, degree)
 
     monkeypatch.setattr(sde_engine, "poly_design", design)
     gram = estimate_gram_lower_bound(scen, bundle, law)
-    fit = ("lambda_hat", "beta_hat", "lambda_se", "r_squared", "n_points")
+    ref = moment_operator(scen, bundle, law)
+    fit = ("lambda_hat", "beta_hat", "lambda_se", "ci_low", "rho", "rho_se")
     assert [getattr(gram, f) for f in fit] == [getattr(ref, f) for f in fit]
-    assert [phase for phase, _ in features] == [bundle.phase(r) for r in (0, 4, 8, 12)]
-    for r, (_, sums) in zip((0, 4, 8, 12), features):
+    degree = 3 if name == "scalar-random-periodic" else 0
+    assert [f[:2] for f in features] == [(bundle.phase(r), degree) for r in (0, 4, 8, 12)]
+    for r, (_, _, sums) in zip((0, 4, 8, 12), features):
         np.testing.assert_array_equal(sums, bundle.partial_sum(r))
 
 
@@ -528,13 +585,8 @@ def test_contraction_and_gram_reductions_equal_the_stored_trajectory_reduction(
 def _forward_only_results(scen, bundle):
     """Every blocked estimator's results on one bundle, as nested values."""
     law = constant_feedback(scen, np.full((scen.m, scen.n), -0.2))
-    ones = np.ones(scen.n)
     out = {"norms": fundamental_squared_norms(scen, bundle, range(0, bundle.n_steps + 1, 5), law)}
-    try:
-        out["decay"] = estimate_second_moment_decay(scen, bundle, law)
-    except SimulationError as exc:
-        out["decay"] = str(exc)
-    out["contraction"] = contraction_check(scen, law, ones, -ones, bundle)
+    out["operator"] = moment_operator(scen, bundle, law)
     try:
         out["gram"] = estimate_gram_lower_bound(scen, bundle, law)
     except SimulationError as exc:
@@ -582,7 +634,7 @@ def test_forward_only_estimators_are_block_invariant(monkeypatch, name, antithet
         scen, grid = builtin_scenarios()[name], (43, 28, 16, 4)
     want = _forward_only_results(scen, PathBundle.generate(*grid, antithetic=antithetic))
     if name == "runaway":
-        assert int(want["norms"][1].sum()) == want["contraction"].overflow_paths == 1
+        assert int(want["norms"][1].sum()) == 1
         assert want["gram"] == "1 paths overflowed in Gram estimate"
     n_steps = grid[2] * grid[3]
     for rows in (1, 7, grid[1]):
@@ -594,26 +646,38 @@ def test_forward_only_estimators_are_block_invariant(monkeypatch, name, antithet
             assert (bundle.increments is not None) == drawn
 
 
-def test_contraction_deterministic_dynamics_fits_exactly():
+def test_operator_on_deterministic_dynamics_is_exact():
+    # C = 0: Phi is deterministic, T = (1 - 1.4 dt)^(2 * 64) and the
+    # certificate's interval collapses to the point
     scen = builtin_scenarios()["scalar-constant"]
     law = constant_feedback(scen, [[-0.4]])
-    bundle = PathBundle.generate(19, 32, 64, 6)
-    report = contraction_check(scen, law, np.array([1.0]), np.array([-1.0]), bundle)
-    # C = 0: the difference decays deterministically, so the fit is exact
+    report = stabilizer_check(scen, law, seed=19, n_paths=32)
     want = -2.0 * 64 * math.log(1.0 - 1.4 / 64)
-    assert abs(report.lambda_hat - want) < 1e-9
-    assert report.lambda_se < 1e-9
-    assert report.r_squared > 1.0 - 1e-12
+    assert abs(report.lambda_hat - want) < 1e-12
+    assert report.lambda_se == 0.0
+    assert report.ci_low == report.ci_high == report.lambda_hat
     assert report.stable
 
 
-def test_contraction_identical_starts_short_circuits():
-    scen = builtin_scenarios()["scalar-constant"]
-    law = constant_feedback(scen, [[-0.4]])
-    bundle = PathBundle.generate(19, 8, 16, 4)
-    report = contraction_check(scen, law, np.ones(1), np.ones(1), bundle)
-    assert report.diagnostics["identically_zero"]
-    assert report.lambda_hat == math.inf
+def test_deterministic_certificate_draws_no_noise(monkeypatch):
+    # every path-free loop of the catalog is certified with no draw
+    calls = []
+    generate = PathBundle.generate.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return generate(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PathBundle, "generate", classmethod(counted))
+    for name in ("scalar-constant", "scalar-noisy", "planar-deterministic-periodic"):
+        scen = builtin_scenarios()[name]
+        law = default_stabilizer(scen, seed=3)
+        assert stabilizer_check(scen, law, seed=5).stable
+    assert calls == []
+    # a path-functional loop draws its one period once
+    scen = builtin_scenarios()["scalar-random-periodic"]
+    stabilizer_check(scen, constant_feedback(scen, [[0.0]]), seed=5, n_paths=8)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +705,12 @@ def test_gram_lower_bound_on_constant_scenario():
     assert report.delta_hat > 0.3
     assert report.diagnostics["delta_raw"] == pytest.approx(report.delta_hat)
     assert "tail_bound" in report.diagnostics
-    with pytest.raises(SimulationError):
-        estimate_gram_lower_bound(scen, bundle.restrict(2))
+    assert "tail_warning" not in report.diagnostics
+    # the tail beyond one period is bounded by the operator rate, and too big
+    short = estimate_gram_lower_bound(scen, bundle.restrict(1))
+    assert short.lambda_hat == report.lambda_hat
+    assert short.diagnostics["tail_bound"] > report.diagnostics["tail_bound"]
+    assert "tail_warning" in short.diagnostics
 
 
 # ---------------------------------------------------------------------------

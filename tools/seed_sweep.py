@@ -11,6 +11,12 @@ solver error fails, exactly as ``ergolq verify`` reports it, and any other
 error stops the sweep.  A scenario check that did not run because an
 earlier one raised counts as not run, not as failed.
 
+The mean-square certificates (S2, S4, A5 and A9) also print their decay
+rate lambda and its delta-method SE for every seed and scenario, and the
+summary sets each one's spread over the seeds beside its mean reported SE:
+on a path-free loop the SE is 0 and lambda the same on every seed; on
+``scalar-random-periodic`` the two should agree if the SE is honest.
+
     PYTHONPATH=src python3 tools/seed_sweep.py
 
 Takes about 12 minutes (36 s a seed) on a 2-core x86-64 VM.  Not part of
@@ -19,8 +25,9 @@ the test suite.
 
 from __future__ import annotations
 
+import statistics
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 
 from scipy.stats import beta
 
@@ -28,6 +35,7 @@ from ergolq.coefficients import builtin_scenarios
 from ergolq.verify import run_acceptance, run_scenario_checks
 
 SEEDS = range(1, 21)
+RATE_CHECKS = ("S2", "S4", "A5", "A9")
 
 
 def failure_interval(failed: int, n: int, level: float = 0.95) -> tuple:
@@ -38,9 +46,23 @@ def failure_interval(failed: int, n: int, level: float = 0.95) -> tuple:
     return low, high
 
 
+def certificate_rates(name: str, out) -> dict:
+    """{scenario: (lambda, SE)} of a certificate check's metrics: a scenario
+    check reports "lambda", A5 and A9 one "lambda_<scenario>" per scenario."""
+    m = out.metrics
+    if "lambda" in m:
+        return {name: (m["lambda"], m["lambda_se"])}
+    return {
+        key[len("lambda_"):]: (val, m[f"lambda_se_{key[len('lambda_'):]}"])
+        for key, val in m.items()
+        if key.startswith("lambda_") and not key.startswith("lambda_se_")
+    }
+
+
 def main() -> None:
     scenarios = builtin_scenarios()
     runs, passes = Counter(), Counter()
+    rates = defaultdict(list)  # (check, scenario) -> [(lambda, SE) per seed]
     t0 = time.time()
     for seed in SEEDS:
         results = [("battery", out) for out in run_acceptance(seed)]
@@ -51,6 +73,10 @@ def main() -> None:
             passes[(out.check_id, name)] += out.passed
             if not out.passed:
                 print(f"seed {seed} {name}: {out.line()}")
+            if out.check_id in RATE_CHECKS:
+                for scen, (lam, se) in certificate_rates(name, out).items():
+                    rates[(out.check_id, scen)].append((lam, se))
+                    print(f"seed {seed} {out.check_id} {scen}: lambda={lam:.4f} +- {se:.4f}")
         print(f"seed {seed} done [{time.time() - t0:.0f}s]", flush=True)
 
     print(
@@ -64,6 +90,15 @@ def main() -> None:
         print(
             f"{check_id:<6} {name:<30} {n_pass:>6} {n_run:>4} {len(SEEDS) - n_run:>7}"
             f"  [{low:.3f}, {high:.3f}]"
+        )
+
+    print(f"\n{'check':<6} {'scenario':<30} {'mean lambda':>11} {'seed sd':>8} {'mean SE':>8}")
+    for (check_id, scen), values in sorted(rates.items()):
+        lams = [lam for lam, _ in values]
+        spread = statistics.stdev(lams) if len(lams) > 1 else 0.0
+        print(
+            f"{check_id:<6} {scen:<30} {statistics.fmean(lams):>11.4f} {spread:>8.4f}"
+            f" {statistics.fmean(se for _, se in values):>8.4f}"
         )
 
 

@@ -47,13 +47,12 @@ from .sde_engine import (
     RIDGE,
     PathBundle,
     RegressionError,
+    _period_continuation,
     feature_degree,
     mean_se,
     poly_design,
     ridge_plan,
     ridge_solve,
-    stream_blocks,
-    stream_fundamental,
 )
 
 
@@ -389,39 +388,21 @@ def representation_check(
     solution: BsdeGridSolution,
     bundle: PathBundle,
 ) -> RepresentationReport:
-    """Compare the fixed point against a truncated occupation integral.
+    """Compare the fixed point against the forward occupation integral.
 
-    Streams the fundamental solution over the (long) audit bundle and
-    accumulates the pathwise trapezoid of Phi' Lam Phi; the fixed point
-    should match the ensemble mean within combined uncertainty.
+    K = E int_0^inf Phi' Lam Phi dt of the loop (A, C) is read from one
+    period as (I - T*)^-1 O (``sde_engine._period_continuation``): exact and
+    drawn from no path when A, C and Lam read none, else one Monte Carlo
+    period of the bundle with the SE of its per-path influence.  The fixed
+    point should match it within that SE and the scheme's bias.
     """
-    n = a_fn.shape[0]
-    n_paths = bundle.n_paths
-    acc = np.zeros((n_paths, n, n))
-    n_steps = bundle.n_steps
-    dt = bundle.dt
     # a namespace, not a class: a class is a reference cycle that pins its operands
-    dynamics = SimpleNamespace(A=a_fn, C=c_fn, n=n)
-
-    def run(rows, block):
-        lam_at, out = block.bind(lam_fn), acc[rows]
-
-        def visit(k, phi):
-            integ = np.matmul(np.swapaxes(phi, -1, -2), np.matmul(lam_at(k), phi))
-            weight = 0.5 * dt if (k == 0 or k == n_steps) else dt
-            np.add(out, weight * integ, out=out)
-
-        return stream_fundamental(dynamics, block, visit)
-
-    overflow = stream_blocks(bundle, run)
-    good = ~overflow
-    paired = bundle.antithetic and bool(good.all())
-    mean, se = mean_se(acc[good].reshape(int(good.sum()), -1), paired)
-    se_norm = float(np.linalg.norm(se))
-    residual = float(np.linalg.norm(mean.reshape(n, n) - solution.fixed_point))
+    dynamics = SimpleNamespace(A=a_fn, C=c_fn, n=a_fn.shape[0])
+    kbar, se, _ = _period_continuation(dynamics, bundle, lam_fn)
+    residual = float(np.linalg.norm(kbar - solution.fixed_point))
     ref_norm = float(np.linalg.norm(solution.fixed_point))
     return RepresentationReport(
-        se=se_norm,
+        se=float(np.linalg.norm(se)),
         reference=solution.fixed_point,
         residual=residual,
         rel_residual=residual / max(ref_norm, 1e-12),

@@ -51,20 +51,23 @@ def explicit_phi_moment_1d(a: float, c: float, t: float) -> float:
 
 
 def scheme_moment_operator(a_at, c_at, dt: float, n_steps: int) -> np.ndarray:
-    """E[Phi (x) Phi] of the Euler scheme's fundamental solution after n_steps.
+    """E[Phi_k (x) Phi_k] of the Euler scheme's fundamental solution at every
+    node k = 0 .. n_steps, stacked as (n_steps + 1, n^2, n^2).
 
     With path-free coefficients the step factors F_k = I + A_k dt + C_k dW_k
-    are independent, so the n^2 x n^2 moment is the ordered product of
-    E[F_k (x) F_k] = (I + A_k dt) (x) (I + A_k dt) + (C_k (x) C_k) dt, later
-    steps on the left; no draws.  a_at(k) and c_at(k) give the (n, n) values
-    at node k, such as a grid's bound tables.  E|Phi|^2 = vec(I)' M vec(I).
+    are independent, so the n^2 x n^2 moment M_k is the ordered product of
+    E[F_j (x) F_j] = (I + A_j dt) (x) (I + A_j dt) + (C_j (x) C_j) dt over
+    j < k, later steps on the left; no draws.  a_at(k) and c_at(k) give the
+    (n, n) values at node k, such as a grid's bound tables.
+    E|Phi_k|^2 = vec(I)' M_k vec(I).
     """
     n = np.shape(a_at(0))[-1]
-    moment = np.eye(n * n)
+    moments = np.empty((n_steps + 1, n * n, n * n))
+    moments[0] = np.eye(n * n)
     for k in range(n_steps):
         step = np.eye(n) + dt * a_at(k)
-        moment = (np.kron(step, step) + dt * np.kron(c_at(k), c_at(k))) @ moment
-    return moment
+        moments[k + 1] = (np.kron(step, step) + dt * np.kron(c_at(k), c_at(k))) @ moments[k]
+    return moments
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ never depend on how many paths are drawn or in which order.
 
 Layout and memory rule: increments are node-major, one contiguous
 (n_paths,) row per step.  The forward-only estimators (the fundamental
-solution's squared norms, the one-period second-moment operator, the
-occupation-integral representation, the Gram bound) stream an ``undrawn``
+solution's squared norms, the one-period stream behind the second-moment
+operator and the period continuation, the Gram bound) stream an ``undrawn``
 bundle in row blocks of at most BLOCK_ELEMENTS increments, each drawn just
 before it is streamed and dropped after it.  Their visitors write per-path
 results into rows of ensemble-wide arrays, and every reduction across paths
@@ -26,8 +26,10 @@ rho of the one-period second-moment operator E[Phi(tau) (x) Phi(tau)] is
 below one with 95% confidence, i.e. lambda = -ln(rho) / tau > 0.  The
 operator is the scheme's exact product when the loop reads no path (no
 draws), else a one-period Monte Carlo mean with a delta-method standard
-error.  The conditional Gram integral must have a positive estimated lower
-bound.
+error.  The same period gives every infinite occupation integral of the
+loop: K = E int_0^inf Phi' Lam Phi dt solves K = O + T*(K), O its first
+period's part (``_period_continuation``).  The conditional Gram integral must
+have a positive estimated lower bound.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .coefficients import (
     PeriodicCoefficientSet,
     cf_add,
     cf_matmul,
+    constant_coeff,
 )
 
 OVERFLOW_LIMIT = 1e12
@@ -56,12 +59,10 @@ NOISE_BLOCK = 128
 BLOCK_ELEMENTS = 2**20
 # ridge added to the non-constant columns of every regression normal matrix
 RIDGE = 1e-8
-# the Gram estimate's allowed truncation tail
-GRAM_TAIL_TOL = 1e-3
 
 
 class SimulationError(RuntimeError):
-    """Raised for malformed grids or exhausted path ensembles."""
+    """Raised for malformed grids, exhausted path ensembles or rho(T) >= 1."""
 
 
 class RegressionError(RuntimeError):
@@ -595,29 +596,72 @@ def moment_operator(
     coeffs: PeriodicCoefficientSet, bundle: PathBundle, feedback: Optional[FeedbackLaw] = None
 ) -> StabilityReport:
     """Mean-square stability of the homogeneous loop (A + B Theta, C) by its
-    one-period second-moment operator.
+    one-period second-moment operator: the scheme's exact product on a loop
+    that reads no path (no draws), else a Monte Carlo mean over the bundle's
+    first period (``_one_period``)."""
+    return _one_period(coeffs, bundle, feedback)[0]
 
-    A loop with no path-functional drift or noise gets the exact product of
-    the scheme's step moments (``oracle.scheme_moment_operator``) from the
-    grid's bound tables: no draws.  Otherwise Phi(tau) (x) Phi(tau) is
-    averaged over the bundle's first period, streamed in row blocks.
+
+def _one_period(coeffs, bundle: PathBundle, feedback=None, weight=None):
+    """(report, T, O, samples) of the loop's first period: T = E[Phi(tau) (x)
+    Phi(tau)], and for a weight Lam the row-major vec O of E int_0^tau Phi'
+    Lam Phi dt (trapezoid, Lam read at node k).  A loop and weight that read
+    no path take T and each M_k = E[Phi_k (x) Phi_k] from one oracle moment
+    path, O = sum_k w_k M_k' vec Lam_k, with no draws (samples None); else
+    the period is streamed, samples = per-path (Phi(tau) (x) Phi(tau), vec O_p).
     """
     drift, n, sp = _homogeneous_drift(coeffs, feedback), coeffs.n, bundle.steps_per_period
-    if feature_degree(drift, coeffs.C) == 0:
-        op = oracle.scheme_moment_operator(bundle.bind(drift), bundle.bind(coeffs.C), bundle.dt, sp)
-        return operator_report(op, bundle.tau)
-    ends = np.empty((bundle.n_paths, n, n))
+    weights = np.full(sp + 1, bundle.dt)
+    weights[[0, sp]] *= 0.5
+    if feature_degree(drift, coeffs.C, *([] if weight is None else [weight])) == 0:
+        moments = oracle.scheme_moment_operator(
+            bundle.bind(drift), bundle.bind(coeffs.C), bundle.dt, sp
+        )
+        lam_at = None if weight is None else bundle.bind(weight)
+        occupation = None if lam_at is None else sum(
+            weights[k] * moments[k].T @ lam_at(k).reshape(-1) for k in range(sp + 1)
+        )
+        return operator_report(moments[-1], bundle.tau), moments[-1], occupation, None
+    ends, occupations = np.empty((bundle.n_paths, n, n)), np.zeros((bundle.n_paths, n, n))
 
     def run(rows, block):
+        lam_at = None if weight is None else block.bind(weight)
+
         def visit(k, phi):
+            if lam_at is not None:
+                phi_t = np.swapaxes(phi, -1, -2)
+                occupations[rows] += weights[k] * _times(phi_t, _times(lam_at(k), phi))
             if k == sp:
                 ends[rows] = phi
 
         return stream_fundamental(coeffs, block, visit, feedback=feedback)
 
-    overflow = stream_blocks(bundle.restrict(1), run)
+    overflow = int(stream_blocks(bundle.restrict(1), run).sum())
     samples = np.einsum("pij,pkl->pikjl", ends, ends).reshape(-1, n * n, n * n)
-    return operator_report(samples.mean(axis=0), bundle.tau, samples, int(overflow.sum()))
+    occupations, op = occupations.reshape(-1, n * n), samples.mean(axis=0)
+    report = operator_report(op, bundle.tau, samples, overflow)
+    return report, op, occupations.mean(axis=0), (samples, occupations)
+
+
+def _period_continuation(coeffs, bundle: PathBundle, weight: CoefficientFn, feedback=None):
+    """(K, its SE, the loop's report) for K = E int_0^inf Phi' Lam Phi dt of
+    the loop (A + B Theta, C).  The periods are i.i.d., so K = O + T*(K),
+    T*(K) = E[Phi(tau)' K Phi(tau)] (the matrix T' on vec K) and O from
+    ``_one_period``: K = (I - T*)^-1 O, exact with SE 0 on a path-free loop
+    and weight, else one Monte Carlo period with the SE of the per-path
+    influence (I - T*)^-1 [O_p + T_p*(K) - K], antithetic pairs first.
+    Raises SimulationError unless rho(T) < 1, where the series diverges."""
+    report, op, occupation, drawn = _one_period(coeffs, bundle, feedback, weight)
+    if not report.rho < 1.0:
+        raise SimulationError(f"rho(T) = {report.rho:.4g} >= 1: the occupation integral diverges")
+    n = coeffs.n
+    resolvent = np.eye(n * n) - op.T
+    kbar, se = np.linalg.solve(resolvent, occupation), np.zeros(n * n)
+    if drawn is not None:
+        samples, occupations = drawn
+        influence = occupations + np.einsum("pji,j->pi", samples, kbar) - kbar
+        se = mean_se(np.linalg.solve(resolvent, influence.T).T, bundle.antithetic)[1]
+    return kbar.reshape(n, n), se.reshape(n, n), report
 
 
 def poly_design(partial_sum: np.ndarray, phase: float, degree: int) -> np.ndarray:
@@ -666,22 +710,24 @@ def estimate_gram_lower_bound(
     """Regression proxy for the conditional Gram lower bound.
 
     For each anchor node r in {0, sp/4, sp/2, 3sp/4} of the first period
-    (sp steps per period, floored), the pathwise integral
-    int_r^T (Phi_s Phi_r^{-1})' (Phi_s Phi_r^{-1}) ds is accumulated while
-    streaming, then regressed on polynomial features of the increments seen
-    up to r, at ``feature_degree`` of the loop (constant on a path-free
-    loop).  delta_hat is the smallest eigenvalue of the fitted conditional
-    expectations over all anchors and paths (clipped at zero; the raw value
-    is kept in diagnostics).  The report's rate is the loop's
-    ``moment_operator``, which also bounds the truncation tail beyond the
-    bundle's horizon.
+    (sp steps per period, floored), with Psi_s = Phi_s Phi_r^{-1}, the
+    pathwise int_r^inf Psi_s' Psi_s ds is the trapezoid of int_r^tau,
+    accumulated while streaming the first period, plus Psi_tau' K_I Psi_tau,
+    whose K_I = E int_0^inf Phi' Phi is the loop's ``_period_continuation``
+    (the periods are i.i.d.).  It is regressed on polynomial features of the
+    increments seen up to r, at ``feature_degree`` of the loop (constant on a
+    path-free loop).  delta_hat is the smallest eigenvalue of the fitted
+    conditional expectations over all anchors and paths (clipped at zero; the
+    raw value is kept in diagnostics).  The report's rate is the loop's
+    one-period operator, as ``moment_operator`` gives it.
     """
     n, sp = coeffs.n, bundle.steps_per_period
     degree = feature_degree(_homogeneous_drift(coeffs, feedback), coeffs.C)
     r_nodes = sorted({0, sp // 4, sp // 2, (3 * sp) // 4})
+    identity = constant_coeff(np.eye(n), bundle.tau)
+    kbar, _, report = _period_continuation(coeffs, bundle, identity, feedback)
     dt = bundle.dt
     n_paths = bundle.n_paths
-    n_steps = bundle.n_steps
     grams = {r: np.zeros((n_paths, n, n)) for r in r_nodes}
     sums = {r: np.empty(n_paths) for r in r_nodes}
 
@@ -694,8 +740,11 @@ def estimate_gram_lower_bound(
                 inv_at[k] = np.linalg.inv(phi)
             for r, inv in inv_at.items():
                 psi = _times(phi, inv)
-                weight = 0.5 * dt if (k == r or k == n_steps) else dt
-                acc[r] += weight * _times(np.swapaxes(psi, -1, -2), psi)
+                psi_t = np.swapaxes(psi, -1, -2)
+                weight = 0.5 * dt if (k == r or k == sp) else dt
+                acc[r] += weight * _times(psi_t, psi)
+                if k == sp:
+                    acc[r] += _times(psi_t, _times(kbar, psi))
 
         overflow = stream_fundamental(coeffs, block, visit, feedback=feedback)
         # partial_sum(r)'s sequential sums, without the block's whole sum table
@@ -704,7 +753,7 @@ def estimate_gram_lower_bound(
             sums[r][rows] = head[r - 1] if r else 0.0
         return overflow
 
-    overflow = stream_blocks(bundle, run)
+    overflow = stream_blocks(bundle.restrict(1), run)
     if overflow.any():
         raise SimulationError(f"{int(overflow.sum())} paths overflowed in Gram estimate")
 
@@ -729,21 +778,12 @@ def estimate_gram_lower_bound(
             wmat = np.outer(vecs, vecs).reshape(-1) ** 2
             worst_se = math.sqrt(max(lever * float(wmat @ sig2), 0.0))
 
-    report = replace(
-        moment_operator(coeffs, bundle, feedback),
+    return replace(
+        report,
         delta_hat=max(worst, 0.0),
         delta_se=worst_se,
         diagnostics={"delta_raw": worst, "r_nodes": r_nodes},
     )
-    lam = report.lambda_hat
-    horizon = bundle.duration - bundle.phase(max(r_nodes))
-    tail = report.beta_hat * math.exp(-lam * horizon) / max(lam, 1e-12) if lam > 0 else math.inf
-    report.diagnostics["tail_bound"] = tail
-    if tail > GRAM_TAIL_TOL:
-        report.diagnostics["tail_warning"] = (
-            f"truncation tail estimate {tail:.2e} exceeds {GRAM_TAIL_TOL:.1e}; extend the horizon"
-        )
-    return report
 
 
 def contraction_check(

@@ -127,7 +127,7 @@ def test_bound_kernel_matches_per_node_evaluation(laws, which):
     drift = _homogeneous_drift(scen, law)
     if drift.kind != "path-functional" and scen.C.kind != "path-functional":
         at = lambda fn: (lambda k: _at(fn, bundle, k).reshape(-1, scen.n, scen.n)[0])
-        op = oracle.scheme_moment_operator(at(drift), at(scen.C), bundle.dt, SP)
+        op = oracle.scheme_moment_operator(at(drift), at(scen.C), bundle.dt, SP)[-1]
     else:
         ends = _hand_homogeneous(scen, law, eye.copy(), bundle)[:, SP]
         op = np.mean([np.kron(p, p) for p in ends], axis=0)

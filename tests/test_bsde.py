@@ -4,6 +4,7 @@ import csv
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -385,17 +386,32 @@ def test_vector_solve_constant_chain():
 # audits and exports
 
 
-def test_representation_check_matches_occupation_integral():
-    bundle = PathBundle.generate(5, 64, 64, 1, antithetic=True)
+def test_representation_check_matches_occupation_integral(monkeypatch):
+    # a = -1, c = 0.5, Lam = 1: a path-free loop, so K = (I - T*)^-1 O is the
+    # scalar Kronecker closed form with m = (1 + a dt)^2 + c^2 dt,
+    # O = dt (1/2 + m + .. + m^(sp - 1) + m^sp / 2) and T = m^sp, drawn from no path
+    a_fn, c_fn, lam_fn = scalar_const(-1.0), scalar_const(0.5), scalar_const(1.0)
     sol = solve_linear_matrix_bsde(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
+        a_fn, c_fn, lam_fn, PathBundle.generate(5, 64, 64, 1, antithetic=True)
     )
-    audit = PathBundle.generate(31, 64, 64, 12, antithetic=True)
-    report = representation_check(
-        scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), sol, audit
-    )
-    # deterministic dynamics: zero spread, only O(dt) discretization gap
-    assert report.se < 1e-12
+    calls = []
+    generate = PathBundle.generate.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return generate(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PathBundle, "generate", classmethod(counted))
+    audit = PathBundle.undrawn(31, 4000, 64, 1, antithetic=True)
+    report = representation_check(a_fn, c_fn, lam_fn, sol, audit)
+    dt, m = audit.dt, (1.0 - audit.dt) ** 2 + 0.25 * audit.dt
+    powers = m ** np.arange(65)
+    closed = dt * (powers[1:64].sum() + 0.5 * (powers[0] + powers[64])) / (1.0 - powers[64])
+    exact = SimpleNamespace(fixed_point=np.array([[closed]]))
+    assert representation_check(a_fn, c_fn, lam_fn, exact, audit).residual <= 1e-13
+    assert calls == [] and audit.increments is None
+    # no spread, only the scheme's O(dt) gap between backward and forward
+    assert report.se == 0.0
     assert report.rel_residual < 0.02
 
 

@@ -26,6 +26,7 @@ from ergolq.sde_engine import (
     SimulationError,
     StateTrajectory,
     _difference_step_stream,
+    _period_continuation,
     _rekey_template,
     contraction_check,
     derive_seed,
@@ -427,19 +428,19 @@ def test_exact_operator_is_the_scheme_product():
 
 
 def test_scheme_moment_operator_matches_the_kronecker_recursion():
-    # planar: the product against E[Phi (x) Phi] stepped by hand, and
-    # E|Phi|^2 = vec(I)' M vec(I)
+    # planar: the moment path against E[Phi_k (x) Phi_k] stepped by hand,
+    # and E|Phi|^2 = vec(I)' M vec(I)
     scen = builtin_scenarios()["planar-deterministic-periodic"]
     bundle = PathBundle.undrawn(3, 16, 16, 1)
     a_at, c_at = bundle.bind(scen.A), bundle.bind(scen.C)
-    moment = np.eye(4)
+    moments = [np.eye(4)]
     for k in range(10):
         step = np.eye(2) + bundle.dt * a_at(k)
-        moment = (np.kron(step, step) + bundle.dt * np.kron(c_at(k), c_at(k))) @ moment
+        moments.append((np.kron(step, step) + bundle.dt * np.kron(c_at(k), c_at(k))) @ moments[-1])
     got = oracle.scheme_moment_operator(a_at, c_at, bundle.dt, 10)
-    np.testing.assert_allclose(got, moment, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(got, np.stack(moments), rtol=1e-14, atol=1e-15)
     eye = np.eye(2).reshape(-1)
-    assert eye @ got @ eye > 0.0
+    assert eye @ got[-1] @ eye > 0.0
 
 
 def _path_functional_copy(scen):
@@ -554,6 +555,56 @@ def test_monte_carlo_operator_memory_stays_near_one_block(monkeypatch):
     assert peak < 0.5 * n_paths * n_steps * 8
 
 
+def test_monte_carlo_continuation_agrees_with_the_exact_one():
+    # scalar-noisy with A = tanh_sum(-1, 0) under Theta = 0: the same loop,
+    # read through the path, so the Monte Carlo period runs on antithetic
+    # pairs; its K = (I - T*)^-1 O covers the exact one within 3 SE
+    scen = builtin_scenarios()["scalar-noisy"]
+    copy = _path_functional_copy(scen)
+    law = constant_feedback(scen, [[0.0]])
+    bundle = PathBundle.undrawn(11, 16_000, 64, 1, antithetic=True)
+    exact, exact_se, exact_report = _period_continuation(scen, bundle, scen.Q, law)
+    mc, mc_se, mc_report = _period_continuation(copy, bundle, scen.Q, law)
+    assert exact_se[0, 0] == 0.0 < mc_se[0, 0]
+    assert abs(mc[0, 0] - exact[0, 0]) <= 3.0 * mc_se[0, 0]
+    assert exact_report == moment_operator(scen, bundle, law)
+    assert mc_report == moment_operator(copy, bundle, law)
+
+
+def test_monte_carlo_continuation_equals_the_stored_trajectory_reduction():
+    # K and its SE against a stored trajectory: O_p the per-path trapezoid
+    # of Phi' Lam Phi (ends at half weight, Lam read at node k), T_p the
+    # per-path Phi(tau) (x) Phi(tau), and the SE that of the per-path
+    # influence (I - T*)^-1 [O_p + T_p*(K) - K] over antithetic pairs
+    scen = builtin_scenarios()["scalar-random-periodic"]
+    bundle = PathBundle.generate(47, 300, 32, 2, antithetic=True)
+    head = bundle.restrict(1)
+    phi = simulate_fundamental(scen, head).values[..., 0, 0]
+    lam = np.stack([scen.Q.eval_batch(head.phase(k), head.partial_sum(k))[:, 0, 0]
+                    for k in range(33)], axis=1)
+    weights = np.full(33, head.dt)
+    weights[[0, 32]] *= 0.5
+    occupation = (weights * lam * phi**2).sum(axis=1)
+    ends = phi[:, -1] ** 2
+    kbar = occupation.mean() / (1.0 - ends.mean())
+    _, want_se = mean_se((occupation + ends * kbar - kbar) / (1.0 - ends.mean()), True)
+    got, got_se, _ = _period_continuation(scen, bundle, scen.Q)
+    assert got[0, 0] == pytest.approx(kbar, rel=1e-12)
+    assert got_se[0, 0] == pytest.approx(float(want_se), rel=1e-10)
+
+
+def test_a_runaway_loop_has_no_continuation():
+    # rho(T) >= 1: the exact branch raises, and so does a Monte Carlo period
+    # whose overflowed path makes rho infinite
+    bundle = PathBundle.generate(41, 200, 32, 1)
+    for scen in (_runaway_scalar(), _runaway_scalar(a=40.0, c=4.0, path_functional=True)):
+        with pytest.raises(SimulationError, match="the occupation integral diverges"):
+            _period_continuation(scen, bundle, scen.Q)
+    reference = SimpleNamespace(fixed_point=np.eye(1))
+    with pytest.raises(SimulationError, match="the occupation integral diverges"):
+        representation_check(scen.A, scen.C, scen.Q, reference, bundle)
+
+
 @pytest.mark.parametrize("name", ["planar-deterministic-periodic", "scalar-random-periodic"])
 def test_gram_features_and_rate_read_the_bundle_and_the_operator(monkeypatch, name):
     # the Gram regression's features read the bundle's own partial sums at
@@ -593,7 +644,10 @@ def _forward_only_results(scen, bundle):
         out["gram"] = str(exc)
     # the check reads only the solution's fixed point
     reference = SimpleNamespace(fixed_point=np.eye(scen.n))
-    out["representation"] = representation_check(scen.A, scen.C, scen.Q, reference, bundle)
+    try:
+        out["representation"] = representation_check(scen.A, scen.C, scen.Q, reference, bundle)
+    except SimulationError as exc:
+        out["representation"] = str(exc)
     return out
 
 
@@ -635,7 +689,9 @@ def test_forward_only_estimators_are_block_invariant(monkeypatch, name, antithet
     want = _forward_only_results(scen, PathBundle.generate(*grid, antithetic=antithetic))
     if name == "runaway":
         assert int(want["norms"][1].sum()) == 1
-        assert want["gram"] == "1 paths overflowed in Gram estimate"
+        # the period continuation of a loop with rho(T) >= 1 diverges
+        assert want["gram"] == want["representation"]
+        assert want["gram"].endswith("the occupation integral diverges")
     n_steps = grid[2] * grid[3]
     for rows in (1, 7, grid[1]):
         monkeypatch.setattr(sde_engine, "BLOCK_ELEMENTS", rows * n_steps)
@@ -698,19 +754,22 @@ def test_poly_design_values():
 
 
 def test_gram_lower_bound_on_constant_scenario():
+    # C = 0 and a = -1.4: Psi_r(s) = q^(s - r) with q = 1 + a dt at every
+    # anchor, so each conditional Gram integral is the scheme's trapezoid
+    # over the infinite horizon, dt (1/2 + q^2 / (1 - q^2)), read from one
+    # period however many the bundle has
     scen = builtin_scenarios()["scalar-constant"]
+    law = constant_feedback(scen, [[-0.4]])
     bundle = PathBundle.generate(29, 256, 32, 8, antithetic=True)
-    report = estimate_gram_lower_bound(scen, bundle)
-    # integral of exp(-2 s) over a long tail is about one half
-    assert report.delta_hat > 0.3
-    assert report.diagnostics["delta_raw"] == pytest.approx(report.delta_hat)
-    assert "tail_bound" in report.diagnostics
-    assert "tail_warning" not in report.diagnostics
-    # the tail beyond one period is bounded by the operator rate, and too big
-    short = estimate_gram_lower_bound(scen, bundle.restrict(1))
-    assert short.lambda_hat == report.lambda_hat
-    assert short.diagnostics["tail_bound"] > report.diagnostics["tail_bound"]
-    assert "tail_warning" in short.diagnostics
+    report = estimate_gram_lower_bound(scen, bundle, law)
+    dt = bundle.dt
+    q2 = (1.0 - 1.4 * dt) ** 2
+    want = dt * (0.5 + q2 / (1.0 - q2))
+    assert report.delta_hat == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert report.diagnostics["delta_raw"] == report.delta_hat
+    assert report.delta_se == pytest.approx(0.0, abs=1e-12)
+    assert estimate_gram_lower_bound(scen, bundle.restrict(1), law) == report
+    assert report.rho == moment_operator(scen, bundle, law).rho
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ rate lambda and its delta-method SE for every seed and scenario, and the
 summary sets each one's spread over the seeds beside its mean reported SE:
 on a path-free loop the SE is 0 and lambda the same on every seed; on
 ``scalar-random-periodic`` the two should agree if the SE is honest.
+S5 prints its relative residual and allowance, and S6 its delta, for every
+seed and scenario; the summary gives each scenario's tightest S5 margin
+(allowance minus residual) and smallest S6 delta, with their seeds.
 
     PYTHONPATH=src python3 tools/seed_sweep.py
 
-Takes about 12 minutes (36 s a seed) on a 2-core x86-64 VM.  Not part of
+Takes about 6 minutes (17 s a seed) on a 2-core x86-64 VM.  Not part of
 the test suite.
 """
 
@@ -36,6 +39,12 @@ from ergolq.verify import run_acceptance, run_scenario_checks
 
 SEEDS = range(1, 21)
 RATE_CHECKS = ("S2", "S4", "A5", "A9")
+# the forward checks' metrics printed per seed, and the summary's reading:
+# check -> (metric names, the per-seed value the summary minimises)
+FORWARD_CHECKS = {
+    "S5": (("rel_residual", "allow"), lambda m: m["allow"] - m["rel_residual"]),
+    "S6": (("delta",), lambda m: m["delta"]),
+}
 
 
 def failure_interval(failed: int, n: int, level: float = 0.95) -> tuple:
@@ -63,6 +72,7 @@ def main() -> None:
     scenarios = builtin_scenarios()
     runs, passes = Counter(), Counter()
     rates = defaultdict(list)  # (check, scenario) -> [(lambda, SE) per seed]
+    tightest = defaultdict(list)  # (check, scenario) -> [(margin or delta, seed)]
     t0 = time.time()
     for seed in SEEDS:
         results = [("battery", out) for out in run_acceptance(seed)]
@@ -77,6 +87,11 @@ def main() -> None:
                 for scen, (lam, se) in certificate_rates(name, out).items():
                     rates[(out.check_id, scen)].append((lam, se))
                     print(f"seed {seed} {out.check_id} {scen}: lambda={lam:.4f} +- {se:.4f}")
+            keys, reading = FORWARD_CHECKS.get(out.check_id, ((), None))
+            if keys and all(key in out.metrics for key in keys):
+                values = " ".join(f"{key}={out.metrics[key]:.4f}" for key in keys)
+                print(f"seed {seed} {out.check_id} {name}: {values}")
+                tightest[(out.check_id, name)].append((reading(out.metrics), seed))
         print(f"seed {seed} done [{time.time() - t0:.0f}s]", flush=True)
 
     print(
@@ -100,6 +115,11 @@ def main() -> None:
             f"{check_id:<6} {scen:<30} {statistics.fmean(lams):>11.4f} {spread:>8.4f}"
             f" {statistics.fmean(se for _, se in values):>8.4f}"
         )
+
+    print(f"\n{'check':<6} {'scenario':<30} {'min S5 margin / S6 delta':>24} {'seed':>5}")
+    for (check_id, name), values in sorted(tightest.items()):
+        low, seed = min(values)
+        print(f"{check_id:<6} {name:<30} {low:>24.4f} {seed:>5}")
 
 
 if __name__ == "__main__":

@@ -398,7 +398,7 @@ def representation_check(
     """
     # a namespace, not a class: a class is a reference cycle that pins its operands
     dynamics = SimpleNamespace(A=a_fn, C=c_fn, n=a_fn.shape[0])
-    kbar, se, _ = _period_continuation(dynamics, bundle, lam_fn)
+    kbar, se, _, _ = _period_continuation(dynamics, bundle, lam_fn)
     residual = float(np.linalg.norm(kbar - solution.fixed_point))
     ref_norm = float(np.linalg.norm(solution.fixed_point))
     return RepresentationReport(

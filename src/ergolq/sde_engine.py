@@ -8,10 +8,11 @@ never depend on how many paths are drawn or in which order.
 
 Layout and memory rule: increments are node-major, one contiguous
 (n_paths,) row per step.  The forward-only estimators (the fundamental
-solution's squared norms, the one-period stream behind the second-moment
-operator and the period continuation, the Gram bound) stream an ``undrawn``
-bundle in row blocks of at most BLOCK_ELEMENTS increments, each drawn just
-before it is streamed and dropped after it.  Their visitors write per-path
+solution's squared norms, and the one-period stream behind the
+second-moment operator, the period continuation and the Gram bound, which
+all read the same single pass) stream an ``undrawn`` bundle in row blocks
+of at most BLOCK_ELEMENTS increments, each drawn just before it is
+streamed and dropped after it.  Their visitors write per-path
 results into rows of ensemble-wide arrays, and every reduction across paths
 runs after the last block on one contiguous (n_paths,) row, so no result
 depends on the block size.  Backward sweeps and closed-loop streams read a
@@ -29,7 +30,8 @@ draws), else a one-period Monte Carlo mean with a delta-method standard
 error.  The same period gives every infinite occupation integral of the
 loop: K = E int_0^inf Phi' Lam Phi dt solves K = O + T*(K), O its first
 period's part (``_period_continuation``).  The conditional Gram integral must
-have a positive estimated lower bound.
+have a positive estimated lower bound; it is that continuation started at
+anchor nodes of the same period, so a path-free loop draws nothing for it.
 """
 
 from __future__ import annotations
@@ -538,7 +540,6 @@ class StabilityReport:
     overflow_paths: int = 0
     delta_hat: Optional[float] = None
     delta_se: Optional[float] = None
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def stable(self) -> bool:
@@ -602,13 +603,16 @@ def moment_operator(
     return _one_period(coeffs, bundle, feedback)[0]
 
 
-def _one_period(coeffs, bundle: PathBundle, feedback=None, weight=None):
-    """(report, T, O, samples) of the loop's first period: T = E[Phi(tau) (x)
+def _one_period(coeffs, bundle: PathBundle, feedback=None, weight=None, anchors=()):
+    """(report, T, O, samples, marks) of the loop's first period: T = E[Phi(tau) (x)
     Phi(tau)], and for a weight Lam the row-major vec O of E int_0^tau Phi'
     Lam Phi dt (trapezoid, Lam read at node k).  A loop and weight that read
     no path take T and each M_k = E[Phi_k (x) Phi_k] from one oracle moment
     path, O = sum_k w_k M_k' vec Lam_k, with no draws (samples None); else
     the period is streamed, samples = per-path (Phi(tau) (x) Phi(tau), vec O_p).
+    With a weight, marks[r] = (Z_r, H_r, s_r) at each anchor node r: Phi_r (x)
+    Phi_r, the vec running trapezoid of Phi' Lam Phi over [0, r] and the
+    partial sums at r, per path; on the exact branch one row (M_r, O_r, None).
     """
     drift, n, sp = _homogeneous_drift(coeffs, feedback), coeffs.n, bundle.steps_per_period
     weights = np.full(sp + 1, bundle.dt)
@@ -617,12 +621,21 @@ def _one_period(coeffs, bundle: PathBundle, feedback=None, weight=None):
         moments = oracle.scheme_moment_operator(
             bundle.bind(drift), bundle.bind(coeffs.C), bundle.dt, sp
         )
-        lam_at = None if weight is None else bundle.bind(weight)
-        occupation = None if lam_at is None else sum(
-            weights[k] * moments[k].T @ lam_at(k).reshape(-1) for k in range(sp + 1)
-        )
-        return operator_report(moments[-1], bundle.tau), moments[-1], occupation, None
-    ends, occupations = np.empty((bundle.n_paths, n, n)), np.zeros((bundle.n_paths, n, n))
+        occupation, marks = None, {}
+        if weight is not None:
+            lam_at = bundle.bind(weight)
+            lams = [lam_at(k).reshape(-1) for k in range(sp + 1)]
+            # the sequential sums O_k; node k enters at weight w_k, so the
+            # running trapezoid over [0, r] takes back half of node r's step
+            running = np.cumsum([weights[k] * moments[k].T @ lams[k] for k in range(sp + 1)], 0)
+            occupation = running[-1]
+            for r in anchors:
+                head = running[r] - weights[0] * moments[r].T @ lams[r]
+                marks[r] = (moments[r][None], head[None], None)
+        return operator_report(moments[-1], bundle.tau), moments[-1], occupation, None, marks
+    shape = (bundle.n_paths, n, n)
+    ends, occupations = np.empty(shape), np.zeros(shape)
+    marks = {r: (np.empty(shape), np.empty(shape), np.empty(bundle.n_paths)) for r in anchors}
 
     def run(rows, block):
         lam_at = None if weight is None else block.bind(weight)
@@ -630,38 +643,56 @@ def _one_period(coeffs, bundle: PathBundle, feedback=None, weight=None):
         def visit(k, phi):
             if lam_at is not None:
                 phi_t = np.swapaxes(phi, -1, -2)
-                occupations[rows] += weights[k] * _times(phi_t, _times(lam_at(k), phi))
+                term = _times(phi_t, _times(lam_at(k), phi))
+                occupations[rows] += weights[k] * term
+                if k in marks:
+                    phis, heads, sums = marks[k]
+                    phis[rows], sums[rows] = phi, block.partial_sum(k)
+                    heads[rows] = occupations[rows] - weights[0] * term
             if k == sp:
                 ends[rows] = phi
 
         return stream_fundamental(coeffs, block, visit, feedback=feedback)
 
     overflow = int(stream_blocks(bundle.restrict(1), run).sum())
-    samples = np.einsum("pij,pkl->pikjl", ends, ends).reshape(-1, n * n, n * n)
+    kron = lambda phi: np.einsum("pij,pkl->pikjl", phi, phi).reshape(-1, n * n, n * n)
+    samples = kron(ends)
     occupations, op = occupations.reshape(-1, n * n), samples.mean(axis=0)
     report = operator_report(op, bundle.tau, samples, overflow)
-    return report, op, occupations.mean(axis=0), (samples, occupations)
+    marks = {r: (kron(phi), head.reshape(-1, n * n), s) for r, (phi, head, s) in marks.items()}
+    return report, op, occupations.mean(axis=0), (samples, occupations), marks
 
 
-def _period_continuation(coeffs, bundle: PathBundle, weight: CoefficientFn, feedback=None):
-    """(K, its SE, the loop's report) for K = E int_0^inf Phi' Lam Phi dt of
-    the loop (A + B Theta, C).  The periods are i.i.d., so K = O + T*(K),
-    T*(K) = E[Phi(tau)' K Phi(tau)] (the matrix T' on vec K) and O from
-    ``_one_period``: K = (I - T*)^-1 O, exact with SE 0 on a path-free loop
-    and weight, else one Monte Carlo period with the SE of the per-path
+def _period_continuation(coeffs, bundle: PathBundle, weight, feedback=None, anchors=()):
+    """(K, its SE, the loop's report, tails) for K = E int_0^inf Phi' Lam Phi
+    dt of the loop (A + B Theta, C).  The periods are i.i.d., so K = O +
+    T*(K), T*(K) = E[Phi(tau)' K Phi(tau)] (the matrix T' on vec K) and O
+    from ``_one_period``: K = (I - T*)^-1 O, exact with SE 0 on a path-free
+    loop and weight, else one Monte Carlo period with the SE of the per-path
     influence (I - T*)^-1 [O_p + T_p*(K) - K], antithetic pairs first.
+
+    tails[r] = (vec G_r, s_r) continues the loop from each anchor node r:
+    G_r = Phi_r^-T (O_p - H_r + Phi(tau)' K Phi(tau)) Phi_r^-1 is int_r^inf
+    Psi' Lam Psi of Psi_s = Phi_s Phi_r^-1, per path with its partial sums
+    s_r.  On a path-free loop Psi is independent of the path up to r, so
+    M_k = M_{r->k} M_r and the one row vec G_r = M_r^-T (O - O_r + M_tau' vec
+    K) is its exact mean, s_r None.
     Raises SimulationError unless rho(T) < 1, where the series diverges."""
-    report, op, occupation, drawn = _one_period(coeffs, bundle, feedback, weight)
+    report, op, occupation, drawn, marks = _one_period(coeffs, bundle, feedback, weight, anchors)
     if not report.rho < 1.0:
         raise SimulationError(f"rho(T) = {report.rho:.4g} >= 1: the occupation integral diverges")
     n = coeffs.n
     resolvent = np.eye(n * n) - op.T
     kbar, se = np.linalg.solve(resolvent, occupation), np.zeros(n * n)
+    samples, occupations = (op[None], occupation[None]) if drawn is None else drawn
+    tail = occupations + np.einsum("pji,j->pi", samples, kbar)
     if drawn is not None:
-        samples, occupations = drawn
-        influence = occupations + np.einsum("pji,j->pi", samples, kbar) - kbar
-        se = mean_se(np.linalg.solve(resolvent, influence.T).T, bundle.antithetic)[1]
-    return kbar.reshape(n, n), se.reshape(n, n), report
+        se = mean_se(np.linalg.solve(resolvent, (tail - kbar).T).T, bundle.antithetic)[1]
+    tails = {
+        r: (np.linalg.solve(np.swapaxes(z, -1, -2), (tail - head)[..., None])[..., 0], sums)
+        for r, (z, head, sums) in marks.items()
+    }
+    return kbar.reshape(n, n), se.reshape(n, n), report, tails
 
 
 def poly_design(partial_sum: np.ndarray, phase: float, degree: int) -> np.ndarray:
@@ -711,79 +742,42 @@ def estimate_gram_lower_bound(
 
     For each anchor node r in {0, sp/4, sp/2, 3sp/4} of the first period
     (sp steps per period, floored), with Psi_s = Phi_s Phi_r^{-1}, the
-    pathwise int_r^inf Psi_s' Psi_s ds is the trapezoid of int_r^tau,
-    accumulated while streaming the first period, plus Psi_tau' K_I Psi_tau,
-    whose K_I = E int_0^inf Phi' Phi is the loop's ``_period_continuation``
-    (the periods are i.i.d.).  It is regressed on polynomial features of the
-    increments seen up to r, at ``feature_degree`` of the loop (constant on a
-    path-free loop).  delta_hat is the smallest eigenvalue of the fitted
-    conditional expectations over all anchors and paths (clipped at zero; the
-    raw value is kept in diagnostics).  The report's rate is the loop's
-    one-period operator, as ``moment_operator`` gives it.
+    pathwise int_r^inf Psi_s' Psi_s ds is the loop's period continuation of
+    Lam = I started at r (the tails of ``_period_continuation``): one pass
+    over the first period, and no draw on a path-free loop, where it is its
+    own conditional expectation (exact, SE 0).  Else it is regressed on
+    polynomial features of the increments seen up to r, at ``feature_degree``
+    of the loop.  delta_hat is the smallest eigenvalue of the fitted
+    conditional expectations over all anchors and paths, delta_se its SE.
+    The report's rate is the loop's one-period operator, as
+    ``moment_operator`` gives it.
     """
     n, sp = coeffs.n, bundle.steps_per_period
     degree = feature_degree(_homogeneous_drift(coeffs, feedback), coeffs.C)
     r_nodes = sorted({0, sp // 4, sp // 2, (3 * sp) // 4})
     identity = constant_coeff(np.eye(n), bundle.tau)
-    kbar, _, report = _period_continuation(coeffs, bundle, identity, feedback)
-    dt = bundle.dt
-    n_paths = bundle.n_paths
-    grams = {r: np.zeros((n_paths, n, n)) for r in r_nodes}
-    sums = {r: np.empty(n_paths) for r in r_nodes}
-
-    def run(rows, block):
-        inv_at = {}
-        acc = {r: grams[r][rows] for r in r_nodes}
-
-        def visit(k, phi):
-            if k in acc and k not in inv_at:
-                inv_at[k] = np.linalg.inv(phi)
-            for r, inv in inv_at.items():
-                psi = _times(phi, inv)
-                psi_t = np.swapaxes(psi, -1, -2)
-                weight = 0.5 * dt if (k == r or k == sp) else dt
-                acc[r] += weight * _times(psi_t, psi)
-                if k == sp:
-                    acc[r] += _times(psi_t, _times(kbar, psi))
-
-        overflow = stream_fundamental(coeffs, block, visit, feedback=feedback)
-        # partial_sum(r)'s sequential sums, without the block's whole sum table
-        head = np.cumsum(block.draw()[: r_nodes[-1]], axis=0)
-        for r in r_nodes:
-            sums[r][rows] = head[r - 1] if r else 0.0
-        return overflow
-
-    overflow = stream_blocks(bundle.restrict(1), run)
-    if overflow.any():
-        raise SimulationError(f"{int(overflow.sum())} paths overflowed in Gram estimate")
-
-    worst = math.inf
-    worst_se = math.nan
-    for r in r_nodes:
-        design = poly_design(sums[r], bundle.phase(r), degree)
-        plan = ridge_plan(design, RIDGE)
-        target = grams[r].reshape(n_paths, -1)
-        beta = ridge_solve(design, target, plan)
-        fitted = (design @ beta).reshape(n_paths, n, n)
-        fitted = 0.5 * (fitted + np.swapaxes(fitted, -1, -2))
-        eigs = np.linalg.eigvalsh(fitted)
+    _, _, report, tails = _period_continuation(coeffs, bundle, identity, feedback, r_nodes)
+    worst, worst_se = math.inf, math.nan
+    for r, (target, sums) in tails.items():
+        fitted = target
+        if sums is not None:
+            design = poly_design(sums, bundle.phase(r), degree)
+            plan = ridge_plan(design, RIDGE)
+            fitted = design @ ridge_solve(design, target, plan)
+        sym = fitted.reshape(-1, n, n)
+        sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
+        eigs = np.linalg.eigvalsh(sym)
         idx = int(np.argmin(eigs[:, 0]))
         low = float(eigs[idx, 0])
         if low < worst:
-            worst = low
-            resid = target - design @ beta
-            sig2 = (resid**2).mean(axis=0)
-            lever = float(design[idx] @ np.linalg.solve(plan[0], design[idx]) / n_paths)
-            vecs = np.linalg.eigh(fitted[idx])[1][:, 0]
-            wmat = np.outer(vecs, vecs).reshape(-1) ** 2
-            worst_se = math.sqrt(max(lever * float(wmat @ sig2), 0.0))
-
-    return replace(
-        report,
-        delta_hat=max(worst, 0.0),
-        delta_se=worst_se,
-        diagnostics={"delta_raw": worst, "r_nodes": r_nodes},
-    )
+            worst, worst_se = low, 0.0
+            if sums is not None:
+                sig2 = ((target - fitted) ** 2).mean(axis=0)
+                lever = float(design[idx] @ np.linalg.solve(plan[0], design[idx]) / len(sums))
+                vecs = np.linalg.eigh(sym[idx])[1][:, 0]
+                wmat = np.outer(vecs, vecs).reshape(-1) ** 2
+                worst_se = math.sqrt(max(lever * float(wmat @ sig2), 0.0))
+    return replace(report, delta_hat=worst, delta_se=worst_se)
 
 
 def contraction_check(

@@ -561,11 +561,10 @@ def run_scenario_checks(
         t0 = time.perf_counter()
         # S4's bundle: the same law and paths
         gram = estimate_gram_lower_bound(scen, cbundle, law)
-        delta_raw = gram.diagnostics["delta_raw"]
         push(
-            delta_raw > 0.0,
-            f"delta={delta_raw:.4f} (+-{gram.delta_se:.4f})",
-            {"delta": delta_raw, "delta_se": gram.delta_se},
+            gram.delta_hat > 0.0,
+            f"delta={gram.delta_hat:.4f} (+-{gram.delta_se:.4f})",
+            {"delta": gram.delta_hat, "delta_se": gram.delta_se},
         )
     except RUN_ERRORS as exc:
         push(False, str(exc))

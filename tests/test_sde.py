@@ -563,8 +563,8 @@ def test_monte_carlo_continuation_agrees_with_the_exact_one():
     copy = _path_functional_copy(scen)
     law = constant_feedback(scen, [[0.0]])
     bundle = PathBundle.undrawn(11, 16_000, 64, 1, antithetic=True)
-    exact, exact_se, exact_report = _period_continuation(scen, bundle, scen.Q, law)
-    mc, mc_se, mc_report = _period_continuation(copy, bundle, scen.Q, law)
+    exact, exact_se, exact_report, _ = _period_continuation(scen, bundle, scen.Q, law)
+    mc, mc_se, mc_report, _ = _period_continuation(copy, bundle, scen.Q, law)
     assert exact_se[0, 0] == 0.0 < mc_se[0, 0]
     assert abs(mc[0, 0] - exact[0, 0]) <= 3.0 * mc_se[0, 0]
     assert exact_report == moment_operator(scen, bundle, law)
@@ -588,7 +588,7 @@ def test_monte_carlo_continuation_equals_the_stored_trajectory_reduction():
     ends = phi[:, -1] ** 2
     kbar = occupation.mean() / (1.0 - ends.mean())
     _, want_se = mean_se((occupation + ends * kbar - kbar) / (1.0 - ends.mean()), True)
-    got, got_se, _ = _period_continuation(scen, bundle, scen.Q)
+    got, got_se, _, _ = _period_continuation(scen, bundle, scen.Q)
     assert got[0, 0] == pytest.approx(kbar, rel=1e-12)
     assert got_se[0, 0] == pytest.approx(float(want_se), rel=1e-10)
 
@@ -623,8 +623,9 @@ def test_gram_features_and_rate_read_the_bundle_and_the_operator(monkeypatch, na
     ref = moment_operator(scen, bundle, law)
     fit = ("lambda_hat", "beta_hat", "lambda_se", "ci_low", "rho", "rho_se")
     assert [getattr(gram, f) for f in fit] == [getattr(ref, f) for f in fit]
-    degree = 3 if name == "scalar-random-periodic" else 0
-    assert [f[:2] for f in features] == [(bundle.phase(r), degree) for r in (0, 4, 8, 12)]
+    # a path-free loop's targets are their exact means: nothing is regressed
+    want = [(bundle.phase(r), 3) for r in (0, 4, 8, 12)] if name == "scalar-random-periodic" else []
+    assert [f[:2] for f in features] == want
     for r, (_, _, sums) in zip((0, 4, 8, 12), features):
         np.testing.assert_array_equal(sums, bundle.partial_sum(r))
 
@@ -753,6 +754,103 @@ def test_poly_design_values():
     assert poly_design(sums, phase, degree=0).shape == (2, 1)
 
 
+def gram_reference(coeffs, bundle, feedback=None):
+    """Reference for the Gram bound: (delta, delta_se) from a second stream
+    of the first period that forms Psi_s = Phi_s Phi_r^-1 from each anchor r
+    on, accumulates the trapezoid of Psi' Psi and adds Psi(tau)' K_I
+    Psi(tau) at tau, then regresses each anchor's integral on the partial
+    sums at r (on a path-free loop the design is constant: a sample mean)."""
+    n, sp, dt = coeffs.n, bundle.steps_per_period, bundle.dt
+    degree = sde_engine.feature_degree(sde_engine._homogeneous_drift(coeffs, feedback), coeffs.C)
+    r_nodes = sorted({0, sp // 4, sp // 2, (3 * sp) // 4})
+    kbar = _period_continuation(coeffs, bundle, constant_coeff(np.eye(n), bundle.tau), feedback)[0]
+    head = bundle.restrict(1)
+    grams = {r: np.zeros((head.n_paths, n, n)) for r in r_nodes}
+    inv_at = {}
+
+    def visit(k, phi):
+        if k in grams and k not in inv_at:
+            inv_at[k] = np.linalg.inv(phi)
+        for r, inv in inv_at.items():
+            psi = phi @ inv
+            psi_t = np.swapaxes(psi, -1, -2)
+            grams[r] += (0.5 * dt if k in (r, sp) else dt) * (psi_t @ psi)
+            if k == sp:
+                grams[r] += psi_t @ kbar @ psi
+
+    assert not stream_fundamental(coeffs, head, visit, feedback=feedback).any()
+    worst, worst_se = math.inf, math.nan
+    for r in r_nodes:
+        design = poly_design(head.partial_sum(r), head.phase(r), degree)
+        plan = sde_engine.ridge_plan(design, sde_engine.RIDGE)
+        target = grams[r].reshape(head.n_paths, -1)
+        flat = design @ sde_engine.ridge_solve(design, target, plan)
+        fitted = flat.reshape(-1, n, n)
+        eigs = np.linalg.eigvalsh(0.5 * (fitted + np.swapaxes(fitted, -1, -2)))
+        idx = int(np.argmin(eigs[:, 0]))
+        if eigs[idx, 0] < worst:
+            worst = float(eigs[idx, 0])
+            sig2 = ((target - flat) ** 2).mean(axis=0)
+            lever = design[idx] @ np.linalg.solve(plan[0], design[idx]) / head.n_paths
+            vec = np.linalg.eigh(0.5 * (fitted[idx] + fitted[idx].T))[1][:, 0]
+            worst_se = math.sqrt(lever * float(np.outer(vec, vec).reshape(-1) ** 2 @ sig2))
+    return worst, worst_se
+
+
+def test_gram_bound_matches_the_psi_product_reference():
+    # one pass with anchor snapshots gives the second stream's targets, so
+    # delta and its SE agree to round-off on a path-functional loop
+    scen = builtin_scenarios()["scalar-random-periodic"]
+    law = constant_feedback(scen, [[-0.5]])
+    bundle = PathBundle.generate(derive_seed(7, "gram-reference"), 2000, 64, 1)
+    report = estimate_gram_lower_bound(scen, bundle, law)
+    delta, delta_se = gram_reference(scen, bundle, law)
+    assert report.delta_hat == pytest.approx(delta, rel=1e-12, abs=0.0)
+    assert report.delta_se == pytest.approx(delta_se, rel=1e-12, abs=0.0)
+
+
+def test_exact_gram_bound_agrees_with_the_monte_carlo_reference():
+    # scalar-noisy (C = 1): the exact means M_r^-T (O - O_r + M_tau' vec K)
+    # against the reference's sample means over 20 000 paths, within 3 SE
+    scen = builtin_scenarios()["scalar-noisy"]
+    law = constant_feedback(scen, [[-0.5]])
+    bundle = PathBundle.generate(derive_seed(7, "gram-exact"), 20_000, 64, 1)
+    report = estimate_gram_lower_bound(scen, bundle, law)
+    delta, delta_se = gram_reference(scen, bundle, law)
+    assert report.delta_se == 0.0 < delta_se
+    assert abs(report.delta_hat - delta) <= 3.0 * delta_se
+
+
+def test_gram_bound_streams_one_period_once_and_draws_nothing_path_free(monkeypatch):
+    # a path-functional loop streams each path of its first period once, in
+    # row blocks; a path-free one draws and streams nothing
+    passes, draws = [], []
+    stream, generate = sde_engine.stream_fundamental, PathBundle.generate.__func__
+
+    def counted_stream(coeffs, bundle, visit, feedback=None):
+        passes.append(bundle.n_paths)
+        return stream(coeffs, bundle, visit, feedback=feedback)
+
+    def counted_generate(cls, *args, **kwargs):
+        draws.append(args)
+        return generate(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sde_engine, "stream_fundamental", counted_stream)
+    monkeypatch.setattr(PathBundle, "generate", classmethod(counted_generate))
+    monkeypatch.setattr(sde_engine, "BLOCK_ELEMENTS", 10 * 16)
+    for name, scen in builtin_scenarios().items():
+        bundle = PathBundle.undrawn(derive_seed(7, name), 40, 16, 1)
+        law = constant_feedback(scen, np.full((scen.m, scen.n), -0.5))
+        passes.clear()
+        draws.clear()
+        estimate_gram_lower_bound(scen, bundle, law)
+        if name == "scalar-random-periodic":
+            assert passes == [10] * 4 and len(draws) == 4
+        else:
+            assert passes == [] and draws == []
+        assert bundle.increments is None
+
+
 def test_gram_lower_bound_on_constant_scenario():
     # C = 0 and a = -1.4: Psi_r(s) = q^(s - r) with q = 1 + a dt at every
     # anchor, so each conditional Gram integral is the scheme's trapezoid
@@ -766,8 +864,7 @@ def test_gram_lower_bound_on_constant_scenario():
     q2 = (1.0 - 1.4 * dt) ** 2
     want = dt * (0.5 + q2 / (1.0 - q2))
     assert report.delta_hat == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert report.diagnostics["delta_raw"] == report.delta_hat
-    assert report.delta_se == pytest.approx(0.0, abs=1e-12)
+    assert report.delta_se == 0.0
     assert estimate_gram_lower_bound(scen, bundle.restrict(1), law) == report
     assert report.rho == moment_operator(scen, bundle, law).rho
 

@@ -26,17 +26,17 @@ stability: a solve with rho(M) >= 1 has no periodic solution to report.
 A bundle keeps each node's ridged normal matrix and condition number per
 basis degree (``ridge_plan``, shared with the Gram estimate) for every solve
 on it; designs are rebuilt per node, since a period of cubic designs costs
-more memory than time.  A degree-0 solution is deterministic: the fitted
-integrand, drift and fitted value are computed on one row and broadcast,
-its [[1.0]] plans need no solve, and every reduction over paths (regression
-right-hand sides, node-0 target) reads full per-path rows.
+more memory than time.  A degree-0 (path-free) solution is deterministic
+with L = 0, so its solve sweeps one noise-free path, kept on the bundle:
+there the sweep is exactly the scheme's explicit recursion, its fixed point
+has SE 0, and the solution broadcasts that one stored row to every path.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable, List, Optional
 
@@ -75,11 +75,7 @@ class RegressionBasis:
     def design(self, bundle: PathBundle, node: int) -> np.ndarray:
         """Features at a grid node; degree 0 never reads the partial sums."""
         if self.degree == 0:
-            ones = bundle._memo.get("ones")
-            if ones is None:
-                ones = bundle._memo["ones"] = np.ones((bundle.n_paths, 1))
-                ones.setflags(write=False)
-            return ones
+            return np.ones((bundle.n_paths, 1))
         return poly_design(bundle.partial_sum(node), bundle.phase(node), self.degree)
 
 
@@ -102,55 +98,47 @@ def backward_sweep(
 ) -> SweepResult:
     """One explicit backward pass over a single period on the node plans.
 
-    drift(node, value_next, integrand_est) gets ``rows`` rows (1 for a
-    degree-0 basis, else n_paths) and must return an array broadcastable to
-    (rows,) + value shape.  Matrix-valued sweeps keep every stored node
-    value exactly symmetric.  ``out`` = (values, integrand) are filled in
-    place of fresh arrays; every entry is written.
+    drift(node, value_next, integrand_est) gets the bundle's n_paths rows and
+    must return an array broadcastable to (n_paths,) + value shape.
+    Matrix-valued sweeps keep every stored node value exactly symmetric.
+    ``out`` = (values, integrand) are filled in place of fresh arrays; every
+    entry is written.
     """
     if bundle.n_periods != 1:
         raise ValueError("backward sweeps operate on single-period bundles")
     terminal = np.asarray(terminal, dtype=float)
     vshape = terminal.shape
     flat_dim = int(np.prod(vshape))
-    sp, dt = bundle.steps_per_period, bundle.dt
-    n_paths = bundle.n_paths
-    # degree 0 fits one row, where [1.0] @ beta is beta; a 1x1 value is symmetric
-    const = basis.degree == 0
-    rows = 1 if const else n_paths
-    symmetric = len(vshape) == 2 and flat_dim > 1
+    sp, dt, n_paths = bundle.steps_per_period, bundle.dt, bundle.n_paths
+    symmetric = len(vshape) == 2 and flat_dim > 1  # a 1x1 value is symmetric
 
     increments = bundle.draw()
     if out is None:
         out = np.empty((n_paths, sp + 1) + vshape), np.empty((n_paths, sp) + vshape)
     values, integrand = out
-    values[:rows, sp] = terminal
+    values[:, sp] = terminal
     value_coeffs: List[Optional[np.ndarray]] = [None] * sp
 
     for i in range(sp - 1, -1, -1):
         design = basis.design(bundle, i)
-        v_next = values[:rows, i + 1]
-        flat_next = v_next.reshape(rows, flat_dim)
+        v_next = values[:, i + 1]
+        flat_next = v_next.reshape(n_paths, flat_dim)
 
         dw = increments[i] / dt
         beta_l = ridge_solve(design, flat_next * dw[:, None], plans[i])
-        l_est = (beta_l if const else design @ beta_l).reshape((rows,) + vshape)
+        l_est = (design @ beta_l).reshape((n_paths,) + vshape)
         if symmetric:
             l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
 
         d = np.asarray(drift(i, v_next, l_est), dtype=float).reshape(-1, flat_dim)
-        # every path's row, contiguous: the regression sums them in BLAS
-        target = np.add(flat_next, dt * d, out=np.empty((n_paths, flat_dim)))
+        target = flat_next + dt * d
         beta_v = ridge_solve(design, target, plans[i])
-        fitted = (beta_v if const else design @ beta_v).reshape((rows,) + vshape)
+        fitted = (design @ beta_v).reshape((n_paths,) + vshape)
         if symmetric:
             fitted = 0.5 * (fitted + np.swapaxes(fitted, -1, -2))
-        values[:rows, i] = fitted
-        integrand[:rows, i] = l_est
+        values[:, i] = fitted
+        integrand[:, i] = l_est
         value_coeffs[i] = beta_v
-    # a one-row (degree-0) sweep's nodes are every path's, copied once at the end
-    values[rows:] = values[:1]
-    integrand[rows:] = integrand[:1]
 
     return SweepResult(
         values=values,
@@ -175,15 +163,15 @@ class BsdeGridSolution:
     bundle is the single-period bundle the solution was computed on, so
     its grid and its paths are the solution's: values holds the per-path
     node samples on those paths (deterministic at phase 0) and integrand
-    the martingale coefficient estimates at nodes 0..sp-1.  value_coeffs
-    are the per-node regression weights that define the out-of-sample
-    value surrogate.
+    the martingale coefficient estimates at nodes 0..sp-1, read-only
+    (n_paths, ...) views of the swept ``stored`` rows (one row, broadcast
+    on a path-free solve).  value_coeffs are the per-node regression
+    weights that define the out-of-sample value surrogate.
     """
 
     kind: str                 # "matrix" or "vector"
     bundle: PathBundle
-    values: np.ndarray
-    integrand: np.ndarray
+    stored: tuple             # (values, integrand) as swept: 1 or n_paths rows
     value_coeffs: List[np.ndarray]
     terminal: np.ndarray
     fixed_point: np.ndarray
@@ -194,6 +182,14 @@ class BsdeGridSolution:
     @property
     def dt(self) -> float:
         return self.bundle.dt
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.broadcast_to(self.stored[0], (self.bundle.n_paths,) + self.stored[0].shape[1:])
+
+    @property
+    def integrand(self) -> np.ndarray:
+        return np.broadcast_to(self.stored[1], (self.bundle.n_paths,) + self.stored[1].shape[1:])
 
     @property
     def periodic_residual(self) -> float:
@@ -248,15 +244,30 @@ def _min_eig_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[..., 0]
 
 
+def _sweep_plans(bundle: PathBundle, basis: RegressionBasis) -> tuple:
+    """(the bundle a solve sweeps, its node plans), both kept on ``bundle``.
+    A degree-0 fit is the path mean of identical rows, so a path-free
+    solution is deterministic with L = 0: its solve sweeps one noise-free
+    path, a zero-increment view of the bundle."""
+    sp, swept = bundle.steps_per_period, bundle
+    if basis.degree == 0:
+        if "noise-free" not in bundle._memo:
+            bundle._memo["noise-free"] = replace(
+                bundle, increments=np.zeros((sp, 1)), antithetic=False, _cumsum=None, _memo={}
+            )
+        swept = bundle._memo["noise-free"]
+    plans = swept._memo.get(("plans", basis.degree))
+    if plans is None:
+        # last node first, so a singular one raises as a sweep would
+        plans = [ridge_plan(basis.design(swept, i), RIDGE) for i in range(sp - 1, -1, -1)][::-1]
+        swept._memo["plans", basis.degree] = plans
+    return swept, plans
+
+
 def _outer_fixed_point(
     drift: Callable, shape: tuple, bundle: PathBundle, basis: RegressionBasis
 ) -> BsdeGridSolution:
-    plans = bundle._memo.get(("plans", basis.degree))
-    if plans is None:
-        # kept per bundle and degree; last node first, so a singular one raises as a sweep would
-        nodes = range(bundle.steps_per_period - 1, -1, -1)
-        plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in nodes][::-1]
-        bundle._memo["plans", basis.degree] = plans
+    swept, plans = _sweep_plans(bundle, basis)
     # terminal basis: e_i for a vector, E_ii and E_ij + E_ji (i <= j) for a
     # symmetric matrix; a terminal's coordinates are then its entries at idx
     idx = np.triu_indices(shape[0]) if len(shape) == 2 else (np.arange(shape[0]),)
@@ -265,11 +276,11 @@ def _outer_fixed_point(
     probes[(np.arange(d),) + idx] = probes[(np.arange(d),) + idx[::-1]] = 1.0
 
     # one buffer pair for every sweep: the probes read node 0, the last keeps all
-    sp, n_paths = bundle.steps_per_period, bundle.n_paths
+    sp, n_paths = bundle.steps_per_period, swept.n_paths
     buffers = np.empty((n_paths, sp + 1) + shape), np.empty((n_paths, sp) + shape)
 
     def sweep(terminal):
-        return backward_sweep(drift, terminal, bundle, basis, plans, out=buffers)
+        return backward_sweep(drift, terminal, swept, basis, plans, out=buffers)
 
     f0 = sweep(np.zeros(shape)).values[0, 0][idx]
     m = np.column_stack([sweep(e).values[0, 0][idx] - f0 for e in probes])
@@ -278,20 +289,17 @@ def _outer_fixed_point(
         raise ConvergenceError(f"period map not contracting on this bundle: rho(M) = {rho:.4g}")
     terminal = np.tensordot(np.linalg.solve(np.eye(d) - m, f0), probes, 1)
     final = sweep(terminal)
-    _, fp_se = mean_se(final.node0_target, bundle.antithetic)
+    # a noise-free sweep's node-0 target has no spread
+    fp_se = mean_se(final.node0_target, bundle.antithetic)[1] if swept is bundle else 0.0
     return BsdeGridSolution(
         kind="matrix" if len(shape) == 2 else "vector",
         bundle=bundle,
-        values=final.values,
-        integrand=final.integrand,
+        stored=(final.values, final.integrand),
         value_coeffs=final.value_coeffs,
         terminal=terminal,
         fixed_point=final.values[0, 0].copy(),
         fixed_point_se=float(np.linalg.norm(fp_se)),
-        trace=IterationTrace(
-            n_iterations=d + 2,
-            diagnostics={"max_cond": final.max_cond, "rho": rho},
-        ),
+        trace=IterationTrace(d + 2, diagnostics={"max_cond": final.max_cond, "rho": rho}),
         basis=basis,
     )
 
@@ -329,14 +337,15 @@ def solve_linear_matrix_bsde(
     solution = _outer_fixed_point(drift, (n, n), bundle, basis)
 
     eps = 1e-8 * max(1.0, float(np.linalg.norm(solution.fixed_point)))
-    lows = _min_eig_batch(solution.values)
+    values = solution.stored[0]
+    lows = _min_eig_batch(values)
     worst = float(lows.min())
     solution.trace.diagnostics["min_sample_eig"] = worst
     if worst < -eps:
         solution.trace.diagnostics["positivity_violation"] = worst
     shift = np.clip(-lows, 0.0, eps)
     if np.any(shift > 0.0):
-        solution.values += shift[..., None, None] * np.eye(n)
+        values += shift[..., None, None] * np.eye(n)
     return solution
 
 
@@ -349,8 +358,8 @@ def solve_vector_bsde(
     lam_fn: CoefficientFn,
 ) -> BsdeGridSolution:
     """Periodic vector equation with drift A'eta + C'zeta + K b + C'K sigma
-    + L sigma + lam, where (K, L) are the matrix solution's samples; it is
-    solved on the matrix solution's bundle and regressed on its basis.
+    + L sigma + lam, where (K, L) are the matrix solution's stored rows: it
+    is swept on the matrix solution's bundle and basis, so the rows align.
     """
     bundle = kl_solution.bundle
     n = a_fn.shape[0]
@@ -359,8 +368,7 @@ def solve_vector_bsde(
     )
 
     def drift(i, eta_next, zeta_est):
-        k_i = kl_solution.values[: len(eta_next), i]
-        l_i = kl_solution.integrand[: len(eta_next), i]
+        k_i, l_i = (rows[:, i] for rows in kl_solution.stored)
         at, ct, bd, sg = at_at(i), ct_at(i), b_at(i)[..., None], sigma_at(i)[..., None]
         at_eta = np.matmul(at, eta_next[..., None])[..., 0]
         ct_zeta = np.matmul(ct, zeta_est[..., None])[..., 0]

@@ -257,7 +257,7 @@ def _report_dict(report) -> dict:
 
 def _solve(cfg: RunConfig, scen, seed: int, n_paths: int):
     """Riccati solve on an antithetic one-period bundle."""
-    bundle = PathBundle.generate(
+    bundle = PathBundle.undrawn(
         seed, n_paths, cfg.steps_per_period, 1, tau=scen.tau, antithetic=True
     )
     return solve_stochastic_riccati(scen, bundle, tol=cfg.tol)

@@ -134,7 +134,7 @@ class PathBundle:
     antithetic: bool = False
     _n_paths: int = field(default=0, repr=False)  # the path count while undrawn
     _cumsum: Optional[np.ndarray] = field(default=None, repr=False)
-    _memo: dict = field(default_factory=dict, repr=False)  # regression plans, ones column
+    _memo: dict = field(default_factory=dict, repr=False)  # regression plans, noise-free view
     # path-free coefficient tables, shared by the row blocks of one stream
     _tables: Optional[dict] = field(default=None, repr=False)
 
@@ -538,8 +538,6 @@ class StabilityReport:
     rho: float
     rho_se: float
     overflow_paths: int = 0
-    delta_hat: Optional[float] = None
-    delta_se: Optional[float] = None
 
     @property
     def stable(self) -> bool:
@@ -737,8 +735,9 @@ def estimate_gram_lower_bound(
     coeffs: PeriodicCoefficientSet,
     bundle: PathBundle,
     feedback: Optional[FeedbackLaw] = None,
-) -> StabilityReport:
-    """Regression proxy for the conditional Gram lower bound.
+) -> tuple:
+    """(the loop's report, delta, delta_se): a regression proxy for the
+    conditional Gram lower bound.
 
     For each anchor node r in {0, sp/4, sp/2, 3sp/4} of the first period
     (sp steps per period, floored), with Psi_s = Phi_s Phi_r^{-1}, the
@@ -747,10 +746,10 @@ def estimate_gram_lower_bound(
     over the first period, and no draw on a path-free loop, where it is its
     own conditional expectation (exact, SE 0).  Else it is regressed on
     polynomial features of the increments seen up to r, at ``feature_degree``
-    of the loop.  delta_hat is the smallest eigenvalue of the fitted
+    of the loop.  delta is the smallest eigenvalue of the fitted
     conditional expectations over all anchors and paths, delta_se its SE.
-    The report's rate is the loop's one-period operator, as
-    ``moment_operator`` gives it.
+    The report is the loop's one-period operator, as ``moment_operator``
+    gives it.
     """
     n, sp = coeffs.n, bundle.steps_per_period
     degree = feature_degree(_homogeneous_drift(coeffs, feedback), coeffs.C)
@@ -777,7 +776,7 @@ def estimate_gram_lower_bound(
                 vecs = np.linalg.eigh(sym[idx])[1][:, 0]
                 wmat = np.outer(vecs, vecs).reshape(-1) ** 2
                 worst_se = math.sqrt(max(lever * float(wmat @ sig2), 0.0))
-    return replace(report, delta_hat=worst, delta_se=worst_se)
+    return report, worst, worst_se
 
 
 def contraction_check(

@@ -3,6 +3,7 @@
 import csv
 import gc
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from ergolq.bsde_engine import (
     RegressionError,
     _lyapunov_drift,
     _outer_fixed_point,
+    _sweep_plans,
     backward_sweep,
     export_node_table_csv,
     representation_check,
@@ -290,11 +292,13 @@ def test_direct_fixed_point_matches_plain_iteration(case, d):
     drift, terminal, bundle, basis = SWEEP_CASES[case]()
     sol = _outer_fixed_point(drift, terminal.shape, bundle, basis)
     scale = max(1.0, float(np.linalg.norm(sol.fixed_point)))
-    plans = bundle._memo["plans", basis.degree]
-    again = backward_sweep(drift, sol.terminal, bundle, basis, plans).values[0, 0]
+    # the bundle a solve sweeps: a degree-0 solve's is its noise-free view
+    swept, plans = _sweep_plans(bundle, basis)
+    assert (swept is bundle) == (basis.degree > 0)
+    again = backward_sweep(drift, sol.terminal, swept, basis, plans).values[0, 0]
     np.testing.assert_array_equal(again, sol.fixed_point)
     assert np.linalg.norm(again - sol.terminal) <= 1e-13 * scale
-    iterated = _picard_fixed_point(drift, terminal.shape, bundle, basis)
+    iterated = _picard_fixed_point(drift, terminal.shape, swept, basis)
     assert np.linalg.norm(iterated - sol.fixed_point) <= 1e-8 * scale
     assert sol.trace.n_iterations == d + 2
     assert sol.trace.stop_reason == "direct"
@@ -309,6 +313,29 @@ def test_unstable_dynamics_raise_convergence_error(a, rho):
         solve_linear_matrix_bsde(
             scalar_const(a), scalar_const(0.0), scalar_const(1.0), bundle
         )
+
+
+def test_path_free_solve_draws_nothing_and_stores_one_row():
+    # A2's solve: 20 000 antithetic paths on a loop that reads no path, so
+    # it sweeps one noise-free path, draws nothing, allocates no path axis,
+    # and values and integrand broadcast the one stored row read-only
+    scen = builtin_scenarios()["planar-deterministic-periodic"]
+    lam = constant_coeff(np.eye(2), scen.tau, symmetrize=True)
+    bundle = PathBundle.undrawn(3, 20_000, 64, 1, tau=scen.tau, antithetic=True)
+    tracemalloc.start()
+    try:
+        sol = solve_linear_matrix_bsde(scen.A, scen.C, lam, bundle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.increments is None
+    assert peak < 2**20
+    assert sol.fixed_point_se == 0.0
+    for samples, nodes in ((sol.values, 65), (sol.integrand, 64)):
+        assert samples.shape == (20_000, nodes, 2, 2)
+        assert samples.strides[0] == 0 and not samples.flags.writeable
+    assert not np.any(sol.integrand)  # L = 0
+    np.testing.assert_array_equal(sol.values[0, 0], sol.fixed_point)
 
 
 def test_planar_solution_stays_symmetric():

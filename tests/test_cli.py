@@ -259,6 +259,20 @@ def test_solve_riccati_reports_algebraic_gain(tmp_path, capsys):
     assert (out / "riccati_nodes.csv").exists()
 
 
+def test_solve_riccati_on_one_antithetic_pair_reaches_the_golden_root(tmp_path):
+    # a path-free solve sweeps one noise-free path, so one pair is enough: K0
+    # is the scheme's root with SE 0, and policy iteration runs to tolerance
+    out = tmp_path / "ric"
+    rc = cli.main([
+        "solve-riccati", "--scenario", "scalar-noisy", "--paths", "2", "--out", str(out),
+    ])
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["k0"][0][0] == pytest.approx(0.6180339887498948, rel=0.0, abs=1e-15)
+    assert summary["n_policies"] >= 5
+    assert summary["k0_se"] == 0.0
+
+
 def test_ergodic_cost_summary(tmp_path, capsys):
     out = tmp_path / "cost"
     rc = cli.main([

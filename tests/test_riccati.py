@@ -11,6 +11,7 @@ from ergolq.coefficients import (
     builtin_scenarios,
     constant_coeff,
 )
+from ergolq.ergodic import optimal_feedback
 from ergolq.oracle import periodic_riccati_ode
 from ergolq.riccati import (
     default_stabilizer,
@@ -126,6 +127,22 @@ def test_planar_solve_tracks_ode_reference():
     gap = np.abs(ric.fixed_point - ric.fixed_point.T).max()
     assert gap < 1e-12
     assert np.linalg.eigvalsh(ric.fixed_point).min() > 0.0
+
+
+@pytest.mark.parametrize(
+    "name", ["scalar-constant", "scalar-noisy", "planar-deterministic-periodic"]
+)
+def test_path_free_solve_does_not_depend_on_the_paths(name):
+    # a path-free solution is deterministic with L = 0: K0 and eta0 are the
+    # same bits at any path count and seed, and their fixed points have SE 0
+    scen = builtin_scenarios()[name]
+    seen = set()
+    for n_paths, seed in ((2, 1), (64, 7), (2000, 3), (4096, 7)):
+        ric = solve_stochastic_riccati(scen, solve_bundle(seed, n_paths=n_paths), tol=1e-9)
+        opt = optimal_feedback(ric)
+        assert ric.fixed_point_se == 0.0 and opt.eta_solution.fixed_point_se == 0.0
+        seen.add((ric.fixed_point.tobytes(), opt.eta_solution.fixed_point.tobytes()))
+    assert len(seen) == 1
 
 
 def test_indefinite_state_weight_is_rejected():

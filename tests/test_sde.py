@@ -174,17 +174,14 @@ def test_phase_wraps_and_prefix_resets_at_boundaries():
 
 def test_streams_that_read_no_prefix_sum_leave_the_table_unbuilt(monkeypatch):
     # constant coefficients read no partial sum, so neither a direct stream,
-    # the decay certificate nor a degree-0 backward solve may allocate the
-    # (n_steps + 1, n_paths) table
-    scen = builtin_scenarios()["scalar-moment-decay"]
-    bundle = PathBundle.generate(5, 8, 16, 3)
-    stream_fundamental(scen, bundle, lambda k, phi: None)
-    assert bundle._cumsum is None
-
+    # the decay certificate nor a degree-0 backward solve may build the
+    # (n_steps + 1, n_paths) table of any bundle, its blocks or its views
     def refuse(self):
         raise AssertionError("partial-sum table built")
 
     monkeypatch.setattr(PathBundle, "_sums", refuse)
+    scen = builtin_scenarios()["scalar-moment-decay"]
+    stream_fundamental(scen, PathBundle.generate(5, 8, 16, 3), lambda k, phi: None)
     assert stabilizer_check(scen, constant_feedback(scen, [[0.0]]), seed=3, n_paths=16).stable
     const = builtin_scenarios()["scalar-constant"]
     solve = PathBundle.generate(5, 64, 16, 1, antithetic=True)
@@ -619,7 +616,7 @@ def test_gram_features_and_rate_read_the_bundle_and_the_operator(monkeypatch, na
         return poly_design(sums, phase, degree)
 
     monkeypatch.setattr(sde_engine, "poly_design", design)
-    gram = estimate_gram_lower_bound(scen, bundle, law)
+    gram = estimate_gram_lower_bound(scen, bundle, law)[0]
     ref = moment_operator(scen, bundle, law)
     fit = ("lambda_hat", "beta_hat", "lambda_se", "ci_low", "rho", "rho_se")
     assert [getattr(gram, f) for f in fit] == [getattr(ref, f) for f in fit]
@@ -803,10 +800,10 @@ def test_gram_bound_matches_the_psi_product_reference():
     scen = builtin_scenarios()["scalar-random-periodic"]
     law = constant_feedback(scen, [[-0.5]])
     bundle = PathBundle.generate(derive_seed(7, "gram-reference"), 2000, 64, 1)
-    report = estimate_gram_lower_bound(scen, bundle, law)
+    _, got, got_se = estimate_gram_lower_bound(scen, bundle, law)
     delta, delta_se = gram_reference(scen, bundle, law)
-    assert report.delta_hat == pytest.approx(delta, rel=1e-12, abs=0.0)
-    assert report.delta_se == pytest.approx(delta_se, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(delta, rel=1e-12, abs=0.0)
+    assert got_se == pytest.approx(delta_se, rel=1e-12, abs=0.0)
 
 
 def test_exact_gram_bound_agrees_with_the_monte_carlo_reference():
@@ -815,10 +812,10 @@ def test_exact_gram_bound_agrees_with_the_monte_carlo_reference():
     scen = builtin_scenarios()["scalar-noisy"]
     law = constant_feedback(scen, [[-0.5]])
     bundle = PathBundle.generate(derive_seed(7, "gram-exact"), 20_000, 64, 1)
-    report = estimate_gram_lower_bound(scen, bundle, law)
+    _, got, got_se = estimate_gram_lower_bound(scen, bundle, law)
     delta, delta_se = gram_reference(scen, bundle, law)
-    assert report.delta_se == 0.0 < delta_se
-    assert abs(report.delta_hat - delta) <= 3.0 * delta_se
+    assert got_se == 0.0 < delta_se
+    assert abs(got - delta) <= 3.0 * delta_se
 
 
 def test_gram_bound_streams_one_period_once_and_draws_nothing_path_free(monkeypatch):
@@ -859,13 +856,13 @@ def test_gram_lower_bound_on_constant_scenario():
     scen = builtin_scenarios()["scalar-constant"]
     law = constant_feedback(scen, [[-0.4]])
     bundle = PathBundle.generate(29, 256, 32, 8, antithetic=True)
-    report = estimate_gram_lower_bound(scen, bundle, law)
+    report, delta, delta_se = estimate_gram_lower_bound(scen, bundle, law)
     dt = bundle.dt
     q2 = (1.0 - 1.4 * dt) ** 2
     want = dt * (0.5 + q2 / (1.0 - q2))
-    assert report.delta_hat == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert report.delta_se == 0.0
-    assert estimate_gram_lower_bound(scen, bundle.restrict(1), law) == report
+    assert delta == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert delta_se == 0.0
+    assert estimate_gram_lower_bound(scen, bundle.restrict(1), law) == (report, delta, delta_se)
     assert report.rho == moment_operator(scen, bundle, law).rho
 
 

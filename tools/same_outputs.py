@@ -16,7 +16,9 @@ line, because verify's per-check lines carry wall times).
 
 Prints one line per command, with each checkout's peak resident set size
 (``ru_maxrss`` of the child, read by ``os.wait4``), and exits 1 if any
-output differs, else 0.
+output differs, else 0.  Under each differing ``summary.json`` it lists
+every number that moved, by its key path, as old -> new with the relative
+change |new - old| / |old|.
 A speed change that claims to leave every result alone needs this proof.
 Takes about 2.5 minutes on a 2-core VM.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,14 +88,35 @@ def _content(rel: str, path: str):
     return manifest
 
 
+def moved_numbers(old, new, key: str = "") -> list:
+    """'key: old -> new (rel r)' for every number that differs between two
+    JSON values, found where both hold a dict key or list index; key paths
+    read like ``checks.S6.metrics.delta`` and ``k0[0][1]``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(f"{key}.{k}" if key else str(k), old[k], new[k]) for k in old if k in new]
+    elif isinstance(old, list) and isinstance(new, list):
+        pairs = [(f"{key}[{i}]", x, y) for i, (x, y) in enumerate(zip(old, new))]
+    else:
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+        if not numbers or old == new or (math.isnan(old) and math.isnan(new)):
+            return []
+        rel = abs(new - old) / abs(old) if old else math.inf
+        return [f"{key}: {old!r} -> {new!r} (rel {rel:.2e})"]
+    return [line for path, x, y in pairs for line in moved_numbers(x, y, path)]
+
+
 def differences(left: str, right: str) -> list:
-    """Relative paths (with a reason) at which two output trees differ."""
+    """Relative paths (with a reason) at which two output trees differ, each
+    differing summary.json followed by its moved numbers."""
     a, b = _files(left), _files(right)
     problems = [f"{rel}: only in parent" for rel in sorted(set(a) - set(b))]
     problems += [f"{rel}: only in change" for rel in sorted(set(b) - set(a))]
     for rel in sorted(set(a) & set(b)):
-        if _content(rel, a[rel]) != _content(rel, b[rel]):
+        old, new = _content(rel, a[rel]), _content(rel, b[rel])
+        if old != new:
             problems.append(f"{rel}: differs")
+            if os.path.basename(rel) == "summary.json":
+                problems += ["  " + line for line in moved_numbers(json.loads(old), json.loads(new))]
     return problems
 
 

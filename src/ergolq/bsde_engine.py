@@ -28,8 +28,8 @@ basis degree (``ridge_plan``, shared with the Gram estimate) for every solve
 on it; designs are rebuilt per node, since a period of cubic designs costs
 more memory than time.  A degree-0 (path-free) solution is deterministic
 with L = 0, so its solve sweeps one noise-free path, kept on the bundle:
-there the sweep is exactly the scheme's explicit recursion, its fixed point
-has SE 0, and the solution broadcasts that one stored row to every path.
+there the sweep is exactly the scheme's explicit recursion, and the solution
+stores that one row, which every reader takes as exact with SE 0.
 """
 
 from __future__ import annotations
@@ -161,11 +161,11 @@ class BsdeGridSolution:
     """Periodic solution samples on the solve bundle plus node surrogates.
 
     bundle is the single-period bundle the solution was computed on, so
-    its grid and its paths are the solution's: values holds the per-path
-    node samples on those paths (deterministic at phase 0) and integrand
-    the martingale coefficient estimates at nodes 0..sp-1, read-only
-    (n_paths, ...) views of the swept ``stored`` rows (one row, broadcast
-    on a path-free solve).  value_coeffs are the per-node regression
+    its grid and its paths are the solution's.  stored = (values, integrand)
+    holds the node samples at nodes 0..sp (deterministic at phase 0) and the
+    martingale coefficient estimates at nodes 0..sp-1 as swept: n_paths rows,
+    or one exact row on a path-free solve.  Readers reduce per-row
+    quantities with ``path_mean``.  value_coeffs are the per-node regression
     weights that define the out-of-sample value surrogate.
     """
 
@@ -184,29 +184,28 @@ class BsdeGridSolution:
         return self.bundle.dt
 
     @property
-    def values(self) -> np.ndarray:
-        return np.broadcast_to(self.stored[0], (self.bundle.n_paths,) + self.stored[0].shape[1:])
-
-    @property
-    def integrand(self) -> np.ndarray:
-        return np.broadcast_to(self.stored[1], (self.bundle.n_paths,) + self.stored[1].shape[1:])
-
-    @property
     def periodic_residual(self) -> float:
         return float(np.linalg.norm(self.fixed_point - self.terminal))
 
+    def path_mean(self, samples: np.ndarray, paired: bool = True):
+        """(mean, se) over the first axis of samples, one per stored row: a
+        path-free solution's one row is exact with SE 0, else ``mean_se``
+        over the rows, antithetic pairs first when paired."""
+        if self.basis.degree == 0:
+            return samples[0], np.zeros_like(samples[0])
+        return mean_se(samples, paired and self.bundle.antithetic)
+
     def value_at(self, phase: float, partial_sum: np.ndarray) -> np.ndarray:
         """Surrogate value at the node nearest to phase, on fresh (n_paths,)
-        within-period partial sums."""
+        within-period partial sums; the anchors at nodes 0 and sp are the
+        path-free fixed point and terminal themselves."""
         sp = self.bundle.steps_per_period
         node = min(max(int(round(phase / self.dt)), 0), sp)
-        n_paths = partial_sum.shape[0]
         if node == sp or node == 0:
-            anchor = self.terminal if node == sp else self.fixed_point
-            return np.tile(anchor, (n_paths,) + (1,) * anchor.ndim)
+            return self.terminal if node == sp else self.fixed_point
         beta = self.value_coeffs[node]
         design = poly_design(partial_sum, node * self.dt, self.basis.degree)
-        out = (design @ beta).reshape((n_paths,) + self.fixed_point.shape)
+        out = (design @ beta).reshape((partial_sum.shape[0],) + self.fixed_point.shape)
         if self.kind == "matrix":
             out = 0.5 * (out + np.swapaxes(out, -1, -2))
         return out
@@ -418,9 +417,11 @@ def representation_check(
 
 
 def export_node_table_csv(solution: BsdeGridSolution, path) -> None:
-    """Write (node, t, mean entries.., se entries..) over the period grid."""
+    """Write (node, t, mean entries.., se entries..) over the period grid;
+    a path-free solution's row is exact, and n_paths rows are not paired."""
     sp = solution.bundle.steps_per_period
-    flat = solution.values.reshape(solution.values.shape[:2] + (-1,))
+    values = solution.stored[0]
+    flat = values.reshape(values.shape[:2] + (-1,))
     n_comp = flat.shape[2]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -430,7 +431,7 @@ def export_node_table_csv(solution: BsdeGridSolution, path) -> None:
             + [f"se_c{i}" for i in range(n_comp)]
         )
         for k in range(sp + 1):
-            mean, se = mean_se(flat[:, k])
+            mean, se = solution.path_mean(flat[:, k], paired=False)
             writer.writerow(
                 [k, repr(float(k * solution.dt))]
                 + [repr(float(v)) for v in mean]

@@ -318,7 +318,6 @@ class ValueEstimate:
     value: float
     se: float
     solver_floor: float
-    n_paths: int
 
 
 def value_function(opt: OptimalControl) -> ValueEstimate:
@@ -328,20 +327,20 @@ def value_function(opt: OptimalControl) -> ValueEstimate:
     The rate at each node is -(B'eta+rho)' R^{-1} (B'eta+rho)
     + sigma'K sigma + 2 eta'b + 2 zeta'sigma, integrated by trapezoid and
     divided by the period.  The reported se combines the path average's
-    sampling error with the two solver fixed-point floors.
+    sampling error (0 on a path-free solution) with the two solver floors.
     """
     coeffs = opt.riccati.coeffs
     ks = opt.riccati.k_solution
     es = opt.eta_solution
     bundle = es.bundle
     sp, dt = bundle.steps_per_period, es.dt
-    n_paths = bundle.n_paths
-    acc = np.zeros(n_paths)
+    (k_rows, _), (eta_rows, zeta_rows) = ks.stored, es.stored
+    acc = np.zeros(len(eta_rows))
     bound = [bundle.bind(f) for f in (coeffs.R, coeffs.B, coeffs.rho, coeffs.b, coeffs.sigma)]
     for i in range(sp + 1):
-        k_i = ks.values[:, i]
-        eta_i = es.values[:, i]
-        zeta_i = es.integrand[:, i] if i < sp else es.integrand[:, 0]
+        k_i = k_rows[:, i]
+        eta_i = eta_rows[:, i]
+        zeta_i = zeta_rows[:, i % sp]
         r, bmat, rho, bd, sg = (at(i) for at in bound)
         g = np.matmul(np.swapaxes(bmat, -1, -2), eta_i[..., None])[..., 0]
         g = g + np.broadcast_to(rho, g.shape)
@@ -357,13 +356,12 @@ def value_function(opt: OptimalControl) -> ValueEstimate:
         weight = 0.5 * dt if i in (0, sp) else dt
         acc += weight * rate
     per_path = acc / coeffs.tau
-    mean, mc_se = mean_se(per_path, bundle.antithetic)
+    mean, mc_se = es.path_mean(per_path)
     floor = math.hypot(ks.fixed_point_se, es.fixed_point_se)
     return ValueEstimate(
         value=float(mean),
         se=float(math.hypot(mc_se, floor)),
         solver_floor=float(floor),
-        n_paths=n_paths,
     )
 
 

@@ -53,7 +53,6 @@ from .sde_engine import (
     PathBundle,
     StabilityReport,
     derive_seed,
-    mean_se,
     moment_operator,
 )
 
@@ -303,28 +302,25 @@ def riccati_residual(solution: RiccatiSolution) -> ResidualReport:
 
     At node i the stored value is compared against one explicit backward
     step of the full drift, with the quadratic term evaluated at the stored
-    next-node samples on the solve bundle.  The ensemble mean of the defect
-    is the reported quantity; pathwise defects carry the martingale
-    increment and are not expected to vanish.
+    next-node samples on the solve bundle.  The mean of the defect over the
+    stored rows is the reported quantity; pathwise defects carry the
+    martingale increment and are not expected to vanish.
     """
     ks = solution.k_solution
     bundle = ks.bundle
     coeffs = solution.coeffs
     sp, dt = bundle.steps_per_period, ks.dt
-    n = coeffs.n
     defects = np.empty(sp)
     bound = [bundle.bind(coeffs.coefficient(f)) for f in ("A", "C", "Q", "B", "S", "R")]
+    values, integrand = ks.stored
     for i in range(sp):
-        k_next = ks.values[:, i + 1]
-        l_est = ks.integrand[:, i]
+        k_next = values[:, i + 1]
         a, c, q, bmat, smat, r = (at(i) for at in bound)
         g = np.matmul(np.swapaxes(bmat, -1, -2), k_next) + smat
         quad = np.matmul(np.swapaxes(g, -1, -2), rinv_apply(r, g))
-        drift = _lyapunov_drift(k_next, a, c, l_est) + q - quad
+        drift = _lyapunov_drift(k_next, a, c, integrand[:, i]) + q - quad
         target = k_next + dt * drift
-        diff = ks.values[:, i] - target
-        mean_diff, _ = mean_se(diff.reshape(diff.shape[0], -1), bundle.antithetic)
-        defects[i] = float(np.linalg.norm(mean_diff.reshape(n, n)))
+        defects[i] = float(np.linalg.norm(ks.path_mean(values[:, i] - target)[0]))
     scale = max(1.0, float(np.linalg.norm(ks.fixed_point)))
     return ResidualReport(
         node_defects=defects,

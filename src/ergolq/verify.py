@@ -237,7 +237,7 @@ def check_a2_bsde_vs_ode(ctx: AcceptanceContext):
     ref = ode.on_grid(64)
     worst = 0.0
     for node in range(65):
-        mc = sol.values[:, node].mean(axis=0)
+        mc = sol.path_mean(sol.stored[0][:, node])[0]
         rel = np.linalg.norm(mc - ref[node]) / max(np.linalg.norm(ref[node]), 1e-12)
         worst = max(worst, float(rel))
     metrics = {"max_rel_error": worst, "ode_residual": ode.periodic_residual}

@@ -145,7 +145,7 @@ def _vector_case():
     a_at, c_at, b_at, q_at = (bundle.bind(f) for f in (scen.A, scen.C, scen.b, scen.q))
 
     def drift(i, eta_next, zeta_est):
-        k_i = ksol.values[: len(eta_next), i]
+        k_i = ksol.stored[0][:, i]
         a, c = a_at(i), c_at(i)
         at_eta = np.matmul(np.swapaxes(a, -1, -2), eta_next[..., None])[..., 0]
         ct_zeta = np.matmul(np.swapaxes(c, -1, -2), zeta_est[..., None])[..., 0]
@@ -269,7 +269,7 @@ def test_constant_lyapunov_fixed_point_is_exact():
     assert sol.trace.stop_reason == "direct"
     assert sol.trace.diagnostics["min_sample_eig"] > 0.0
     # every node sample sits at the same constant
-    assert np.abs(sol.values - 0.5).max() < 1e-7
+    assert np.abs(sol.stored[0] - 0.5).max() < 1e-7
 
 
 def _picard_fixed_point(drift, shape, bundle, basis):
@@ -318,7 +318,7 @@ def test_unstable_dynamics_raise_convergence_error(a, rho):
 def test_path_free_solve_draws_nothing_and_stores_one_row():
     # A2's solve: 20 000 antithetic paths on a loop that reads no path, so
     # it sweeps one noise-free path, draws nothing, allocates no path axis,
-    # and values and integrand broadcast the one stored row read-only
+    # and stores that one row
     scen = builtin_scenarios()["planar-deterministic-periodic"]
     lam = constant_coeff(np.eye(2), scen.tau, symmetrize=True)
     bundle = PathBundle.undrawn(3, 20_000, 64, 1, tau=scen.tau, antithetic=True)
@@ -331,11 +331,10 @@ def test_path_free_solve_draws_nothing_and_stores_one_row():
     assert bundle.increments is None
     assert peak < 2**20
     assert sol.fixed_point_se == 0.0
-    for samples, nodes in ((sol.values, 65), (sol.integrand, 64)):
-        assert samples.shape == (20_000, nodes, 2, 2)
-        assert samples.strides[0] == 0 and not samples.flags.writeable
-    assert not np.any(sol.integrand)  # L = 0
-    np.testing.assert_array_equal(sol.values[0, 0], sol.fixed_point)
+    values, integrand = sol.stored
+    assert values.shape == (1, 65, 2, 2) and integrand.shape == (1, 64, 2, 2)
+    assert not np.any(integrand)  # L = 0
+    np.testing.assert_array_equal(values[0, 0], sol.fixed_point)
 
 
 def test_planar_solution_stays_symmetric():
@@ -345,7 +344,8 @@ def test_planar_solution_stays_symmetric():
         scen.A, scen.C, constant_coeff(np.eye(2), scen.tau, symmetrize=True),
         bundle,
     )
-    gap = np.abs(sol.values - np.swapaxes(sol.values, -1, -2)).max()
+    values = sol.stored[0]
+    gap = np.abs(values - np.swapaxes(values, -1, -2)).max()
     assert gap == 0.0
     assert sol.fixed_point.shape == (2, 2)
     assert np.linalg.eigvalsh(sol.fixed_point).min() > 0.0
@@ -361,11 +361,9 @@ def test_value_at_anchors_and_interior_nodes():
         scalar_const(-1.0), scalar_const(0.0), scalar_const(1.0), bundle
     )
     fresh = np.random.default_rng(2).normal(0, 0.1, size=(7, 16)).sum(axis=1)
-    at0 = sol.value_at(0.0, fresh)
-    assert at0.shape == (7, 1, 1)
-    np.testing.assert_array_equal(at0[:, 0, 0], np.full(7, sol.fixed_point[0, 0]))
-    at_end = sol.value_at(TAU, fresh)
-    np.testing.assert_array_equal(at_end[:, 0, 0], np.full(7, sol.terminal[0, 0]))
+    # the anchors are path-free: the fixed point and terminal themselves
+    np.testing.assert_array_equal(sol.value_at(0.0, fresh), sol.fixed_point)
+    np.testing.assert_array_equal(sol.value_at(TAU, fresh), sol.terminal)
     interior = sol.value_at(16 / 64, fresh)
     np.testing.assert_allclose(interior[:, 0, 0], 0.5, atol=1e-7)
 
@@ -379,7 +377,7 @@ def test_solution_coeff_kind_tracks_basis():
     assert fn.kind == "deterministic-periodic"
     assert fn.shape == (1, 1)
     out = fn.eval_batch(0.0, np.zeros(4))
-    np.testing.assert_allclose(out[:, 0, 0], 0.5, atol=1e-8)
+    np.testing.assert_allclose(out[..., 0, 0], 0.5, atol=1e-8)
 
     rand_a = builtin_scenarios()["scalar-random-periodic"].A
     rand = solve_linear_matrix_bsde(

@@ -273,6 +273,33 @@ def test_solve_riccati_on_one_antithetic_pair_reaches_the_golden_root(tmp_path):
     assert summary["k0_se"] == 0.0
 
 
+def test_path_free_node_table_holds_the_exact_row(tmp_path):
+    # a path-free solution stores one exact row: node 0 of the table is K0
+    # bit for bit, and no cell carries a sampling error
+    out = tmp_path / "ric"
+    rc = cli.main([
+        "solve-riccati", "--scenario", "planar-deterministic-periodic",
+        "--paths", "6", "--out", str(out),
+    ])
+    assert rc == 0
+    k0 = [v for row in read_json(out / "summary.json")["k0"] for v in row]
+    with open(out / "riccati_nodes.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(rows[0][f"mean_c{i}"]) for i in range(4)] == k0
+    assert all(float(v) == 0.0 for row in rows for k, v in row.items() if k.startswith("se_c"))
+
+
+def test_path_free_value_has_no_sampling_error_on_one_pair(tmp_path):
+    out = tmp_path / "cost"
+    rc = cli.main([
+        "ergodic-cost", "--scenario", "scalar-noisy", "--paths", "2", "--out", str(out),
+    ])
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["value_se"] == 0.0
+    assert math.isfinite(summary["gap_in_se"]) and summary["gap_in_se"] > 0.0
+
+
 def test_ergodic_cost_summary(tmp_path, capsys):
     out = tmp_path / "cost"
     rc = cli.main([

@@ -11,7 +11,7 @@ from ergolq.coefficients import (
     builtin_scenarios,
     constant_coeff,
 )
-from ergolq.ergodic import optimal_feedback
+from ergolq.ergodic import optimal_feedback, value_function
 from ergolq.oracle import periodic_riccati_ode
 from ergolq.riccati import (
     default_stabilizer,
@@ -134,15 +134,20 @@ def test_planar_solve_tracks_ode_reference():
 )
 def test_path_free_solve_does_not_depend_on_the_paths(name):
     # a path-free solution is deterministic with L = 0: K0 and eta0 are the
-    # same bits at any path count and seed, and their fixed points have SE 0
+    # same bits at any path count and seed, and their fixed points have SE 0;
+    # so are the value and the residual read from its one stored row
     scen = builtin_scenarios()[name]
-    seen = set()
+    seen, values, defects = set(), set(), set()
     for n_paths, seed in ((2, 1), (64, 7), (2000, 3), (4096, 7)):
         ric = solve_stochastic_riccati(scen, solve_bundle(seed, n_paths=n_paths), tol=1e-9)
         opt = optimal_feedback(ric)
         assert ric.fixed_point_se == 0.0 and opt.eta_solution.fixed_point_se == 0.0
         seen.add((ric.fixed_point.tobytes(), opt.eta_solution.fixed_point.tobytes()))
-    assert len(seen) == 1
+        val = value_function(opt)
+        assert val.se == 0.0
+        values.add(np.array([val.value, val.se]).tobytes())
+        defects.add(riccati_residual(ric).node_defects.tobytes())
+    assert len(seen) == len(values) == len(defects) == 1
 
 
 def test_indefinite_state_weight_is_rejected():

@@ -18,7 +18,8 @@ Prints one line per command, with each checkout's peak resident set size
 (``ru_maxrss`` of the child, read by ``os.wait4``), and exits 1 if any
 output differs, else 0.  Under each differing ``summary.json`` it lists
 every number that moved, by its key path, as old -> new with the relative
-change |new - old| / |old|.
+change |new - old| / |old|; under each differing CSV file it lists them the
+same way by data row and column, as ``[3].mean_c0``.
 A speed change that claims to leave every result alone needs this proof.
 Takes about 2.5 minutes on a 2-core VM.
 """
@@ -26,7 +27,9 @@ Takes about 2.5 minutes on a 2-core VM.
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -105,9 +108,22 @@ def moved_numbers(old, new, key: str = "") -> list:
     return [line for path, x, y in pairs for line in moved_numbers(x, y, path)]
 
 
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def csv_rows(data: bytes) -> list:
+    """A CSV file's data rows as {column: cell}, numeric cells as floats."""
+    header, *rows = csv.reader(io.StringIO(data.decode("utf-8")))
+    return [{col: _number(cell) for col, cell in zip(header, row)} for row in rows]
+
+
 def differences(left: str, right: str) -> list:
     """Relative paths (with a reason) at which two output trees differ, each
-    differing summary.json followed by its moved numbers."""
+    differing summary.json or CSV file followed by its moved numbers."""
     a, b = _files(left), _files(right)
     problems = [f"{rel}: only in parent" for rel in sorted(set(a) - set(b))]
     problems += [f"{rel}: only in change" for rel in sorted(set(b) - set(a))]
@@ -117,6 +133,8 @@ def differences(left: str, right: str) -> list:
             problems.append(f"{rel}: differs")
             if os.path.basename(rel) == "summary.json":
                 problems += ["  " + line for line in moved_numbers(json.loads(old), json.loads(new))]
+            elif rel.endswith(".csv"):
+                problems += ["  " + line for line in moved_numbers(csv_rows(old), csv_rows(new))]
     return problems
 
 

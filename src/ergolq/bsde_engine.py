@@ -14,29 +14,29 @@ equation (the first-order correction) are both solved by the same scheme:
 All sweeps of one solve run on a single frozen path bundle with fixed
 regression plans, where the period map is affine in the terminal: the ridge
 solve is linear in its target, both drifts are linear in (value, integrand)
-plus a source, and symmetrisation is linear.  d + 1 probe sweeps (from 0 and
-from each basis terminal; d = n(n+1)/2 for a symmetric matrix, n for a
-vector) give its linear part M, the fixed point solves (I - M) t = F(0), and
-one last sweep at t gives the stored samples (a combination of the probes'
-would differ from a sweep in its last bits); every sweep of a solve fills
-the same (values, integrand) buffer pair.  The spectral radius rho(M) is
-the bundle's certificate of the paper's random periodic mean-square
-stability: a solve with rho(M) >= 1 has no periodic solution to report.
+plus a source, and symmetrisation is linear.  The images of 0 and of each
+basis terminal (d = n(n+1)/2 for a symmetric matrix, n for a vector) give
+its linear part M, the fixed point solves (I - M) t = F(0), and one last
+sweep at t gives the stored samples (a combination of the probes' would
+differ from a sweep in its last bits).  The spectral radius rho(M) is the
+bundle's certificate of the paper's random periodic mean-square stability:
+a solve with rho(M) >= 1 has no periodic solution to report.
 
-A bundle keeps each node's ridged normal matrix and condition number per
-basis degree (``ridge_plan``, shared with the Gram estimate) for every solve
-on it; designs are rebuilt per node, since a period of cubic designs costs
-more memory than time.  A degree-0 (path-free) solution is deterministic
-with L = 0, so its solve sweeps one noise-free path, kept on the bundle:
-there the sweep is exactly the scheme's explicit recursion, and the solution
-stores that one row, which every reader takes as exact with SE 0.
+A path sweep reads each node's ridged normal matrix and condition number,
+kept on the bundle per basis degree (``ridge_plan``, shared with the Gram
+estimate); designs are rebuilt per node, since a period of cubic designs
+costs more memory than time, and the d + 1 probe sweeps fill one buffer
+pair in turn.  A degree-0 (path-free) solution is deterministic with L = 0:
+its sweep is the scheme's explicit recursion, run on a stack of terminals as
+rows, so the zero and probe terminals take one sweep and the solve two.  It
+stores its one row, which every reader takes as exact with SE 0.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, List, Optional
 
@@ -73,9 +73,7 @@ class RegressionBasis:
             raise RegressionError("basis degree must lie in 0..6")
 
     def design(self, bundle: PathBundle, node: int) -> np.ndarray:
-        """Features at a grid node; degree 0 never reads the partial sums."""
-        if self.degree == 0:
-            return np.ones((bundle.n_paths, 1))
+        """Features at a grid node (a path sweep's; a path-free one builds none)."""
         return poly_design(bundle.partial_sum(node), bundle.phase(node), self.degree)
 
 
@@ -93,47 +91,51 @@ def backward_sweep(
     terminal: np.ndarray,
     bundle: PathBundle,
     basis: RegressionBasis,
-    plans: list,
+    plans: Optional[list],
     out: Optional[tuple] = None,
 ) -> SweepResult:
     """One explicit backward pass over a single period on the node plans.
 
-    drift(node, value_next, integrand_est) gets the bundle's n_paths rows and
-    must return an array broadcastable to (n_paths,) + value shape.
-    Matrix-valued sweeps keep every stored node value exactly symmetric.
-    ``out`` = (values, integrand) are filled in place of fresh arrays; every
-    entry is written.
+    ``terminal`` is (rows,) + value shape: one row spread over the bundle's
+    paths, or on a degree-0 basis the rows swept, each by the explicit
+    recursion (a constant fit of one row is that row, and L = 0): no design,
+    plan or draw, and a node's coefficients are its value target.
+    drift(node, value_next, integrand_est) gets the swept rows and must
+    return an array broadcastable to them.  Matrix-valued sweeps keep every
+    stored node value exactly symmetric.  ``out`` = (values, integrand) are
+    filled in place of fresh arrays; every entry is written.
     """
     if bundle.n_periods != 1:
         raise ValueError("backward sweeps operate on single-period bundles")
     terminal = np.asarray(terminal, dtype=float)
-    vshape = terminal.shape
+    vshape = terminal.shape[1:]
     flat_dim = int(np.prod(vshape))
-    sp, dt, n_paths = bundle.steps_per_period, bundle.dt, bundle.n_paths
+    sp, dt = bundle.steps_per_period, bundle.dt
     symmetric = len(vshape) == 2 and flat_dim > 1  # a 1x1 value is symmetric
-
-    increments = bundle.draw()
+    path_free = basis.degree == 0
+    n_rows = len(terminal) if path_free else bundle.n_paths
     if out is None:
-        out = np.empty((n_paths, sp + 1) + vshape), np.empty((n_paths, sp) + vshape)
+        out = np.empty((n_rows, sp + 1) + vshape), np.empty((n_rows, sp) + vshape)
     values, integrand = out
     values[:, sp] = terminal
     value_coeffs: List[Optional[np.ndarray]] = [None] * sp
+    l_est = np.zeros((n_rows,) + vshape)  # the integrand of a path-free sweep
 
     for i in range(sp - 1, -1, -1):
-        design = basis.design(bundle, i)
         v_next = values[:, i + 1]
-        flat_next = v_next.reshape(n_paths, flat_dim)
-
-        dw = increments[i] / dt
-        beta_l = ridge_solve(design, flat_next * dw[:, None], plans[i])
-        l_est = (design @ beta_l).reshape((n_paths,) + vshape)
-        if symmetric:
-            l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
+        flat_next = v_next.reshape(n_rows, flat_dim)
+        if not path_free:
+            design = basis.design(bundle, i)
+            dw = bundle.draw()[i] / dt
+            beta_l = ridge_solve(design, flat_next * dw[:, None], plans[i])
+            l_est = (design @ beta_l).reshape((n_rows,) + vshape)
+            if symmetric:
+                l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
 
         d = np.asarray(drift(i, v_next, l_est), dtype=float).reshape(-1, flat_dim)
         target = flat_next + dt * d
-        beta_v = ridge_solve(design, target, plans[i])
-        fitted = (design @ beta_v).reshape((n_paths,) + vshape)
+        beta_v = target if path_free else ridge_solve(design, target, plans[i])
+        fitted = (beta_v if path_free else design @ beta_v).reshape((n_rows,) + vshape)
         if symmetric:
             fitted = 0.5 * (fitted + np.swapaxes(fitted, -1, -2))
         values[:, i] = fitted
@@ -145,13 +147,14 @@ def backward_sweep(
         integrand=integrand,
         value_coeffs=value_coeffs,
         node0_target=target,
-        max_cond=max(cond for _, cond in plans),
+        # a constant design's normal matrix is exactly [[1.0]]
+        max_cond=1.0 if path_free else max(cond for _, cond in plans),
     )
 
 
 @dataclass
 class IterationTrace:
-    n_iterations: int                # sweeps run: d + 1 probes and the final one
+    n_iterations: int                # sweeps run: the probes' and the final one
     stop_reason: str = "direct"
     diagnostics: dict = field(default_factory=dict)
 
@@ -243,53 +246,50 @@ def _min_eig_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[..., 0]
 
 
-def _sweep_plans(bundle: PathBundle, basis: RegressionBasis) -> tuple:
-    """(the bundle a solve sweeps, its node plans), both kept on ``bundle``.
-    A degree-0 fit is the path mean of identical rows, so a path-free
-    solution is deterministic with L = 0: its solve sweeps one noise-free
-    path, a zero-increment view of the bundle."""
-    sp, swept = bundle.steps_per_period, bundle
-    if basis.degree == 0:
-        if "noise-free" not in bundle._memo:
-            bundle._memo["noise-free"] = replace(
-                bundle, increments=np.zeros((sp, 1)), antithetic=False, _cumsum=None, _memo={}
-            )
-        swept = bundle._memo["noise-free"]
-    plans = swept._memo.get(("plans", basis.degree))
+def _sweep_plans(bundle: PathBundle, basis: RegressionBasis) -> list:
+    """The node plans of a path sweep, kept on ``bundle``."""
+    plans = bundle._memo.get(("plans", basis.degree))
     if plans is None:
         # last node first, so a singular one raises as a sweep would
-        plans = [ridge_plan(basis.design(swept, i), RIDGE) for i in range(sp - 1, -1, -1)][::-1]
-        swept._memo["plans", basis.degree] = plans
-    return swept, plans
+        sp = bundle.steps_per_period
+        plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in range(sp - 1, -1, -1)][::-1]
+        bundle._memo["plans", basis.degree] = plans
+    return plans
 
 
 def _outer_fixed_point(
     drift: Callable, shape: tuple, bundle: PathBundle, basis: RegressionBasis
 ) -> BsdeGridSolution:
-    swept, plans = _sweep_plans(bundle, basis)
-    # terminal basis: e_i for a vector, E_ii and E_ij + E_ji (i <= j) for a
-    # symmetric matrix; a terminal's coordinates are then its entries at idx
+    # terminals: 0, then the basis e_i for a vector, E_ii and E_ij + E_ji
+    # (i <= j) for a symmetric matrix; coordinates are the entries at idx, and
+    # images[k] holds those of the period map of terminal k
     idx = np.triu_indices(shape[0]) if len(shape) == 2 else (np.arange(shape[0]),)
     d = len(idx[0])
-    probes = np.zeros((d,) + shape)
-    probes[(np.arange(d),) + idx] = probes[(np.arange(d),) + idx[::-1]] = 1.0
+    terminals = np.zeros((d + 1,) + shape)
+    terminals[(np.arange(1, d + 1),) + idx] = terminals[(np.arange(1, d + 1),) + idx[::-1]] = 1.0
 
-    # one buffer pair for every sweep: the probes read node 0, the last keeps all
-    sp, n_paths = bundle.steps_per_period, swept.n_paths
-    buffers = np.empty((n_paths, sp + 1) + shape), np.empty((n_paths, sp) + shape)
+    plans = buffers = None
+    if basis.degree:
+        # path sweeps fill one buffer pair: the probes read node 0, the last keeps all
+        plans, sp, n_paths = _sweep_plans(bundle, basis), bundle.steps_per_period, bundle.n_paths
+        buffers = np.empty((n_paths, sp + 1) + shape), np.empty((n_paths, sp) + shape)
 
-    def sweep(terminal):
-        return backward_sweep(drift, terminal, swept, basis, plans, out=buffers)
+    def sweep(rows):
+        return backward_sweep(drift, rows, bundle, basis, plans, out=buffers)
 
-    f0 = sweep(np.zeros(shape)).values[0, 0][idx]
-    m = np.column_stack([sweep(e).values[0, 0][idx] - f0 for e in probes])
+    if plans is None:  # a path-free sweep runs every terminal as one of its rows
+        images = sweep(terminals).values[(slice(None), 0) + idx]
+    else:
+        images = np.stack([sweep(t[None]).values[(0, 0) + idx] for t in terminals])
+    f0, m = images[0], (images[1:] - images[0]).T
     rho = float(np.abs(np.linalg.eigvals(m)).max()) if np.isfinite(m).all() else math.nan
     if not rho < 1.0:
         raise ConvergenceError(f"period map not contracting on this bundle: rho(M) = {rho:.4g}")
-    terminal = np.tensordot(np.linalg.solve(np.eye(d) - m, f0), probes, 1)
-    final = sweep(terminal)
-    # a noise-free sweep's node-0 target has no spread
-    fp_se = mean_se(final.node0_target, bundle.antithetic)[1] if swept is bundle else 0.0
+    terminal = np.tensordot(np.linalg.solve(np.eye(d) - m, f0), terminals[1:], 1)
+    final = sweep(terminal[None])
+    # a path-free sweep's node-0 target has no spread
+    fp_se = mean_se(final.node0_target, bundle.antithetic)[1] if basis.degree else 0.0
+    diagnostics = {"max_cond": final.max_cond, "rho": rho}
     return BsdeGridSolution(
         kind="matrix" if len(shape) == 2 else "vector",
         bundle=bundle,
@@ -298,7 +298,7 @@ def _outer_fixed_point(
         terminal=terminal,
         fixed_point=final.values[0, 0].copy(),
         fixed_point_se=float(np.linalg.norm(fp_se)),
-        trace=IterationTrace(d + 2, diagnostics={"max_cond": final.max_cond, "rho": rho}),
+        trace=IterationTrace(d + 2 if basis.degree else 2, diagnostics=diagnostics),
         basis=basis,
     )
 

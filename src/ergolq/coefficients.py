@@ -297,6 +297,12 @@ def rinv_apply(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _inv_mul(r, rhs) if r.ndim == 2 else np.linalg.solve(r, rhs)
 
 
+def cf_stack(fns) -> CoefficientFn:
+    """L coefficients of one shape as one (L, *shape), stacked after any phase or path axis."""
+    axis, shape = -len(fns[0].shape) - 1, (len(fns),) + fns[0].shape
+    return _compose(shape, lambda *v: np.stack(np.broadcast_arrays(*v), axis), *fns)
+
+
 def cf_rinv_mul(r_fn: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     """R^{-1} @ g (R must stay invertible), by ``rinv_apply``'s rule."""
     return _product(r_fn, g, np.linalg.solve if r_fn.kind == "path-functional" else _inv_mul)

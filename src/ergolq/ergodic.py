@@ -51,6 +51,9 @@ class BurnInError(RuntimeError):
 
 
 MAX_BURN_PERIODS = 400
+# (law, path) rows per block of the scan's stacked stream; the default
+# blocks, sized by increments, are too small to amortize its per-node cost
+SCAN_BLOCK_ROWS = 2**15
 # burn-in discards this many e-foldings of the certified decay rate
 TARGET_EFOLD = 10.0
 
@@ -64,9 +67,9 @@ def _quadratic_cost(q, s, r, qlin, rho, x, u):
     qx = _times(q, xc)[..., 0]
     sx = _times(s, xc)[..., 0]
     ru = _times(r, uc)[..., 0]
-    out = np.einsum("pi,pi->p", x, qx)
-    out += 2.0 * np.einsum("pi,pi->p", u, sx)
-    out += np.einsum("pi,pi->p", u, ru)
+    out = np.einsum("...i,...i->...", x, qx)
+    out += 2.0 * np.einsum("...i,...i->...", u, sx)
+    out += np.einsum("...i,...i->...", u, ru)
     out += 2.0 * np.sum(np.broadcast_to(qlin, x.shape) * x, axis=-1)
     out += 2.0 * np.sum(np.broadcast_to(rho, u.shape) * u, axis=-1)
     return out
@@ -194,22 +197,24 @@ def _accumulate_cost(coeffs, feedback, x0, bundle, start_node=0, extra_integrand
     Returns (cost integrals from start_node to every period boundary, shape
     (n_periods + 1, n_paths), zero up to start_node; extra integrals from
     start_node to the end when an extra integrand is given; overflow mask).
-    The extra integrand is called as extra(k, x, u) at node k.
+    The extra integrand is called as extra(k, x, u) at node k.  A list of
+    laws streams as one, with a law axis after the totals' period axis.
     """
-    n_paths = bundle.n_paths
     n_steps = bundle.n_steps
     sp, dt = bundle.steps_per_period, bundle.dt
-    acc = np.zeros(n_paths)
-    totals = np.zeros((bundle.n_periods + 1, n_paths))
-    extra_acc = np.zeros(n_paths) if extra_integrand is not None else None
+    acc = totals = extra_acc = None  # shaped as the state's rows at start_node
     running_cost = _bind_running_cost(coeffs, bundle)
 
     def visit(k, x, u):
+        nonlocal acc, totals, extra_acc
         if k < start_node:
             return
         weight = 0.5 * dt if k in (start_node, n_steps) else dt
         with np.errstate(invalid="ignore"):
             f = running_cost(k, x, u)
+            if k == start_node:
+                acc, totals = np.zeros(f.shape), np.zeros((bundle.n_periods + 1,) + f.shape)
+                extra_acc = None if extra_integrand is None else np.zeros(f.shape)
             if k > start_node and k % sp == 0:
                 np.add(acc, 0.5 * dt * f, out=totals[k // sp])
             np.add(acc, weight * f, out=acc)
@@ -384,11 +389,11 @@ class CompletionReport:
 
 def _bind_penalty(opt: OptimalControl, bundle: PathBundle):
     """Quadratic control penalty (u - u*)' R (u - u*) against the optimal law."""
-    u_star_at = bundle.bind_law(opt.feedback)
+    u_star_at = bundle.bind_law([opt.feedback])
     r_at = bundle.bind(opt.riccati.coeffs.R)
 
     def penalty(k, x, u):
-        du = u - u_star_at(k, x)
+        du = u - u_star_at(k, x[None])[0]
         r_du = _times(r_at(k), du[..., None])[..., 0]
         return np.einsum("pi,pi->p", du, r_du)
 
@@ -505,50 +510,32 @@ def optimality_scan(
 
     k_burn = _burn_in_periods(lambda_hat, coeffs.tau)
 
-    bundle = PathBundle.generate(
+    bundle = PathBundle.undrawn(
         derive_seed(seed, "scan"), n_paths, steps_per_period, k_burn + 1, tau=coeffs.tau
     )
     start_node = k_burn * steps_per_period
     x_start = np.zeros(coeffs.n)
 
-    per_path = np.empty((len(eps_grid), n_paths))
-    n_over = np.zeros(len(eps_grid), dtype=int)
-    for j, eps in enumerate(eps_grid):
-        if eps == 0.0:
-            law = base
-        else:
-            law = perturbed_feedback(base, d_theta, d_v, eps=float(eps))
-        totals, _, overflow = _accumulate_cost(
-            coeffs, law, x_start, bundle, start_node=start_node
-        )
-        per_path[j] = totals[-1] / coeffs.tau
-        per_path[j, overflow] = np.nan
-        n_over[j] = int(overflow.sum())
+    laws = [perturbed_feedback(base, d_theta, d_v, eps=float(e)) if e else base for e in eps_grid]
+    per_path, n_over = np.empty((len(laws), n_paths)), np.zeros(len(laws), dtype=int)
+    # the laws stream together over each row block, drawn when it is reached
+    for rows, block in bundle.blocks(SCAN_BLOCK_ROWS // len(laws)):
+        totals, _, overflow = _accumulate_cost(coeffs, laws, x_start, block, start_node=start_node)
+        per_path[:, rows] = np.where(overflow, np.nan, totals[-1] / coeffs.tau)
+        n_over += overflow.sum(axis=1)
+        del block
 
-    cost = np.empty(len(eps_grid))
-    cost_se = np.empty(len(eps_grid))
-    diff = np.empty(len(eps_grid))
-    diff_se = np.empty(len(eps_grid))
+    cost, cost_se, diff, diff_se = np.empty((4, len(eps_grid)))
     base_vals = per_path[zero_pos]
-    for j in range(len(eps_grid)):
-        vals = per_path[j]
+    for j, vals in enumerate(per_path):
         finite = np.isfinite(vals)
-        m, s = mean_se(vals[finite])
-        cost[j], cost_se[j] = float(m), float(s)
+        cost[j], cost_se[j] = mean_se(vals[finite])
         both = finite & np.isfinite(base_vals)
-        dm, ds = mean_se(vals[both] - base_vals[both])
-        diff[j], diff_se[j] = float(dm), float(ds)
+        diff[j], diff_se[j] = mean_se(vals[both] - base_vals[both])
 
     return ScanResult(
-        eps=eps_grid,
-        cost=cost,
-        cost_se=cost_se,
-        diff=diff,
-        diff_se=diff_se,
-        n_overflow=n_over,
-        k_burn=k_burn,
-        seed=seed,
-        n_paths=n_paths,
+        eps=eps_grid, cost=cost, cost_se=cost_se, diff=diff, diff_se=diff_se,
+        n_overflow=n_over, k_burn=k_burn, seed=seed, n_paths=n_paths,
     )
 
 

@@ -62,11 +62,17 @@ def scheme_moment_operator(a_at, c_at, dt: float, n_steps: int) -> np.ndarray:
     E|Phi_k|^2 = vec(I)' M_k vec(I).
     """
     n = np.shape(a_at(0))[-1]
+    a = np.eye(n) + dt * np.stack([a_at(k) for k in range(n_steps)])
+    c = np.stack([c_at(k) for k in range(n_steps)])
+    # np.kron at every node at once, elementwise: x[k, i, j] y[k, p, q] lands
+    # at [k, i n + p, j n + q]; only the product of the factors is ordered
+    rows, cols = (n_steps, n, 1, n, 1), (n_steps, 1, n, 1, n)
+    factors = a.reshape(rows) * a.reshape(cols) + dt * (c.reshape(rows) * c.reshape(cols))
+    factors = factors.reshape(n_steps, n * n, n * n)
     moments = np.empty((n_steps + 1, n * n, n * n))
     moments[0] = np.eye(n * n)
     for k in range(n_steps):
-        step = np.eye(n) + dt * a_at(k)
-        moments[k + 1] = (np.kron(step, step) + dt * np.kron(c_at(k), c_at(k))) @ moments[k]
+        moments[k + 1] = factors[k] @ moments[k]
     return moments
 
 

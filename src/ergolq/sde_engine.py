@@ -51,6 +51,7 @@ from .coefficients import (
     PeriodicCoefficientSet,
     cf_add,
     cf_matmul,
+    cf_stack,
     constant_coeff,
 )
 
@@ -134,7 +135,7 @@ class PathBundle:
     antithetic: bool = False
     _n_paths: int = field(default=0, repr=False)  # the path count while undrawn
     _cumsum: Optional[np.ndarray] = field(default=None, repr=False)
-    _memo: dict = field(default_factory=dict, repr=False)  # regression plans, noise-free view
+    _memo: dict = field(default_factory=dict, repr=False)  # regression plans
     # path-free coefficient tables, shared by the row blocks of one stream
     _tables: Optional[dict] = field(default=None, repr=False)
 
@@ -210,10 +211,10 @@ class PathBundle:
             self.tau, self.antithetic, first_path=rows.start,
         ).increments
 
-    def blocks(self):
+    def blocks(self, paths: int = 0):
         """Yield (rows, block): the bundle as the fewest row blocks of at most
-        BLOCK_ELEMENTS increments (or one path), sized evenly, antithetic
-        pairs whole.
+        ``paths`` paths, by default BLOCK_ELEMENTS increments (or one path),
+        sized evenly, antithetic pairs whole.
 
         A drawn table is sliced; an undrawn one draws each block when it is
         reached, so the caller must drop a block before asking for the next.
@@ -221,7 +222,7 @@ class PathBundle:
         """
         unit = 2 if self.antithetic else 1
         units = self.n_paths // unit
-        n_blocks = -(-units // max(BLOCK_ELEMENTS // (unit * self.n_steps), 1))
+        n_blocks = -(-units // max((paths or BLOCK_ELEMENTS // self.n_steps) // unit, 1))
         size = unit * -(-units // n_blocks)
         tables = {}
         for start in range(0, self.n_paths, size):
@@ -308,10 +309,16 @@ class PathBundle:
             return lambda node: table
         return lambda node: table[node % self.steps_per_period]
 
-    def bind_law(self, law: FeedbackLaw) -> Callable:
-        """Bind a feedback law; returns u(node, x) = Theta x + v for vector
-        states x of shape (n_paths, n)."""
-        theta_at, v_at = self.bind(law.Theta), self.bind(law.v)
+    def bind_law(self, laws: list) -> Callable:
+        """Bind L feedback laws, their Theta and v each as one ``cf_stack``;
+        returns u(node, x) = Theta x + v for x (L, n_paths, n), law l on row l."""
+
+        def stack(fns):
+            # (L, 1, *shape), or (L, n_paths, *shape) at a node where one reads the path
+            at, rows = self.bind(cf_stack(fns)), (-1, len(fns)) + fns[0].shape
+            return lambda node: at(node).reshape(rows).swapaxes(0, 1)
+
+        theta_at, v_at = stack([f.Theta for f in laws]), stack([f.v for f in laws])
         return lambda node, x: _times(theta_at(node), x[..., None])[..., 0] + v_at(node)
 
     def restrict(self, n_periods: int) -> "PathBundle":
@@ -375,13 +382,15 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
     read at the left node, and dW that node's row of increments.
     ``affine = (coeffs, law)`` adds B u + b to the drift and sigma to the
     diffusion, with u = Theta x + v passed to the visitor as a third
-    argument; homogeneous streams fold any feedback into ``a_fn`` instead.
+    argument; ``law`` is a list of L laws, stepped as one state (L, n_paths,
+    n) on the same increments.  Homogeneous streams fold feedback into a_fn.
 
     One overflow rule: a path whose state is not finite or exceeds
     OVERFLOW_LIMIT in magnitude holds NaN from that node on and is flagged
-    in the returned mask.
+    in the returned mask, which has the state's leading axes.  Only rows not
+    yet flagged are tested, so a flagged row costs no further check.
     """
-    vector = state.ndim == 2
+    vector = affine is not None or state.ndim == 2
     x = state[..., None] if vector else state
     a_at, c_at = bundle.bind(a_fn), bundle.bind(c_fn)
     if affine is not None:
@@ -390,7 +399,7 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
         b_at, drift_at, sigma_at = (bundle.bind(f) for f in (coeffs.B, coeffs.b, coeffs.sigma))
     dws = bundle.draw()[:, :, None, None]
     dt, n_steps = bundle.dt, bundle.n_steps
-    overflow = np.zeros(bundle.n_paths, dtype=bool)
+    overflow, live = np.zeros(x.shape[:-2], dtype=bool), None  # None: every row
     for k in range(n_steps + 1):
         view = x[..., 0] if vector else x
         if affine is None:
@@ -411,11 +420,18 @@ def _euler_stream(bundle: PathBundle, state: np.ndarray, visit: Callable, a_fn, 
         drift += x
         diffusion *= dws[k]
         x = np.add(drift, diffusion, out=drift)
-        if not np.maximum.reduce(np.abs(x), axis=None) <= OVERFLOW_LIMIT:
-            bad = ~(np.abs(x).max(axis=(1, 2)) <= OVERFLOW_LIMIT)
-            x[bad] = np.nan
-            overflow |= bad
+        probe = np.abs(x if live is None else x[live])
+        if not np.maximum.reduce(probe, axis=None, initial=0.0) <= OVERFLOW_LIMIT:
+            live = _flag_overflow(x, overflow)
     return overflow
+
+
+def _flag_overflow(x: np.ndarray, overflow: np.ndarray) -> np.ndarray:
+    """Hold NaN in and flag the rows of x not finite or past OVERFLOW_LIMIT; returns the live."""
+    bad = ~(np.abs(x).max(axis=(-2, -1)) <= OVERFLOW_LIMIT)
+    x[bad] = np.nan
+    overflow |= bad
+    return ~overflow
 
 
 def stream_blocks(bundle: PathBundle, run: Callable) -> np.ndarray:
@@ -479,7 +495,9 @@ def stream_closed_loop(
     """Drive the controlled state X through the grid.
 
     visit(k, x, u) sees the state and the control applied at every node;
-    neither may be mutated.  Returns the overflow mask.
+    neither may be mutated.  Returns the overflow mask.  A list of laws
+    runs as one stream from x0, with a leading law axis on x, u and the mask;
+    a single law runs as a list of one, its law axis dropped.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim == 1:
@@ -488,7 +506,12 @@ def stream_closed_loop(
         raise SimulationError(
             f"x0 shape {x.shape} incompatible with ({bundle.n_paths}, {coeffs.n})"
         )
-    return _euler_stream(bundle, x, visit, coeffs.A, coeffs.C, affine=(coeffs, feedback))
+    stacked = isinstance(feedback, list)
+    laws = feedback if stacked else [feedback]
+    step = visit if stacked else (lambda k, x, u: visit(k, x[0], u[0]))
+    x = np.broadcast_to(x, (len(laws),) + x.shape)
+    overflow = _euler_stream(bundle, x, step, coeffs.A, coeffs.C, affine=(coeffs, laws))
+    return overflow if stacked else overflow[0]
 
 
 def _difference_step_stream(coeffs, feedback, delta0, bundle, visit):
@@ -725,10 +748,8 @@ def ridge_plan(design: np.ndarray, ridge: float):
 
 
 def ridge_solve(design: np.ndarray, targets: np.ndarray, plan) -> np.ndarray:
-    """Ridge least-squares coefficients (n_features, n_targets) on a plan; the
-    one-column plan, a constant design's, is exactly [[1.0]], so dividing is exact."""
-    rhs = design.T @ targets / design.shape[0]
-    return rhs / plan[0][0, 0] if plan[0].shape == (1, 1) else np.linalg.solve(plan[0], rhs)
+    """Ridge least-squares coefficients (n_features, n_targets) on a plan."""
+    return np.linalg.solve(plan[0], design.T @ targets / design.shape[0])
 
 
 def estimate_gram_lower_bound(

@@ -75,7 +75,7 @@ def test_backward_sweep_requires_single_period():
 
 
 # ---------------------------------------------------------------------------
-# node plans and one-row degree-0 sweeps against the per-path reference
+# node plans and path-free sweeps against the per-path reference
 
 
 def _reference_sweep(drift, terminal, bundle, basis):
@@ -169,30 +169,93 @@ SWEEP_CASES = {
 }
 
 
+def _noise_free(bundle):
+    """A one-path, zero-increment copy of a bundle's grid."""
+    sp = bundle.steps_per_period
+    return PathBundle(bundle.tau, sp, 1, bundle.seed, np.zeros((sp, 1)))
+
+
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_planned_sweep_is_bit_identical_to_per_path_reference(case):
+    # a path sweep regresses on the bundle's rows; a path-free sweep steps a
+    # stack of terminals, each row as the regression on one noise-free path
     drift, terminal, bundle, basis = SWEEP_CASES[case]()
-    plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in range(bundle.steps_per_period)]
-    got = backward_sweep(drift, terminal, bundle, basis, plans)
-    values, integrand, value_coeffs, node0_target, max_cond = _reference_sweep(
-        drift, terminal, bundle, basis
-    )
-    np.testing.assert_array_equal(got.values, values)
-    np.testing.assert_array_equal(got.integrand, integrand)
-    assert len(got.value_coeffs) == len(value_coeffs)
-    for mine, ref in zip(got.value_coeffs, value_coeffs):
-        np.testing.assert_array_equal(mine, ref)
-    np.testing.assert_array_equal(got.node0_target, node0_target)
-    assert got.max_cond == max_cond
+    if basis.degree == 0:
+        rows, plans = np.stack([terminal, np.zeros_like(terminal), -2.0 * terminal]), None
+        bundle = _noise_free(bundle)
+    else:
+        rows = terminal[None]
+        plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in range(bundle.steps_per_period)]
+    got = backward_sweep(drift, rows, bundle, basis, plans)
+    assert len(got.values) == (len(rows) if basis.degree == 0 else bundle.n_paths)
+    for r, row in enumerate(rows if basis.degree == 0 else [terminal]):
+        mine = slice(r, r + 1) if basis.degree == 0 else slice(None)
+        values, integrand, value_coeffs, node0_target, max_cond = _reference_sweep(
+            drift, row, bundle, basis
+        )
+        np.testing.assert_array_equal(got.values[mine], values)
+        np.testing.assert_array_equal(got.integrand[mine], integrand)
+        assert len(got.value_coeffs) == len(value_coeffs)
+        for coeffs, ref in zip(got.value_coeffs, value_coeffs):
+            np.testing.assert_array_equal(coeffs[mine] if basis.degree == 0 else coeffs, ref)
+        np.testing.assert_array_equal(got.node0_target[mine], node0_target)
+        assert got.max_cond == max_cond
     # the sweep is not trivial: values move along the period
     assert np.ptp(values[0].reshape(values.shape[1], -1), axis=0).max() > 0.0
+    if basis.degree == 0:
+        assert got.max_cond == 1.0 and not np.any(got.integrand)  # L = 0
+
+
+def _reference_route(drift, shape, bundle):
+    """The d + 2 sweep route: the zero terminal, each probe and the fixed
+    point, each swept alone by the reference on one noise-free path."""
+    free, basis = _noise_free(bundle), RegressionBasis(0)
+    idx = np.triu_indices(shape[0]) if len(shape) == 2 else (np.arange(shape[0]),)
+    d = len(idx[0])
+    probes = np.zeros((d,) + shape)
+    probes[(np.arange(d),) + idx] = probes[(np.arange(d),) + idx[::-1]] = 1.0
+    f0 = _reference_sweep(drift, np.zeros(shape), free, basis)[0][0, 0][idx]
+    m = np.column_stack(
+        [_reference_sweep(drift, e, free, basis)[0][0, 0][idx] - f0 for e in probes]
+    )
+    terminal = np.tensordot(np.linalg.solve(np.eye(d) - m, f0), probes, 1)
+    return terminal, _reference_sweep(drift, terminal, free, basis)
+
+
+@pytest.mark.parametrize("case", ["scalar-constant", "planar", "planar-vector"])
+def test_path_free_solve_is_two_sweeps_of_the_reference_route(case, monkeypatch):
+    # the zero and probe terminals run as one stacked sweep, then the fixed
+    # point: 2 sweeps, bit for bit the d + 2 one-path sweeps of the scheme
+    drift, terminal, bundle, basis = SWEEP_CASES[case]()
+    assert basis.degree == 0
+    rows = []
+
+    def counting(drift, terminal, *args, **kwargs):
+        rows.append(len(terminal))
+        return backward_sweep(drift, terminal, *args, **kwargs)
+
+    monkeypatch.setattr("ergolq.bsde_engine.backward_sweep", counting)
+    sol = _outer_fixed_point(drift, terminal.shape, bundle, basis)
+    d = terminal.size if terminal.ndim == 1 else terminal.shape[0] * (terminal.shape[0] + 1) // 2
+    assert rows == [d + 1, 1] and sol.trace.n_iterations == 2
+    ref_terminal, (values, integrand, value_coeffs, _, _) = _reference_route(
+        drift, terminal.shape, bundle
+    )
+    # bytes, so a sign of zero counts too
+    for mine, ref in zip(
+        [sol.terminal, sol.fixed_point, *sol.stored, *sol.value_coeffs],
+        [ref_terminal, values[0, 0], values, integrand, *value_coeffs],
+        strict=True,
+    ):
+        assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+    assert sol.fixed_point_se == 0.0
 
 
 def test_regression_plans_are_built_once_per_bundle(monkeypatch):
-    # every solve on one bundle and basis degree reads one plan per node: a
-    # matrix solve, the vector solve on its solution and every Kleinman
-    # policy; a second bundle builds its own, and keeping them there does
-    # not keep that bundle alive
+    # every path sweep on one bundle and basis degree reads one plan per
+    # node: a matrix solve, the vector solve on its solution and every
+    # Kleinman policy; a path-free solve builds none; a second bundle builds
+    # its own, and keeping them there does not keep that bundle alive
     calls = []
 
     def counting(design, ridge):
@@ -201,22 +264,26 @@ def test_regression_plans_are_built_once_per_bundle(monkeypatch):
 
     monkeypatch.setattr("ergolq.bsde_engine.ridge_plan", counting)
     sp = 32
+    scen = builtin_scenarios()["scalar-random-periodic"]
     bundle = PathBundle.generate(5, 64, sp, 1, antithetic=True)
-    ksol = solve_linear_matrix_bsde(
+    free = solve_linear_matrix_bsde(
         scalar_const(-1.0), scalar_const(0.3), scalar_const(1.0), bundle
     )
+    assert free.basis.degree == 0 and free.trace.n_iterations == 2
+    assert calls == []
+    ksol = solve_linear_matrix_bsde(scen.A, scalar_const(0.3), scalar_const(1.0), bundle)
+    assert ksol.basis.degree == 3
     assert ksol.trace.n_iterations == 3  # d + 2 sweeps, d = 1
     assert len(calls) == sp
     esol = solve_vector_bsde(
-        scalar_const(-1.0), scalar_const(0.3), ksol,
+        scen.A, scalar_const(0.3), ksol,
         constant_coeff([1.0], TAU), constant_coeff([1.0], TAU),
         constant_coeff([0.0], TAU),
     )
     assert esol.bundle is bundle
     assert esol.trace.n_iterations == 3
-    scen = builtin_scenarios()["scalar-constant"]
     last, gaps, _, _ = kleinman_solve(scen, constant_feedback(scen, [[0.0]]), bundle, tol=1e-9)
-    assert last.basis.degree == ksol.basis.degree == 0
+    assert last.basis.degree == 3
     assert len(gaps) >= 2
     assert len(calls) == sp
 
@@ -225,9 +292,7 @@ def test_regression_plans_are_built_once_per_bundle(monkeypatch):
     try:
         fresh = PathBundle.generate(6, 64, sp, 1, antithetic=True)
         alive = weakref.ref(fresh)
-        sol = solve_linear_matrix_bsde(
-            scalar_const(-1.0), scalar_const(0.3), scalar_const(1.0), fresh
-        )
+        sol = solve_linear_matrix_bsde(scen.A, scalar_const(0.3), scalar_const(1.0), fresh)
         assert len(calls) == 2 * sp
         del sol, fresh
         assert alive() is None
@@ -272,13 +337,12 @@ def test_constant_lyapunov_fixed_point_is_exact():
     assert np.abs(sol.stored[0] - 0.5).max() < 1e-7
 
 
-def _picard_fixed_point(drift, shape, bundle, basis):
+def _picard_fixed_point(drift, shape, bundle, basis, plans):
     """Reference: plain iteration of the period map from zero until an
     update drops below 1e-13 of the iterate."""
-    plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in range(bundle.steps_per_period)]
     terminal = np.zeros(shape)
     for _ in range(500):
-        fixed = backward_sweep(drift, terminal, bundle, basis, plans).values[0, 0]
+        fixed = backward_sweep(drift, terminal[None], bundle, basis, plans).values[0, 0]
         if np.linalg.norm(fixed - terminal) <= 1e-13 * np.linalg.norm(fixed):
             return fixed
         terminal = fixed
@@ -292,15 +356,14 @@ def test_direct_fixed_point_matches_plain_iteration(case, d):
     drift, terminal, bundle, basis = SWEEP_CASES[case]()
     sol = _outer_fixed_point(drift, terminal.shape, bundle, basis)
     scale = max(1.0, float(np.linalg.norm(sol.fixed_point)))
-    # the bundle a solve sweeps: a degree-0 solve's is its noise-free view
-    swept, plans = _sweep_plans(bundle, basis)
-    assert (swept is bundle) == (basis.degree > 0)
-    again = backward_sweep(drift, sol.terminal, swept, basis, plans).values[0, 0]
+    # a path-free sweep reads no plan; a path sweep reads the bundle's
+    plans = _sweep_plans(bundle, basis) if basis.degree else None
+    again = backward_sweep(drift, sol.terminal[None], bundle, basis, plans).values[0, 0]
     np.testing.assert_array_equal(again, sol.fixed_point)
     assert np.linalg.norm(again - sol.terminal) <= 1e-13 * scale
-    iterated = _picard_fixed_point(drift, terminal.shape, swept, basis)
+    iterated = _picard_fixed_point(drift, terminal.shape, bundle, basis, plans)
     assert np.linalg.norm(iterated - sol.fixed_point) <= 1e-8 * scale
-    assert sol.trace.n_iterations == d + 2
+    assert sol.trace.n_iterations == (2 if basis.degree == 0 else d + 2)
     assert sol.trace.stop_reason == "direct"
     assert 0.0 < sol.trace.diagnostics["rho"] < 1.0
 

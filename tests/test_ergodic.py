@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ergolq.coefficients import (
+    CoefficientFn,
+    FeedbackLaw,
     builtin_scenarios,
     constant_feedback,
 )
@@ -26,7 +28,7 @@ from ergolq.ergodic import (
     value_function,
 )
 from ergolq.riccati import solve_stochastic_riccati
-from ergolq.sde_engine import PathBundle, mean_se
+from ergolq.sde_engine import PathBundle, _flag_overflow, derive_seed, mean_se
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 ETA = 1.0 - 1.0 / math.sqrt(2.0)
@@ -244,6 +246,79 @@ def test_scan_centers_at_zero_and_pairs_noise():
     fit = fit_quadratic_excess(scan)
     assert fit.curvature > 0.0
     assert fit.curvature_t > 1.96
+
+
+SCAN_CASES = {
+    # (scenario, d_theta, d_v, eps grid)
+    "scalar-constant-theta": ("scalar-constant", [[1.0]], None, [-0.2, 0.0, 0.2, 40.0]),
+    "scalar-constant-v": ("scalar-constant", None, [1.0], [-0.2, 0.0, 0.2]),
+    "planar": ("planar-deterministic-periodic", np.full((1, 2), 0.5), None, [-0.1, 0.0, 0.1]),
+    # a gain that reads the path, path-free at phase 0 as a solved gain is
+    "path-gain": ("scalar-random-periodic", [[1.0]], [0.5], [-0.2, 0.0, 0.2]),
+}
+
+
+def _scan_base(scen):
+    base = constant_feedback(scen, np.full((scen.m, scen.n), -0.4), v=np.full(scen.m, 0.1))
+    if scen.name != "scalar-random-periodic":
+        return base
+
+    def gain(phase, s):
+        return np.array([[-0.4]]) if phase == 0.0 else (-0.4 + 0.1 * np.tanh(s))[:, None, None]
+
+    theta = CoefficientFn("path-functional", (1, 1), gain, scen.tau)
+    return FeedbackLaw(Theta=theta, v=base.v)
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_streams_its_laws_as_the_single_law_streams(case, monkeypatch):
+    # the laws run as one stream on common noise, in row blocks; each law's
+    # per-path totals and overflow mask are bit for bit its own single-law
+    # stream's over the whole bundle, and an overflowing law's NaN rows stay
+    # its own and cost no further overflow test
+    name, d_theta, d_v, grid = SCAN_CASES[case]
+    scen = builtin_scenarios()[name]
+    base = _scan_base(scen)
+    calls, flagged = [], []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, _accumulate_cost(*args, **kwargs)))
+        return calls[-1][2]
+
+    def flag_spy(x, overflow):
+        before = int(overflow.sum())
+        live = _flag_overflow(x, overflow)
+        flagged.append(int(overflow.sum()) - before)
+        return live
+
+    monkeypatch.setattr("ergolq.ergodic._accumulate_cost", spy)
+    monkeypatch.setattr("ergolq.sde_engine._flag_overflow", flag_spy)
+    monkeypatch.setattr("ergolq.ergodic.SCAN_BLOCK_ROWS", 150 * len(grid))
+    scan = optimality_scan(
+        scen, base, d_theta, d_v, eps_grid=grid, seed=53, n_paths=400, lambda_hat=2.5,
+        steps_per_period=32,
+    )
+    assert len(calls) == 3  # blocks of at most 150 paths
+    (coeffs, laws, x0, _), kwargs, _ = calls[0]
+    assert len(laws) == len(grid) and laws[grid.index(0.0)] is base
+    assert all(call[0][1] is laws for call in calls)
+    totals = np.concatenate([call[2][0] for call in calls], axis=-1)
+    overflow = np.concatenate([call[2][2] for call in calls], axis=-1)
+    assert totals.shape == (scan.k_burn + 2, len(grid), 400)
+    assert overflow.shape == (len(grid), 400)
+    whole = PathBundle.generate(derive_seed(53, "scan"), 400, 32, scan.k_burn + 1, tau=scen.tau)
+    for j, law in enumerate(laws):
+        one_totals, _, one_overflow = _accumulate_cost(coeffs, law, x0, whole, **kwargs)
+        assert totals[:, j].tobytes() == one_totals.tobytes()  # NaN rows included
+        np.testing.assert_array_equal(overflow[j], one_overflow)
+        assert scan.n_overflow[j] == one_overflow.sum()
+    overflowed = np.asarray(grid) == 40.0
+    np.testing.assert_array_equal(scan.n_overflow > 0, overflowed)
+    assert np.isfinite(totals[:, ~overflowed]).all()
+    if overflowed.any():
+        assert np.isnan(totals[-1, overflowed][overflow[overflowed]]).all()
+    # each row-mask pass flags a new row: a flagged row is not tested again
+    assert bool(flagged) == overflowed.any() and min(flagged, default=1) > 0
 
 
 def test_scan_requires_zero_on_grid():

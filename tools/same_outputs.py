@@ -4,7 +4,8 @@
 
 Runs, in both checkouts, the CLI command of each benchmark workload (its
 argv is read from this repository's ``perfbench/workloads.py``, which is only
-imported), ``simulate`` and ``scan --direction v`` on ``scalar-constant``,
+imported), ``simulate``, ``scan --direction v`` and ``ergodic-cost`` on
+``scalar-constant``, ``scan`` on ``planar-deterministic-periodic``,
 ``verify --scenario`` on every catalog scenario and the full ``verify``.
 Each command runs in a fresh interpreter with that checkout's
 ``src/`` on ``PYTHONPATH`` and BLAS pinned to one thread, as the benchmark
@@ -182,6 +183,11 @@ def main(argv=None) -> int:
     commands["scan scalar-constant v"] = [
         "scan", "--scenario", "scalar-constant", "--direction", "v", "--paths", "2000"
     ]
+    # the one scan that streams n = 2 laws, and a path-free eta table of zeros
+    commands["scan planar-deterministic-periodic"] = [
+        "scan", "--scenario", "planar-deterministic-periodic"
+    ]
+    commands["ergodic-cost scalar-constant"] = ["ergodic-cost", "--scenario", "scalar-constant"]
     for name in catalog(args.change):
         commands[f"verify {name}"] = ["verify", "--scenario", name]
     commands["verify (battery)"] = ["verify"]

@@ -22,14 +22,14 @@ differ from a sweep in its last bits).  The spectral radius rho(M) is the
 bundle's certificate of the paper's random periodic mean-square stability:
 a solve with rho(M) >= 1 has no periodic solution to report.
 
-A path sweep reads each node's ridged normal matrix and condition number,
-kept on the bundle per basis degree (``ridge_plan``, shared with the Gram
-estimate); designs are rebuilt per node, since a period of cubic designs
-costs more memory than time, and the d + 1 probe sweeps fill one buffer
-pair in turn.  A degree-0 (path-free) solution is deterministic with L = 0:
-its sweep is the scheme's explicit recursion, run on a stack of terminals as
-rows, so the zero and probe terminals take one sweep and the solve two.  It
-stores its one row, which every reader takes as exact with SE 0.
+A sweep runs a stack of terminals at once, so the zero and probe terminals
+take one sweep and every solve two.  A path sweep reads each node's ridged
+normal matrix and condition number, kept on the bundle per basis degree
+(``ridge_plan``, shared with the Gram estimate); designs are rebuilt per
+node, since a period of cubic designs costs more memory than time.  A
+degree-0 (path-free) solution is deterministic with L = 0: its sweep is the
+scheme's explicit recursion on one row, which every reader takes as exact
+with SE 0.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ class RegressionBasis:
 
 @dataclass
 class SweepResult:
-    values: np.ndarray          # (P, sp+1) + vshape
-    integrand: np.ndarray       # (P, sp) + vshape
+    values: np.ndarray          # (T, R, sp+1) + vshape: T terminals on R rows
+    integrand: np.ndarray       # (T, R, sp) + vshape
     value_coeffs: List[np.ndarray]
-    node0_target: np.ndarray    # (P, prod(vshape)) regression target at node 0
+    node0_target: np.ndarray    # (T, R, prod(vshape)) regression target at node 0
     max_cond: float
 
 
@@ -92,54 +92,48 @@ def backward_sweep(
     bundle: PathBundle,
     basis: RegressionBasis,
     plans: Optional[list],
-    out: Optional[tuple] = None,
 ) -> SweepResult:
     """One explicit backward pass over a single period on the node plans.
 
-    ``terminal`` is (rows,) + value shape: one row spread over the bundle's
-    paths, or on a degree-0 basis the rows swept, each by the explicit
-    recursion (a constant fit of one row is that row, and L = 0): no design,
-    plan or draw, and a node's coefficients are its value target.
-    drift(node, value_next, integrand_est) gets the swept rows and must
-    return an array broadcastable to them.  Matrix-valued sweeps keep every
-    stored node value exactly symmetric.  ``out`` = (values, integrand) are
-    filled in place of fresh arrays; every entry is written.
+    ``terminal`` is (terminals,) + value shape, swept at once on the basis's
+    rows: the bundle's paths, or on a degree-0 basis one row, where the
+    sweep is the explicit recursion (a constant fit of one row is that row,
+    and L = 0): no design, plan or draw, and a node's coefficients are its
+    value target.  Results are (terminals, rows, ...) stacks.
+    drift(node, value_next, integrand_est) gets the swept stack and must
+    return an array broadcastable to it.  Matrix-valued sweeps keep every
+    stored node value exactly symmetric.
     """
     if bundle.n_periods != 1:
         raise ValueError("backward sweeps operate on single-period bundles")
     terminal = np.asarray(terminal, dtype=float)
     vshape = terminal.shape[1:]
-    flat_dim = int(np.prod(vshape))
     sp, dt = bundle.steps_per_period, bundle.dt
-    symmetric = len(vshape) == 2 and flat_dim > 1  # a 1x1 value is symmetric
+    symmetric = len(vshape) == 2 and vshape[0] > 1  # a 1x1 value is symmetric
     path_free = basis.degree == 0
-    n_rows = len(terminal) if path_free else bundle.n_paths
-    if out is None:
-        out = np.empty((n_rows, sp + 1) + vshape), np.empty((n_rows, sp) + vshape)
-    values, integrand = out
-    values[:, sp] = terminal
+    stack = (len(terminal), 1 if path_free else bundle.n_paths)
+    values, integrand = np.empty(stack + (sp + 1,) + vshape), np.empty(stack + (sp,) + vshape)
+    values[:, :, sp] = terminal[:, None]
     value_coeffs: List[Optional[np.ndarray]] = [None] * sp
-    l_est = np.zeros((n_rows,) + vshape)  # the integrand of a path-free sweep
+    l_est = np.zeros(stack + vshape)  # the integrand of a path-free sweep
 
     for i in range(sp - 1, -1, -1):
-        v_next = values[:, i + 1]
-        flat_next = v_next.reshape(n_rows, flat_dim)
+        v_next = values[:, :, i + 1]
         if not path_free:
             design = basis.design(bundle, i)
             dw = bundle.draw()[i] / dt
-            beta_l = ridge_solve(design, flat_next * dw[:, None], plans[i])
-            l_est = (design @ beta_l).reshape((n_rows,) + vshape)
+            beta_l = ridge_solve(design, v_next.reshape(stack + (-1,)) * dw[:, None], plans[i])
+            l_est = (design @ beta_l).reshape(stack + vshape)
             if symmetric:
                 l_est = 0.5 * (l_est + np.swapaxes(l_est, -1, -2))
 
-        d = np.asarray(drift(i, v_next, l_est), dtype=float).reshape(-1, flat_dim)
-        target = flat_next + dt * d
+        target = (v_next + dt * drift(i, v_next, l_est)).reshape(stack + (-1,))
         beta_v = target if path_free else ridge_solve(design, target, plans[i])
-        fitted = (beta_v if path_free else design @ beta_v).reshape((n_rows,) + vshape)
+        fitted = (beta_v if path_free else design @ beta_v).reshape(stack + vshape)
         if symmetric:
             fitted = 0.5 * (fitted + np.swapaxes(fitted, -1, -2))
-        values[:, i] = fitted
-        integrand[:, i] = l_est
+        values[:, :, i] = fitted
+        integrand[:, :, i] = l_est
         value_coeffs[i] = beta_v
 
     return SweepResult(
@@ -154,7 +148,7 @@ def backward_sweep(
 
 @dataclass
 class IterationTrace:
-    n_iterations: int                # sweeps run: the probes' and the final one
+    n_iterations: int                # sweeps run: the probe stack's and the final one
     stop_reason: str = "direct"
     diagnostics: dict = field(default_factory=dict)
 
@@ -190,13 +184,13 @@ class BsdeGridSolution:
     def periodic_residual(self) -> float:
         return float(np.linalg.norm(self.fixed_point - self.terminal))
 
-    def path_mean(self, samples: np.ndarray, paired: bool = True):
+    def path_mean(self, samples: np.ndarray):
         """(mean, se) over the first axis of samples, one per stored row: a
         path-free solution's one row is exact with SE 0, else ``mean_se``
-        over the rows, antithetic pairs first when paired."""
+        over the rows, antithetic pairs first."""
         if self.basis.degree == 0:
             return samples[0], np.zeros_like(samples[0])
-        return mean_se(samples, paired and self.bundle.antithetic)
+        return mean_se(samples, self.bundle.antithetic)
 
     def value_at(self, phase: float, partial_sum: np.ndarray) -> np.ndarray:
         """Surrogate value at the node nearest to phase, on fresh (n_paths,)
@@ -268,37 +262,27 @@ def _outer_fixed_point(
     terminals = np.zeros((d + 1,) + shape)
     terminals[(np.arange(1, d + 1),) + idx] = terminals[(np.arange(1, d + 1),) + idx[::-1]] = 1.0
 
-    plans = buffers = None
-    if basis.degree:
-        # path sweeps fill one buffer pair: the probes read node 0, the last keeps all
-        plans, sp, n_paths = _sweep_plans(bundle, basis), bundle.steps_per_period, bundle.n_paths
-        buffers = np.empty((n_paths, sp + 1) + shape), np.empty((n_paths, sp) + shape)
-
-    def sweep(rows):
-        return backward_sweep(drift, rows, bundle, basis, plans, out=buffers)
-
-    if plans is None:  # a path-free sweep runs every terminal as one of its rows
-        images = sweep(terminals).values[(slice(None), 0) + idx]
-    else:
-        images = np.stack([sweep(t[None]).values[(0, 0) + idx] for t in terminals])
+    plans = _sweep_plans(bundle, basis) if basis.degree else None
+    node0 = (slice(None), 0, 0) + idx  # each terminal's coordinates at node 0, row 0
+    images = backward_sweep(drift, terminals, bundle, basis, plans).values[node0]
     f0, m = images[0], (images[1:] - images[0]).T
     rho = float(np.abs(np.linalg.eigvals(m)).max()) if np.isfinite(m).all() else math.nan
     if not rho < 1.0:
         raise ConvergenceError(f"period map not contracting on this bundle: rho(M) = {rho:.4g}")
     terminal = np.tensordot(np.linalg.solve(np.eye(d) - m, f0), terminals[1:], 1)
-    final = sweep(terminal[None])
+    final = backward_sweep(drift, terminal[None], bundle, basis, plans)
     # a path-free sweep's node-0 target has no spread
-    fp_se = mean_se(final.node0_target, bundle.antithetic)[1] if basis.degree else 0.0
+    fp_se = mean_se(final.node0_target[0], bundle.antithetic)[1] if basis.degree else 0.0
     diagnostics = {"max_cond": final.max_cond, "rho": rho}
     return BsdeGridSolution(
         kind="matrix" if len(shape) == 2 else "vector",
         bundle=bundle,
-        stored=(final.values, final.integrand),
-        value_coeffs=final.value_coeffs,
+        stored=(final.values[0], final.integrand[0]),
+        value_coeffs=[beta[0] for beta in final.value_coeffs],
         terminal=terminal,
-        fixed_point=final.values[0, 0].copy(),
+        fixed_point=final.values[0, 0, 0].copy(),
         fixed_point_se=float(np.linalg.norm(fp_se)),
-        trace=IterationTrace(d + 2 if basis.degree else 2, diagnostics=diagnostics),
+        trace=IterationTrace(2, diagnostics=diagnostics),
         basis=basis,
     )
 
@@ -417,8 +401,8 @@ def representation_check(
 
 
 def export_node_table_csv(solution: BsdeGridSolution, path) -> None:
-    """Write (node, t, mean entries.., se entries..) over the period grid;
-    a path-free solution's row is exact, and n_paths rows are not paired."""
+    """Write (node, t, mean entries.., se entries..) over the period grid,
+    each SE that of the mean beside it (``BsdeGridSolution.path_mean``)."""
     sp = solution.bundle.steps_per_period
     values = solution.stored[0]
     flat = values.reshape(values.shape[:2] + (-1,))
@@ -431,7 +415,7 @@ def export_node_table_csv(solution: BsdeGridSolution, path) -> None:
             + [f"se_c{i}" for i in range(n_comp)]
         )
         for k in range(sp + 1):
-            mean, se = solution.path_mean(flat[:, k], paired=False)
+            mean, se = solution.path_mean(flat[:, k])
             writer.writerow(
                 [k, repr(float(k * solution.dt))]
                 + [repr(float(v)) for v in mean]

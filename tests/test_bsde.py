@@ -26,9 +26,14 @@ from ergolq.bsde_engine import (
     solve_linear_matrix_bsde,
     solve_vector_bsde,
 )
-from ergolq.coefficients import builtin_scenarios, constant_coeff, constant_feedback
+from ergolq.coefficients import (
+    builtin_scenarios,
+    constant_coeff,
+    constant_feedback,
+    tanh_sum_coeff,
+)
 from ergolq.riccati import kleinman_solve
-from ergolq.sde_engine import RIDGE, PathBundle
+from ergolq.sde_engine import RIDGE, PathBundle, mean_se
 
 TAU = 1.0
 
@@ -126,10 +131,14 @@ def _reference_sweep(drift, terminal, bundle, basis):
     return values, integrand, value_coeffs, node0_target, max_cond
 
 
-def _lyapunov_case(name, degree, terminal, n_paths=256):
+# a 2x2 path-functional A, so a path sweep multiplies per-path 2x2 blocks
+PLANAR_RANDOM_A = tanh_sum_coeff(TAU, [[-1.0, 0.2], [0.0, -1.2]], [[0.25, 0.1], [-0.1, 0.2]])
+
+
+def _lyapunov_case(name, degree, terminal, n_paths=256, a_fn=None):
     scen = builtin_scenarios()[name]
     bundle = PathBundle.generate(11, n_paths, 16, 1, antithetic=n_paths > 1)
-    a_at, c_at, q_at = (bundle.bind(f) for f in (scen.A, scen.C, scen.Q))
+    a_at, c_at, q_at = (bundle.bind(f) for f in (a_fn or scen.A, scen.C, scen.Q))
 
     def drift(i, k_next, l_est):
         return _lyapunov_drift(k_next, a_at(i), c_at(i), l_est) + q_at(i)
@@ -137,12 +146,13 @@ def _lyapunov_case(name, degree, terminal, n_paths=256):
     return drift, np.asarray(terminal), bundle, RegressionBasis(degree)
 
 
-def _vector_case():
+def _vector_case(a_fn=None):
     # A'eta + C'zeta + K b + lam on the planar scenario, K from a matrix solve
     scen = builtin_scenarios()["planar-deterministic-periodic"]
+    a_fn = a_fn or scen.A
     bundle = PathBundle.generate(11, 256, 16, 1, antithetic=True)
-    ksol = solve_linear_matrix_bsde(scen.A, scen.C, scen.Q, bundle)
-    a_at, c_at, b_at, q_at = (bundle.bind(f) for f in (scen.A, scen.C, scen.b, scen.q))
+    ksol = solve_linear_matrix_bsde(a_fn, scen.C, scen.Q, bundle)
+    a_at, c_at, b_at, q_at = (bundle.bind(f) for f in (a_fn, scen.C, scen.b, scen.q))
 
     def drift(i, eta_next, zeta_est):
         k_i = ksol.stored[0][:, i]
@@ -161,6 +171,10 @@ SWEEP_CASES = {
         "planar-deterministic-periodic", 0, [[1.2, 0.3], [0.3, 0.9]]
     ),
     "planar-vector": _vector_case,
+    "planar-random": lambda: _lyapunov_case(
+        "planar-deterministic-periodic", 3, [[1.2, 0.3], [0.3, 0.9]], a_fn=PLANAR_RANDOM_A
+    ),
+    "planar-random-vector": lambda: _vector_case(PLANAR_RANDOM_A),
     "scalar-random-periodic": lambda: _lyapunov_case("scalar-random-periodic", 3, [[0.7]]),
     # one path is one row for a cubic basis too; its fit is still design @ beta
     "scalar-random-periodic-one-path": lambda: _lyapunov_case(
@@ -177,57 +191,57 @@ def _noise_free(bundle):
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_planned_sweep_is_bit_identical_to_per_path_reference(case):
-    # a path sweep regresses on the bundle's rows; a path-free sweep steps a
-    # stack of terminals, each row as the regression on one noise-free path
+    # a sweep steps a stack of terminals: on a path basis each regresses on
+    # the bundle's rows, on a degree-0 basis each is the regression on one
+    # noise-free path; either way each is bit for bit its sweep alone
     drift, terminal, bundle, basis = SWEEP_CASES[case]()
+    rows = np.stack([terminal, np.zeros_like(terminal), -2.0 * terminal])
     if basis.degree == 0:
-        rows, plans = np.stack([terminal, np.zeros_like(terminal), -2.0 * terminal]), None
-        bundle = _noise_free(bundle)
+        plans, bundle = None, _noise_free(bundle)
     else:
-        rows = terminal[None]
         plans = [ridge_plan(basis.design(bundle, i), RIDGE) for i in range(bundle.steps_per_period)]
     got = backward_sweep(drift, rows, bundle, basis, plans)
-    assert len(got.values) == (len(rows) if basis.degree == 0 else bundle.n_paths)
-    for r, row in enumerate(rows if basis.degree == 0 else [terminal]):
-        mine = slice(r, r + 1) if basis.degree == 0 else slice(None)
+    assert got.values.shape[:2] == (len(rows), bundle.n_paths)
+    for r, row in enumerate(rows):
         values, integrand, value_coeffs, node0_target, max_cond = _reference_sweep(
             drift, row, bundle, basis
         )
-        np.testing.assert_array_equal(got.values[mine], values)
-        np.testing.assert_array_equal(got.integrand[mine], integrand)
+        np.testing.assert_array_equal(got.values[r], values)
+        np.testing.assert_array_equal(got.integrand[r], integrand)
         assert len(got.value_coeffs) == len(value_coeffs)
         for coeffs, ref in zip(got.value_coeffs, value_coeffs):
-            np.testing.assert_array_equal(coeffs[mine] if basis.degree == 0 else coeffs, ref)
-        np.testing.assert_array_equal(got.node0_target[mine], node0_target)
+            np.testing.assert_array_equal(coeffs[r], ref)
+        np.testing.assert_array_equal(got.node0_target[r], node0_target)
         assert got.max_cond == max_cond
     # the sweep is not trivial: values move along the period
-    assert np.ptp(values[0].reshape(values.shape[1], -1), axis=0).max() > 0.0
+    assert np.ptp(got.values[0, 0].reshape(values.shape[1], -1), axis=0).max() > 0.0
     if basis.degree == 0:
         assert got.max_cond == 1.0 and not np.any(got.integrand)  # L = 0
 
 
-def _reference_route(drift, shape, bundle):
+def _reference_route(drift, shape, bundle, basis):
     """The d + 2 sweep route: the zero terminal, each probe and the fixed
-    point, each swept alone by the reference on one noise-free path."""
-    free, basis = _noise_free(bundle), RegressionBasis(0)
+    point, each swept alone by the reference (on one noise-free path when
+    path-free)."""
+    if basis.degree == 0:
+        bundle = _noise_free(bundle)
     idx = np.triu_indices(shape[0]) if len(shape) == 2 else (np.arange(shape[0]),)
     d = len(idx[0])
     probes = np.zeros((d,) + shape)
     probes[(np.arange(d),) + idx] = probes[(np.arange(d),) + idx[::-1]] = 1.0
-    f0 = _reference_sweep(drift, np.zeros(shape), free, basis)[0][0, 0][idx]
+    f0 = _reference_sweep(drift, np.zeros(shape), bundle, basis)[0][0, 0][idx]
     m = np.column_stack(
-        [_reference_sweep(drift, e, free, basis)[0][0, 0][idx] - f0 for e in probes]
+        [_reference_sweep(drift, e, bundle, basis)[0][0, 0][idx] - f0 for e in probes]
     )
     terminal = np.tensordot(np.linalg.solve(np.eye(d) - m, f0), probes, 1)
-    return terminal, _reference_sweep(drift, terminal, free, basis)
+    return terminal, _reference_sweep(drift, terminal, bundle, basis)
 
 
-@pytest.mark.parametrize("case", ["scalar-constant", "planar", "planar-vector"])
-def test_path_free_solve_is_two_sweeps_of_the_reference_route(case, monkeypatch):
+@pytest.mark.parametrize("case", sorted(set(SWEEP_CASES) - {"scalar-random-periodic-one-path"}))
+def test_solve_is_two_sweeps_of_the_reference_route(case, monkeypatch):
     # the zero and probe terminals run as one stacked sweep, then the fixed
-    # point: 2 sweeps, bit for bit the d + 2 one-path sweeps of the scheme
+    # point: 2 sweeps, bit for bit the d + 2 one-terminal sweeps of the scheme
     drift, terminal, bundle, basis = SWEEP_CASES[case]()
-    assert basis.degree == 0
     rows = []
 
     def counting(drift, terminal, *args, **kwargs):
@@ -238,8 +252,8 @@ def test_path_free_solve_is_two_sweeps_of_the_reference_route(case, monkeypatch)
     sol = _outer_fixed_point(drift, terminal.shape, bundle, basis)
     d = terminal.size if terminal.ndim == 1 else terminal.shape[0] * (terminal.shape[0] + 1) // 2
     assert rows == [d + 1, 1] and sol.trace.n_iterations == 2
-    ref_terminal, (values, integrand, value_coeffs, _, _) = _reference_route(
-        drift, terminal.shape, bundle
+    ref_terminal, (values, integrand, value_coeffs, node0_target, _) = _reference_route(
+        drift, terminal.shape, bundle, basis
     )
     # bytes, so a sign of zero counts too
     for mine, ref in zip(
@@ -248,7 +262,11 @@ def test_path_free_solve_is_two_sweeps_of_the_reference_route(case, monkeypatch)
         strict=True,
     ):
         assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
-    assert sol.fixed_point_se == 0.0
+    if basis.degree == 0:
+        assert sol.fixed_point_se == 0.0
+    else:
+        se = np.linalg.norm(mean_se(node0_target, bundle.antithetic)[1])
+        assert sol.fixed_point_se == se > 0.0
 
 
 def test_regression_plans_are_built_once_per_bundle(monkeypatch):
@@ -273,7 +291,7 @@ def test_regression_plans_are_built_once_per_bundle(monkeypatch):
     assert calls == []
     ksol = solve_linear_matrix_bsde(scen.A, scalar_const(0.3), scalar_const(1.0), bundle)
     assert ksol.basis.degree == 3
-    assert ksol.trace.n_iterations == 3  # d + 2 sweeps, d = 1
+    assert ksol.trace.n_iterations == 2
     assert len(calls) == sp
     esol = solve_vector_bsde(
         scen.A, scalar_const(0.3), ksol,
@@ -281,7 +299,7 @@ def test_regression_plans_are_built_once_per_bundle(monkeypatch):
         constant_coeff([0.0], TAU),
     )
     assert esol.bundle is bundle
-    assert esol.trace.n_iterations == 3
+    assert esol.trace.n_iterations == 2
     last, gaps, _, _ = kleinman_solve(scen, constant_feedback(scen, [[0.0]]), bundle, tol=1e-9)
     assert last.basis.degree == 3
     assert len(gaps) >= 2
@@ -342,28 +360,26 @@ def _picard_fixed_point(drift, shape, bundle, basis, plans):
     update drops below 1e-13 of the iterate."""
     terminal = np.zeros(shape)
     for _ in range(500):
-        fixed = backward_sweep(drift, terminal[None], bundle, basis, plans).values[0, 0]
+        fixed = backward_sweep(drift, terminal[None], bundle, basis, plans).values[0, 0, 0]
         if np.linalg.norm(fixed - terminal) <= 1e-13 * np.linalg.norm(fixed):
             return fixed
         terminal = fixed
     raise AssertionError("reference iteration did not settle")
 
 
-@pytest.mark.parametrize(
-    "case, d", [("scalar-random-periodic", 1), ("planar", 3), ("planar-vector", 2)]
-)
-def test_direct_fixed_point_matches_plain_iteration(case, d):
+@pytest.mark.parametrize("case", ["scalar-random-periodic", "planar", "planar-vector"])
+def test_direct_fixed_point_matches_plain_iteration(case):
     drift, terminal, bundle, basis = SWEEP_CASES[case]()
     sol = _outer_fixed_point(drift, terminal.shape, bundle, basis)
     scale = max(1.0, float(np.linalg.norm(sol.fixed_point)))
     # a path-free sweep reads no plan; a path sweep reads the bundle's
     plans = _sweep_plans(bundle, basis) if basis.degree else None
-    again = backward_sweep(drift, sol.terminal[None], bundle, basis, plans).values[0, 0]
+    again = backward_sweep(drift, sol.terminal[None], bundle, basis, plans).values[0, 0, 0]
     np.testing.assert_array_equal(again, sol.fixed_point)
     assert np.linalg.norm(again - sol.terminal) <= 1e-13 * scale
     iterated = _picard_fixed_point(drift, terminal.shape, bundle, basis, plans)
     assert np.linalg.norm(iterated - sol.fixed_point) <= 1e-8 * scale
-    assert sol.trace.n_iterations == (2 if basis.degree == 0 else d + 2)
+    assert sol.trace.n_iterations == 2
     assert sol.trace.stop_reason == "direct"
     assert 0.0 < sol.trace.diagnostics["rho"] < 1.0
 
@@ -536,3 +552,23 @@ def test_node_table_csv(tmp_path):
     assert rows[0] == ["node", "t", "mean_c0", "se_c0"]
     assert len(rows) == 1 + 9
     assert float(rows[1][2]) == pytest.approx(sol.fixed_point[0, 0])
+
+
+def test_node_table_se_is_that_of_the_paired_node_mean(tmp_path):
+    # a path-functional solve's rows are antithetic pairs, so each se_c is
+    # the SE of the node mean beside it: pairs first, as every reader pairs
+    rand_a = builtin_scenarios()["scalar-random-periodic"].A
+    bundle = PathBundle.generate(5, 512, 16, 1, antithetic=True)
+    sol = solve_linear_matrix_bsde(rand_a, scalar_const(0.3), scalar_const(1.0), bundle)
+    assert sol.basis.degree == 3
+    out = tmp_path / "nodes.csv"
+    export_node_table_csv(sol, out)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    samples = sol.stored[0][..., 0, 0]
+    paired_below = 0
+    for k, row in enumerate(rows):
+        mean, se = mean_se(samples[:, k], antithetic=True)
+        assert float(row[2]) == mean and float(row[3]) == se
+        paired_below += se < mean_se(samples[:, k])[1]
+    assert paired_below > len(rows) // 2  # pairing is what the column reads

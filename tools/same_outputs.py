@@ -6,7 +6,9 @@ Runs, in both checkouts, the CLI command of each benchmark workload (its
 argv is read from this repository's ``perfbench/workloads.py``, which is only
 imported), ``simulate``, ``scan --direction v`` and ``ergodic-cost`` on
 ``scalar-constant``, ``scan`` on ``planar-deterministic-periodic``,
-``verify --scenario`` on every catalog scenario and the full ``verify``.
+``solve-riccati`` on ``scalar-random-periodic`` (the one command that writes
+a path sweep's K node table), ``verify --scenario`` on every catalog
+scenario and the full ``verify``.
 Each command runs in a fresh interpreter with that checkout's
 ``src/`` on ``PYTHONPATH`` and BLAS pinned to one thread, as the benchmark
 runs them.  Every output file is compared byte for byte; the one exception
@@ -22,7 +24,7 @@ every number that moved, by its key path, as old -> new with the relative
 change |new - old| / |old|; under each differing CSV file it lists them the
 same way by data row and column, as ``[3].mean_c0``.
 A speed change that claims to leave every result alone needs this proof.
-Takes about 2.5 minutes on a 2-core VM.
+Takes about 3 minutes on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -188,6 +190,9 @@ def main(argv=None) -> int:
         "scan", "--scenario", "planar-deterministic-periodic"
     ]
     commands["ergodic-cost scalar-constant"] = ["ergodic-cost", "--scenario", "scalar-constant"]
+    commands["solve-riccati scalar-random-periodic"] = [
+        "solve-riccati", "--scenario", "scalar-random-periodic"
+    ]
     for name in catalog(args.change):
         commands[f"verify {name}"] = ["verify", "--scenario", name]
     commands["verify (battery)"] = ["verify"]

@@ -381,11 +381,12 @@ def representation_check(
 ) -> RepresentationReport:
     """Compare the fixed point against the forward occupation integral.
 
-    K = E int_0^inf Phi' Lam Phi dt of the loop (A, C) is read from one
-    period as (I - T*)^-1 O (``sde_engine._period_continuation``): exact and
-    drawn from no path when A, C and Lam read none, else one Monte Carlo
-    period of the bundle with the SE of its per-path influence.  The fixed
-    point should match it within that SE and the scheme's bias.
+    K = E int_0^inf Phi' Lam Phi dt of the loop (A, C) is (I - T*)^-1 O from
+    the one forward period pass (``sde_engine._period_continuation``): its
+    one exact row, drawn from no path, when A, C and Lam read none, else one
+    row per path of the bundle's first period, with the SE of the per-path
+    influence.  The fixed point should match it within that SE and the
+    scheme's bias.
     """
     # a namespace, not a class: a class is a reference cycle that pins its operands
     dynamics = SimpleNamespace(A=a_fn, C=c_fn, n=a_fn.shape[0])

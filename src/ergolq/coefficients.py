@@ -285,16 +285,12 @@ def cf_matmul(f: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
     return _product(f, g, np.matmul)
 
 
-def _inv_mul(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return np.matmul(np.linalg.inv(r), rhs)
-
-
 def rinv_apply(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """R^{-1} @ rhs by R's kind: a path-free R is inverted and multiplied, and
     only a path-functional R costs a linear solve per path.  A node value shows
     that kind as a leading path axis; ``cf_rinv_mul`` reads the kind itself, as
     a path-free R's phase table has a leading axis too."""
-    return _inv_mul(r, rhs) if r.ndim == 2 else np.linalg.solve(r, rhs)
+    return np.linalg.inv(r) @ rhs if r.ndim == 2 else np.linalg.solve(r, rhs)
 
 
 def cf_stack(fns) -> CoefficientFn:
@@ -304,8 +300,11 @@ def cf_stack(fns) -> CoefficientFn:
 
 
 def cf_rinv_mul(r_fn: CoefficientFn, g: CoefficientFn) -> CoefficientFn:
-    """R^{-1} @ g (R must stay invertible), by ``rinv_apply``'s rule."""
-    return _product(r_fn, g, np.linalg.solve if r_fn.kind == "path-functional" else _inv_mul)
+    """R^{-1} @ g (R must stay invertible), by ``rinv_apply``'s rule; a
+    path-free R^{-1} is its own operand, so ``PathBundle.bind`` tabulates it once."""
+    if r_fn.kind == "path-functional":
+        return _product(r_fn, g, np.linalg.solve)
+    return cf_matmul(_compose(r_fn.shape, np.linalg.inv, r_fn), g)
 
 
 # ---------------------------------------------------------------------------

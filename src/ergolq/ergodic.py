@@ -51,8 +51,10 @@ class BurnInError(RuntimeError):
 
 
 MAX_BURN_PERIODS = 400
-# (law, path) rows per block of the scan's stacked stream; the default
-# blocks, sized by increments, are too small to amortize its per-node cost
+# (law, path) rows per block of the scan's stacked stream, larger than the
+# default blocks: the default 20 000-path scan on scalar-constant took 0.490 s
+# and 55.2 MB peak RSS with it, 0.536 s and 48.3 MB with the default blocks
+# (medians of 16 alternating pairs, 2-core VM, one BLAS thread)
 SCAN_BLOCK_ROWS = 2**15
 # burn-in discards this many e-foldings of the certified decay rate
 TARGET_EFOLD = 10.0

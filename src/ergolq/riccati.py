@@ -153,7 +153,6 @@ class RiccatiSolution:
     policy_gaps: List[float] = field(default_factory=list)
     policy_floors: List[float] = field(default_factory=list)
     monotone_gaps: List[float] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def fixed_point(self) -> np.ndarray:
@@ -278,10 +277,6 @@ def solve_stochastic_riccati(
         policy_gaps=gaps,
         policy_floors=floors,
         monotone_gaps=mono,
-        diagnostics={
-            "positivity_margin": positivity.margin,
-            "min_fixed_point_eig": fp_low,
-        },
     )
 
 

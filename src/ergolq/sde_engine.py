@@ -8,11 +8,10 @@ never depend on how many paths are drawn or in which order.
 
 Layout and memory rule: increments are node-major, one contiguous
 (n_paths,) row per step.  The forward-only estimators (the fundamental
-solution's squared norms, and the one-period stream behind the
-second-moment operator, the period continuation and the Gram bound, which
-all read the same single pass) stream an ``undrawn`` bundle in row blocks
-of at most BLOCK_ELEMENTS increments, each drawn just before it is
-streamed and dropped after it.  Their visitors write per-path
+solution's squared norms, and the one period pass behind the second-moment
+operator, the period continuation and the Gram bound) stream an ``undrawn``
+bundle in row blocks of at most BLOCK_ELEMENTS increments, each drawn just
+before it is streamed and dropped after it.  Their visitors write per-path
 results into rows of ensemble-wide arrays, and every reduction across paths
 runs after the last block on one contiguous (n_paths,) row, so no result
 depends on the block size.  Backward sweeps and closed-loop streams read a
@@ -24,14 +23,15 @@ and only ``simulate_closed_loop`` stores a whole trajectory.
 Stability diagnostics follow the moment characterization of the dynamics:
 a feedback is accepted as mean-square stabilizing when the spectral radius
 rho of the one-period second-moment operator E[Phi(tau) (x) Phi(tau)] is
-below one with 95% confidence, i.e. lambda = -ln(rho) / tau > 0.  The
-operator is the scheme's exact product when the loop reads no path (no
-draws), else a one-period Monte Carlo mean with a delta-method standard
-error.  The same period gives every infinite occupation integral of the
-loop: K = E int_0^inf Phi' Lam Phi dt solves K = O + T*(K), O its first
-period's part (``_period_continuation``).  The conditional Gram integral must
-have a positive estimated lower bound; it is that continuation started at
-anchor nodes of the same period, so a path-free loop draws nothing for it.
+below one with 95% confidence, i.e. lambda = -ln(rho) / tau > 0.  One
+forward pass over the first period (``_period_continuation``) gives it, and
+every infinite occupation integral of the loop: K = E int_0^inf Phi' Lam
+Phi dt solves K = O + T*(K), O its first period's part.  The pass fills one
+per-node accumulator with one row per streamed path, or with the one exact
+row of the scheme's moments when the loop and weight read no path (no
+draws, SE 0); every reader takes those rows the same way.  The conditional
+Gram integral must have a positive estimated lower bound; it is that
+continuation started at anchor nodes of the same period.
 """
 
 from __future__ import annotations
@@ -617,97 +617,88 @@ def operator_report(op: np.ndarray, tau: float, samples=None, overflow_paths: in
 def moment_operator(
     coeffs: PeriodicCoefficientSet, bundle: PathBundle, feedback: Optional[FeedbackLaw] = None
 ) -> StabilityReport:
-    """Mean-square stability of the homogeneous loop (A + B Theta, C) by its
-    one-period second-moment operator: the scheme's exact product on a loop
-    that reads no path (no draws), else a Monte Carlo mean over the bundle's
-    first period (``_one_period``)."""
-    return _one_period(coeffs, bundle, feedback)[0]
+    """Mean-square stability of the homogeneous loop (A + B Theta, C): the
+    report of its weightless period pass (``_period_continuation``)."""
+    return _period_continuation(coeffs, bundle, None, feedback)[2]
 
 
-def _one_period(coeffs, bundle: PathBundle, feedback=None, weight=None, anchors=()):
-    """(report, T, O, samples, marks) of the loop's first period: T = E[Phi(tau) (x)
-    Phi(tau)], and for a weight Lam the row-major vec O of E int_0^tau Phi'
-    Lam Phi dt (trapezoid, Lam read at node k).  A loop and weight that read
-    no path take T and each M_k = E[Phi_k (x) Phi_k] from one oracle moment
-    path, O = sum_k w_k M_k' vec Lam_k, with no draws (samples None); else
-    the period is streamed, samples = per-path (Phi(tau) (x) Phi(tau), vec O_p).
-    With a weight, marks[r] = (Z_r, H_r, s_r) at each anchor node r: Phi_r (x)
-    Phi_r, the vec running trapezoid of Phi' Lam Phi over [0, r] and the
-    partial sums at r, per path; on the exact branch one row (M_r, O_r, None).
+def _period_continuation(coeffs, bundle: PathBundle, weight, feedback=None, anchors=()):
+    """(K, its SE, the loop's report, tails): the one forward pass over the
+    first period of the loop (A + B Theta, C).
+
+    Its rows hold Z_tau, vec O and, at each anchor node r, (Z_r, H_r, s_r):
+    Z_k = Phi_k (x) Phi_k, O = int_0^tau Phi' Lam Phi dt (trapezoid, Lam read
+    at node k), H_r its running trapezoid over [0, r], s_r the partial sums
+    at r.  A loop and weight that read no path (``feature_degree`` 0) fill
+    one exact row from the oracle's M_k = E[Z_k] (s_r = 0, no draws, SE 0);
+    else each streamed path is a row.  The report is that of T = E[Z_tau].
+
+    The periods are i.i.d., so K = E int_0^inf Phi' Lam Phi dt = O + T*(K),
+    T*(K) = E[Phi(tau)' K Phi(tau)] (the matrix T' on vec K): K = (I -
+    T*)^-1 E[O], with the SE of the per-path influence (I - T*)^-1 [O_p +
+    T_p*(K) - K], antithetic pairs first.  tails[r] = (vec G_r, s_r):
+    G_r = Phi_r^-T (O - H_r + Phi(tau)' K Phi(tau)) Phi_r^-1 is int_r^inf
+    Psi' Lam Psi of Psi_s = Phi_s Phi_r^-1; on the exact row Psi does not
+    depend on the path up to r, so M_k = M_{r->k} M_r gives its mean.
+    With no weight K, SE and tails are None; else SimulationError unless
+    rho(T) < 1, where the series diverges.
     """
     drift, n, sp = _homogeneous_drift(coeffs, feedback), coeffs.n, bundle.steps_per_period
     weights = np.full(sp + 1, bundle.dt)
     weights[[0, sp]] *= 0.5
-    if feature_degree(drift, coeffs.C, *([] if weight is None else [weight])) == 0:
+    exact = feature_degree(drift, coeffs.C, *([] if weight is None else [weight])) == 0
+    size, n2 = 1 if exact else bundle.n_paths, n * n
+    ends, occupations = np.empty((size, n2, n2)), np.zeros((size, n2))
+    marks = {r: (np.empty((size, n2, n2)), np.empty((size, n2)), np.zeros(size)) for r in anchors}
+
+    def accumulate(rows, k, term, square):
+        # node k of these rows: term their vec Phi_k' Lam_k Phi_k (None
+        # weightless), square() their Z_k, formed at anchors and tau only
+        if term is not None:
+            occupations[rows] += weights[k] * term
+        if k in marks:
+            marks[k][0][rows] = square()
+            marks[k][1][rows] = occupations[rows] - weights[0] * term
+        if k == sp:
+            ends[rows] = square()
+
+    overflow = 0
+    if exact:
         moments = oracle.scheme_moment_operator(
             bundle.bind(drift), bundle.bind(coeffs.C), bundle.dt, sp
         )
-        occupation, marks = None, {}
-        if weight is not None:
-            lam_at = bundle.bind(weight)
-            lams = [lam_at(k).reshape(-1) for k in range(sp + 1)]
-            # the sequential sums O_k; node k enters at weight w_k, so the
-            # running trapezoid over [0, r] takes back half of node r's step
-            running = np.cumsum([weights[k] * moments[k].T @ lams[k] for k in range(sp + 1)], 0)
-            occupation = running[-1]
-            for r in anchors:
-                head = running[r] - weights[0] * moments[r].T @ lams[r]
-                marks[r] = (moments[r][None], head[None], None)
-        return operator_report(moments[-1], bundle.tau), moments[-1], occupation, None, marks
-    shape = (bundle.n_paths, n, n)
-    ends, occupations = np.empty(shape), np.zeros(shape)
-    marks = {r: (np.empty(shape), np.empty(shape), np.empty(bundle.n_paths)) for r in anchors}
+        lam_at = None if weight is None else bundle.bind(weight)
+        for k in [sp] if lam_at is None else range(sp + 1):
+            term = None if lam_at is None else moments[k].T @ lam_at(k).reshape(-1)
+            accumulate(slice(None), k, term, lambda: moments[k])
+    else:
+        kron = lambda phi: np.einsum("pij,pkl->pikjl", phi, phi).reshape(-1, n2, n2)
 
-    def run(rows, block):
-        lam_at = None if weight is None else block.bind(weight)
+        def run(rows, block):
+            lam_at = None if weight is None else block.bind(weight)
 
-        def visit(k, phi):
-            if lam_at is not None:
-                phi_t = np.swapaxes(phi, -1, -2)
-                term = _times(phi_t, _times(lam_at(k), phi))
-                occupations[rows] += weights[k] * term
+            def visit(k, phi):
+                term = None
+                if lam_at is not None:
+                    term = _times(np.swapaxes(phi, -1, -2), _times(lam_at(k), phi)).reshape(-1, n2)
                 if k in marks:
-                    phis, heads, sums = marks[k]
-                    phis[rows], sums[rows] = phi, block.partial_sum(k)
-                    heads[rows] = occupations[rows] - weights[0] * term
-            if k == sp:
-                ends[rows] = phi
+                    marks[k][2][rows] = block.partial_sum(k)
+                accumulate(rows, k, term, lambda: kron(phi))
 
-        return stream_fundamental(coeffs, block, visit, feedback=feedback)
+            return stream_fundamental(coeffs, block, visit, feedback=feedback)
 
-    overflow = int(stream_blocks(bundle.restrict(1), run).sum())
-    kron = lambda phi: np.einsum("pij,pkl->pikjl", phi, phi).reshape(-1, n * n, n * n)
-    samples = kron(ends)
-    occupations, op = occupations.reshape(-1, n * n), samples.mean(axis=0)
-    report = operator_report(op, bundle.tau, samples, overflow)
-    marks = {r: (kron(phi), head.reshape(-1, n * n), s) for r, (phi, head, s) in marks.items()}
-    return report, op, occupations.mean(axis=0), (samples, occupations), marks
-
-
-def _period_continuation(coeffs, bundle: PathBundle, weight, feedback=None, anchors=()):
-    """(K, its SE, the loop's report, tails) for K = E int_0^inf Phi' Lam Phi
-    dt of the loop (A + B Theta, C).  The periods are i.i.d., so K = O +
-    T*(K), T*(K) = E[Phi(tau)' K Phi(tau)] (the matrix T' on vec K) and O
-    from ``_one_period``: K = (I - T*)^-1 O, exact with SE 0 on a path-free
-    loop and weight, else one Monte Carlo period with the SE of the per-path
-    influence (I - T*)^-1 [O_p + T_p*(K) - K], antithetic pairs first.
-
-    tails[r] = (vec G_r, s_r) continues the loop from each anchor node r:
-    G_r = Phi_r^-T (O_p - H_r + Phi(tau)' K Phi(tau)) Phi_r^-1 is int_r^inf
-    Psi' Lam Psi of Psi_s = Phi_s Phi_r^-1, per path with its partial sums
-    s_r.  On a path-free loop Psi is independent of the path up to r, so
-    M_k = M_{r->k} M_r and the one row vec G_r = M_r^-T (O - O_r + M_tau' vec
-    K) is its exact mean, s_r None.
-    Raises SimulationError unless rho(T) < 1, where the series diverges."""
-    report, op, occupation, drawn, marks = _one_period(coeffs, bundle, feedback, weight, anchors)
+        overflow = int(stream_blocks(bundle.restrict(1), run).sum())
+    op = ends.mean(axis=0)
+    report = operator_report(op, bundle.tau, None if exact else ends, overflow)
+    if weight is None:
+        return None, None, report, None
     if not report.rho < 1.0:
         raise SimulationError(f"rho(T) = {report.rho:.4g} >= 1: the occupation integral diverges")
-    n = coeffs.n
-    resolvent = np.eye(n * n) - op.T
-    kbar, se = np.linalg.solve(resolvent, occupation), np.zeros(n * n)
-    samples, occupations = (op[None], occupation[None]) if drawn is None else drawn
-    tail = occupations + np.einsum("pji,j->pi", samples, kbar)
-    if drawn is not None:
+    resolvent = np.eye(n2) - op.T
+    kbar = np.linalg.solve(resolvent, occupations.mean(axis=0))
+    tail = occupations + np.einsum("pji,j->pi", ends, kbar)
+    se = np.zeros(n2)
+    if not exact:
         se = mean_se(np.linalg.solve(resolvent, (tail - kbar).T).T, bundle.antithetic)[1]
     tails = {
         r: (np.linalg.solve(np.swapaxes(z, -1, -2), (tail - head)[..., None])[..., 0], sums)
@@ -763,13 +754,13 @@ def estimate_gram_lower_bound(
     For each anchor node r in {0, sp/4, sp/2, 3sp/4} of the first period
     (sp steps per period, floored), with Psi_s = Phi_s Phi_r^{-1}, the
     pathwise int_r^inf Psi_s' Psi_s ds is the loop's period continuation of
-    Lam = I started at r (the tails of ``_period_continuation``): one pass
-    over the first period, and no draw on a path-free loop, where it is its
-    own conditional expectation (exact, SE 0).  Else it is regressed on
-    polynomial features of the increments seen up to r, at ``feature_degree``
-    of the loop.  delta is the smallest eigenvalue of the fitted
-    conditional expectations over all anchors and paths, delta_se its SE.
-    The report is the loop's one-period operator, as ``moment_operator``
+    Lam = I started at r: the tails of the one period pass
+    (``_period_continuation``).  Each anchor's rows are regressed on
+    polynomial features of the partial sums at r, at ``feature_degree`` of
+    the loop; a path-free loop's one exact row (no draw) meets the constant
+    column only, which returns it with SE 0.  delta is the smallest
+    eigenvalue of the fitted conditional expectations over all anchors and
+    rows, delta_se its SE.  The report is the pass's, as ``moment_operator``
     gives it.
     """
     n, sp = coeffs.n, bundle.steps_per_period
@@ -779,24 +770,20 @@ def estimate_gram_lower_bound(
     _, _, report, tails = _period_continuation(coeffs, bundle, identity, feedback, r_nodes)
     worst, worst_se = math.inf, math.nan
     for r, (target, sums) in tails.items():
-        fitted = target
-        if sums is not None:
-            design = poly_design(sums, bundle.phase(r), degree)
-            plan = ridge_plan(design, RIDGE)
-            fitted = design @ ridge_solve(design, target, plan)
+        design = poly_design(sums, bundle.phase(r), degree)
+        plan = ridge_plan(design, RIDGE)
+        fitted = design @ ridge_solve(design, target, plan)
         sym = fitted.reshape(-1, n, n)
         sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
         eigs = np.linalg.eigvalsh(sym)
         idx = int(np.argmin(eigs[:, 0]))
         low = float(eigs[idx, 0])
         if low < worst:
-            worst, worst_se = low, 0.0
-            if sums is not None:
-                sig2 = ((target - fitted) ** 2).mean(axis=0)
-                lever = float(design[idx] @ np.linalg.solve(plan[0], design[idx]) / len(sums))
-                vecs = np.linalg.eigh(sym[idx])[1][:, 0]
-                wmat = np.outer(vecs, vecs).reshape(-1) ** 2
-                worst_se = math.sqrt(max(lever * float(wmat @ sig2), 0.0))
+            sig2 = ((target - fitted) ** 2).mean(axis=0)
+            lever = float(design[idx] @ np.linalg.solve(plan[0], design[idx]) / len(sums))
+            vecs = np.linalg.eigh(sym[idx])[1][:, 0]
+            wmat = np.outer(vecs, vecs).reshape(-1) ** 2
+            worst, worst_se = low, math.sqrt(max(lever * float(wmat @ sig2), 0.0))
     return report, worst, worst_se
 
 

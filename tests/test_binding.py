@@ -1,5 +1,7 @@
 """Grid binding: the Euler kernel against direct per-node evaluation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,29 @@ def test_bound_path_functional_composition_is_symmetrized():
         np.testing.assert_array_equal(
             got, lam.eval_batch(bundle.phase(k), bundle.partial_sum(k))
         )
+
+
+@pytest.mark.parametrize("periodic_r", [False, True])
+def test_path_free_r_is_inverted_once_per_bound_tree(monkeypatch, periodic_r):
+    # Theta = -R^{-1} B'K with a path-functional K: binding tabulates a
+    # path-free R^{-1} with one inverse, not one per node it reads, and the
+    # bound tree keeps the bits of evaluating it at each node
+    inv, calls = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    tau, r = 1.0, [[1.3, 0.4], [0.4, 0.9]]
+    r_fn = constant_coeff(r, tau)
+    if periodic_r:
+        r_fn = harmonic_coeff(tau, r, sin_terms={1: [[0.3, 0.1], [0.1, -0.2]]})
+    b_fn = constant_coeff([[1.0, 0.2], [0.3, 0.7]], tau)
+    k_fn = tanh_sum_coeff(tau, [[0.8, 0.3], [0.2, 0.6]], [[0.1, 0.05], [0.0, 0.2]])
+    theta = _policy_gain(SimpleNamespace(B=b_fn, R=r_fn), k_fn)
+    assert theta.kind == "path-functional"
+    bundle = PathBundle.generate(5, 16, SP, 2)
+    at = bundle.bind(theta)
+    bound = [at(k) for k in range(bundle.n_steps + 1)]
+    assert calls == [(SP, 2, 2) if periodic_r else (2, 2)]
+    for k, got in enumerate(bound):
+        np.testing.assert_array_equal(got, _at(theta, bundle, k), err_msg=f"node {k}")
 
 
 @pytest.mark.parametrize(

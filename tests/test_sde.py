@@ -590,11 +590,38 @@ def test_monte_carlo_continuation_equals_the_stored_trajectory_reduction():
     assert got_se[0, 0] == pytest.approx(float(want_se), rel=1e-10)
 
 
+def test_exact_continuation_equals_the_scheme_moment_reduction():
+    # the exact twin of the stored-trajectory reduction: from the scheme's
+    # moments M_k, K = (I - M_tau')^-1 sum_k w_k M_k' vec Lam_k and each
+    # anchor's tail M_r^-T (O - O_r + M_tau' vec K), O_r the trapezoid over
+    # [0, r]; one exact row, partial sums 0, SE 0 and no draw
+    scen = builtin_scenarios()["planar-deterministic-periodic"]
+    law = default_stabilizer(scen, seed=3)
+    bundle = PathBundle.undrawn(13, 50, 16, 1)
+    drift = sde_engine._homogeneous_drift(scen, law)
+    moments = oracle.scheme_moment_operator(bundle.bind(drift), bundle.bind(scen.C), bundle.dt, 16)
+    lam_at = bundle.bind(scen.Q)
+    terms = np.stack([m.T @ lam_at(k).reshape(-1) for k, m in enumerate(moments)])
+    occupation = np.trapezoid(terms, dx=bundle.dt, axis=0)
+    kbar = np.linalg.solve(np.eye(4) - moments[-1].T, occupation)
+    got, got_se, _, tails = _period_continuation(scen, bundle, scen.Q, law, (0, 5, 8, 12))
+    np.testing.assert_allclose(got.reshape(-1), kbar, rtol=1e-12, atol=0.0)
+    assert not got_se.any() and bundle.increments is None
+    for r, (tail, sums) in tails.items():
+        head = np.trapezoid(terms[: r + 1], dx=bundle.dt, axis=0)
+        want = np.linalg.solve(moments[r].T, occupation - head + moments[-1].T @ kbar)
+        assert tail.shape == (1, 4) and sums.tolist() == [0.0]
+        np.testing.assert_allclose(tail[0], want, rtol=1e-12, atol=0.0, err_msg=f"anchor {r}")
+
+
 def test_a_runaway_loop_has_no_continuation():
     # rho(T) >= 1: the exact branch raises, and so does a Monte Carlo period
-    # whose overflowed path makes rho infinite
+    # whose overflowed path makes rho infinite; the same pass with no
+    # weight reports rho on both branches and does not raise
     bundle = PathBundle.generate(41, 200, 32, 1)
     for scen in (_runaway_scalar(), _runaway_scalar(a=40.0, c=4.0, path_functional=True)):
+        kbar, se, report, tails = _period_continuation(scen, bundle, None)
+        assert (kbar, se, tails) == (None, None, None) and not report.rho < 1.0
         with pytest.raises(SimulationError, match="the occupation integral diverges"):
             _period_continuation(scen, bundle, scen.Q)
     reference = SimpleNamespace(fixed_point=np.eye(1))
@@ -620,11 +647,12 @@ def test_gram_features_and_rate_read_the_bundle_and_the_operator(monkeypatch, na
     ref = moment_operator(scen, bundle, law)
     fit = ("lambda_hat", "beta_hat", "lambda_se", "ci_low", "rho", "rho_se")
     assert [getattr(gram, f) for f in fit] == [getattr(ref, f) for f in fit]
-    # a path-free loop's targets are their exact means: nothing is regressed
-    want = [(bundle.phase(r), 3) for r in (0, 4, 8, 12)] if name == "scalar-random-periodic" else []
-    assert [f[:2] for f in features] == want
+    # every anchor is regressed: a path-free loop's one exact row (partial
+    # sums zero) on the constant column, which returns it unchanged
+    path = name == "scalar-random-periodic"
+    assert [f[:2] for f in features] == [(bundle.phase(r), 3 if path else 0) for r in (0, 4, 8, 12)]
     for r, (_, _, sums) in zip((0, 4, 8, 12), features):
-        np.testing.assert_array_equal(sums, bundle.partial_sum(r))
+        np.testing.assert_array_equal(sums, bundle.partial_sum(r) if path else np.zeros(1))
 
 
 # ---------------------------------------------------------------------------

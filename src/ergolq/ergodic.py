@@ -51,11 +51,6 @@ class BurnInError(RuntimeError):
 
 
 MAX_BURN_PERIODS = 400
-# (law, path) rows per block of the scan's stacked stream, larger than the
-# default blocks: the default 20 000-path scan on scalar-constant took 0.490 s
-# and 55.2 MB peak RSS with it, 0.536 s and 48.3 MB with the default blocks
-# (medians of 16 alternating pairs, 2-core VM, one BLAS thread)
-SCAN_BLOCK_ROWS = 2**15
 # burn-in discards this many e-foldings of the certified decay rate
 TARGET_EFOLD = 10.0
 
@@ -521,7 +516,7 @@ def optimality_scan(
     laws = [perturbed_feedback(base, d_theta, d_v, eps=float(e)) if e else base for e in eps_grid]
     per_path, n_over = np.empty((len(laws), n_paths)), np.zeros(len(laws), dtype=int)
     # the laws stream together over each row block, drawn when it is reached
-    for rows, block in bundle.blocks(SCAN_BLOCK_ROWS // len(laws)):
+    for rows, block in bundle.blocks():
         totals, _, overflow = _accumulate_cost(coeffs, laws, x_start, block, start_node=start_node)
         per_path[:, rows] = np.where(overflow, np.nan, totals[-1] / coeffs.tau)
         n_over += overflow.sum(axis=1)

@@ -211,10 +211,10 @@ class PathBundle:
             self.tau, self.antithetic, first_path=rows.start,
         ).increments
 
-    def blocks(self, paths: int = 0):
+    def blocks(self):
         """Yield (rows, block): the bundle as the fewest row blocks of at most
-        ``paths`` paths, by default BLOCK_ELEMENTS increments (or one path),
-        sized evenly, antithetic pairs whole.
+        BLOCK_ELEMENTS increments (or one path), sized evenly, antithetic
+        pairs whole.
 
         A drawn table is sliced; an undrawn one draws each block when it is
         reached, so the caller must drop a block before asking for the next.
@@ -222,7 +222,7 @@ class PathBundle:
         """
         unit = 2 if self.antithetic else 1
         units = self.n_paths // unit
-        n_blocks = -(-units // max((paths or BLOCK_ELEMENTS // self.n_steps) // unit, 1))
+        n_blocks = -(-units // max(BLOCK_ELEMENTS // (unit * self.n_steps), 1))
         size = unit * -(-units // n_blocks)
         tables = {}
         for start in range(0, self.n_paths, size):
@@ -652,13 +652,13 @@ def _period_continuation(coeffs, bundle: PathBundle, weight, feedback=None, anch
     marks = {r: (np.empty((size, n2, n2)), np.empty((size, n2)), np.zeros(size)) for r in anchors}
 
     def accumulate(rows, k, term, square):
-        # node k of these rows: term their vec Phi_k' Lam_k Phi_k (None
+        # node k of these rows: term(w) their w vec Phi_k' Lam_k Phi_k (None
         # weightless), square() their Z_k, formed at anchors and tau only
         if term is not None:
-            occupations[rows] += weights[k] * term
+            occupations[rows] += term(weights[k])
         if k in marks:
             marks[k][0][rows] = square()
-            marks[k][1][rows] = occupations[rows] - weights[0] * term
+            marks[k][1][rows] = occupations[rows] - term(weights[0])
         if k == sp:
             ends[rows] = square()
 
@@ -669,7 +669,8 @@ def _period_continuation(coeffs, bundle: PathBundle, weight, feedback=None, anch
         )
         lam_at = None if weight is None else bundle.bind(weight)
         for k in [sp] if lam_at is None else range(sp + 1):
-            term = None if lam_at is None else moments[k].T @ lam_at(k).reshape(-1)
+            # (w M_k') vec Lam_k: moving w past the product would move round-off
+            term = None if lam_at is None else lambda w: w * moments[k].T @ lam_at(k).reshape(-1)
             accumulate(slice(None), k, term, lambda: moments[k])
     else:
         kron = lambda phi: np.einsum("pij,pkl->pikjl", phi, phi).reshape(-1, n2, n2)
@@ -680,7 +681,8 @@ def _period_continuation(coeffs, bundle: PathBundle, weight, feedback=None, anch
             def visit(k, phi):
                 term = None
                 if lam_at is not None:
-                    term = _times(np.swapaxes(phi, -1, -2), _times(lam_at(k), phi)).reshape(-1, n2)
+                    t = _times(np.swapaxes(phi, -1, -2), _times(lam_at(k), phi)).reshape(-1, n2)
+                    term = lambda w: w * t
                 if k in marks:
                     marks[k][2][rows] = block.partial_sum(k)
                 accumulate(rows, k, term, lambda: kron(phi))

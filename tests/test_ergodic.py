@@ -16,6 +16,7 @@ from ergolq.ergodic import (
     BurnInError,
     ScanResult,
     _accumulate_cost,
+    _burn_in_periods,
     _quadratic_cost,
     burn_in_state,
     completion_identity_check,
@@ -293,7 +294,8 @@ def test_scan_streams_its_laws_as_the_single_law_streams(case, monkeypatch):
 
     monkeypatch.setattr("ergolq.ergodic._accumulate_cost", spy)
     monkeypatch.setattr("ergolq.sde_engine._flag_overflow", flag_spy)
-    monkeypatch.setattr("ergolq.ergodic.SCAN_BLOCK_ROWS", 150 * len(grid))
+    k_burn = _burn_in_periods(2.5, scen.tau)
+    monkeypatch.setattr("ergolq.sde_engine.BLOCK_ELEMENTS", 150 * 32 * (k_burn + 1))
     scan = optimality_scan(
         scen, base, d_theta, d_v, eps_grid=grid, seed=53, n_paths=400, lambda_hat=2.5,
         steps_per_period=32,

@@ -590,21 +590,24 @@ def test_monte_carlo_continuation_equals_the_stored_trajectory_reduction():
     assert got_se[0, 0] == pytest.approx(float(want_se), rel=1e-10)
 
 
-def test_exact_continuation_equals_the_scheme_moment_reduction():
+@pytest.mark.parametrize("sp", [16, 48])
+def test_exact_continuation_equals_the_scheme_moment_reduction(sp):
     # the exact twin of the stored-trajectory reduction: from the scheme's
     # moments M_k, K = (I - M_tau')^-1 sum_k w_k M_k' vec Lam_k and each
     # anchor's tail M_r^-T (O - O_r + M_tau' vec K), O_r the trapezoid over
-    # [0, r]; one exact row, partial sums 0, SE 0 and no draw
+    # [0, r]; one exact row, partial sums 0, SE 0 and no draw, on a dyadic
+    # and a non-dyadic step
     scen = builtin_scenarios()["planar-deterministic-periodic"]
     law = default_stabilizer(scen, seed=3)
-    bundle = PathBundle.undrawn(13, 50, 16, 1)
+    bundle = PathBundle.undrawn(13, 50, sp, 1)
     drift = sde_engine._homogeneous_drift(scen, law)
-    moments = oracle.scheme_moment_operator(bundle.bind(drift), bundle.bind(scen.C), bundle.dt, 16)
+    moments = oracle.scheme_moment_operator(bundle.bind(drift), bundle.bind(scen.C), bundle.dt, sp)
     lam_at = bundle.bind(scen.Q)
     terms = np.stack([m.T @ lam_at(k).reshape(-1) for k, m in enumerate(moments)])
     occupation = np.trapezoid(terms, dx=bundle.dt, axis=0)
     kbar = np.linalg.solve(np.eye(4) - moments[-1].T, occupation)
-    got, got_se, _, tails = _period_continuation(scen, bundle, scen.Q, law, (0, 5, 8, 12))
+    anchors = (0, 5, sp // 2, 3 * sp // 4)
+    got, got_se, _, tails = _period_continuation(scen, bundle, scen.Q, law, anchors)
     np.testing.assert_allclose(got.reshape(-1), kbar, rtol=1e-12, atol=0.0)
     assert not got_se.any() and bundle.increments is None
     for r, (tail, sums) in tails.items():

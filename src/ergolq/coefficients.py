@@ -16,10 +16,10 @@ scenario file grammar can express:
 * ``tanh_sum``: a bounded link function (tanh, sin or cos) of the
   within-period increment partial sum, scaled and offset entrywise.
 
-In-memory compositions (sums, scalings, transposes, products and
-R^{-1} products) serve the solver internals and are not serializable.  Each
-records its operands and the numpy call that combines their values, so a
-grid binding can walk the recorded tree instead of re-evaluating it whole.
+In-memory compositions (sums, scalings, transposes, symmetric parts, products
+and R^{-1} products) serve the solver internals and are not serializable.  Each
+records its operands and the numpy call that combines their values, so a grid
+binding can walk the recorded tree instead of re-evaluating it whole.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +60,8 @@ class CoefficientFn:
     in-memory compositions.  A composition records ``parts = (combine,
     operands)``: its value is ``combine`` applied to the operands' values,
     which is what its evaluator computes and what ``PathBundle.bind`` walks.
+    A coefficient is a value: nothing is set on it after construction and
+    evaluating it records nothing, so sets and trees may share any leaf.
     """
 
     kind: str
@@ -68,8 +70,6 @@ class CoefficientFn:
     tau: float
     family: Optional[str] = None
     params: Optional[dict] = None
-    symmetrize: bool = False
-    diagnostics: dict = field(default_factory=dict)
     parts: Optional[tuple] = None
 
     def eval_batch(self, phase: float, partial_sum: np.ndarray) -> np.ndarray:
@@ -78,22 +78,11 @@ class CoefficientFn:
             raise CoefficientError(
                 f"phase {phase!r} outside [0, {self.tau!r})"
             )
-        return self.finish(self.evaluator(phase, partial_sum))
-
-    def finish(self, out) -> np.ndarray:
-        """Check an evaluated value's shape and symmetrize it if flagged."""
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(self.evaluator(phase, partial_sum), dtype=float)
         if out.shape[-len(self.shape):] != self.shape:
             raise CoefficientError(
                 f"evaluator returned shape {out.shape}, declared {self.shape}"
             )
-        if self.symmetrize and len(self.shape) == 2 and self.shape[0] == self.shape[1]:
-            sym = 0.5 * (out + np.swapaxes(out, -1, -2))
-            asym = float(np.max(np.abs(out - np.swapaxes(out, -1, -2)))) if out.size else 0.0
-            if asym > SYMMETRY_TOL:
-                prev = self.diagnostics.get("max_asymmetry", 0.0)
-                self.diagnostics["max_asymmetry"] = max(prev, asym)
-            out = sym
         return out
 
     @property
@@ -117,7 +106,7 @@ def _as_matrix(value, shape) -> np.ndarray:
     return arr
 
 
-def constant_coeff(value, tau: float, *, symmetrize: bool = False) -> CoefficientFn:
+def constant_coeff(value, tau: float) -> CoefficientFn:
     arr = np.array(value, dtype=float)
     arr.setflags(write=False)
     shape = arr.shape
@@ -132,7 +121,6 @@ def constant_coeff(value, tau: float, *, symmetrize: bool = False) -> Coefficien
         tau=tau,
         family="constant",
         params={"value": arr},
-        symmetrize=symmetrize,
     )
 
 
@@ -141,8 +129,6 @@ def harmonic_coeff(
     base,
     sin_terms: Optional[dict] = None,
     cos_terms: Optional[dict] = None,
-    *,
-    symmetrize: bool = False,
 ) -> CoefficientFn:
     """Deterministic periodic coefficient: trigonometric polynomial of the phase.
 
@@ -174,7 +160,6 @@ def harmonic_coeff(
         tau=tau,
         family="harmonic",
         params={"base": base, "sin": sin_terms, "cos": cos_terms},
-        symmetrize=symmetrize,
     )
 
 
@@ -185,8 +170,6 @@ def tanh_sum_coeff(
     scale: float = 1.0,
     offset: float = 0.0,
     link: str = "tanh",
-    *,
-    symmetrize: bool = False,
 ) -> CoefficientFn:
     """Path-functional coefficient driven by the within-period increment sum.
 
@@ -217,7 +200,6 @@ def tanh_sum_coeff(
             "offset": float(offset),
             "link": link,
         },
-        symmetrize=symmetrize,
     )
 
 
@@ -259,6 +241,11 @@ def cf_transpose(f: CoefficientFn) -> CoefficientFn:
     if len(f.shape) != 2:
         raise CoefficientError("transpose needs a matrix coefficient")
     return _compose((f.shape[1], f.shape[0]), lambda a: np.swapaxes(a, -1, -2), f)
+
+
+def cf_sym(f: CoefficientFn) -> CoefficientFn:
+    """The symmetric part (f + f')/2 of a square matrix coefficient."""
+    return _compose(f.shape, lambda a: 0.5 * (a + np.swapaxes(a, -1, -2)), f)
 
 
 def _matmul_shapes(fs, gs):
@@ -325,8 +312,9 @@ class PeriodicCoefficientSet:
     """All model data of one control problem over one period.
 
     Shapes: A, C, Q are (n, n); B is (n, m); S is (m, n); R is (m, m);
-    b, sigma, q are (n,); rho is (m,).  Q and R are symmetrized at every
-    evaluation (asymmetry beyond 1e-12 is recorded in their diagnostics).
+    b, sigma, q are (n,); rho is (m,).  Q and R are used as given:
+    ``check_positivity``, run before every solve and CLI run, rejects a
+    sample of either that is asymmetric beyond ``SYMMETRY_TOL``.
     """
 
     tau: float
@@ -353,8 +341,6 @@ class PeriodicCoefficientSet:
                 raise CoefficientError(f"{key} has shape {fn.shape}, expected {shape}")
             if abs(fn.tau - self.tau) > 0.0:
                 raise CoefficientError(f"{key} declares period {fn.tau}, set has {self.tau}")
-        self.Q.symmetrize = True
-        self.R.symmetrize = True
 
     def coefficient(self, name: str) -> CoefficientFn:
         if name not in _COEFF_FIELDS:
@@ -419,16 +405,18 @@ class PositivityReport:
 
 
 def check_positivity(coeffs: PeriodicCoefficientSet) -> PositivityReport:
-    """Sample R and Q - S^T R^{-1} S over 64 random (phase, partial sum)
-    draws (seed 0, so every caller audits the same samples).
+    """Sample Q, R and Q - S^T R^{-1} S over 64 random (phase, partial sum)
+    draws (seed 0, so every caller audits the same samples, whatever ran before).
 
-    Raises CoefficientError on an asymmetric Q/R sample (beyond 1e-12) or a
-    numerically singular R sample; otherwise reports the worst eigenvalues.
+    Raises CoefficientError on a numerically singular R sample, then on a Q
+    or R sample asymmetric beyond SYMMETRY_TOL; otherwise reports the worst
+    eigenvalues.
     """
     rng = np.random.default_rng(0)
     dt = coeffs.tau / 64.0
     min_r = math.inf
     min_cost = math.inf
+    asym = 0.0
     for _ in range(64):
         steps = int(rng.integers(0, 64))
         phase = steps * dt
@@ -439,17 +427,15 @@ def check_positivity(coeffs: PeriodicCoefficientSet) -> PositivityReport:
         r2 = r if r.ndim == 2 else r[0]
         q2 = qm if qm.ndim == 2 else qm[0]
         s2 = s if s.ndim == 2 else s[0]
+        asym = max(asym, *(float(np.max(np.abs(x - x.T))) for x in (q2, r2)))
         eig_r = np.linalg.eigvalsh(r2)
         if np.min(np.abs(eig_r)) < 1e-12:
             raise CoefficientError("singular R sample in positivity check")
         cost = q2 - s2.T @ np.linalg.solve(r2, s2)
         min_r = min(min_r, float(eig_r.min()))
         min_cost = min(min_cost, float(np.linalg.eigvalsh(cost).min()))
-    for fn in (coeffs.Q, coeffs.R):
-        if fn.diagnostics.get("max_asymmetry", 0.0) > SYMMETRY_TOL:
-            raise CoefficientError(
-                f"asymmetric sample: max asymmetry {fn.diagnostics['max_asymmetry']:.3e}"
-            )
+    if asym > SYMMETRY_TOL:
+        raise CoefficientError(f"asymmetric sample: max asymmetry {asym:.3e}")
     return PositivityReport(min_eig_R=min_r, min_eig_cost=min_cost)
 
 

@@ -45,6 +45,7 @@ from .coefficients import (
     cf_matmul,
     cf_rinv_mul,
     cf_scale,
+    cf_sym,
     cf_transpose,
     constant_coeff,
     rinv_apply,
@@ -76,8 +77,7 @@ def reduce_cross_term(coeffs: PeriodicCoefficientSet):
     rinv_s = cf_rinv_mul(coeffs.R, coeffs.S)
     a_til = cf_add(coeffs.A, cf_scale(cf_matmul(coeffs.B, rinv_s), -1.0))
     st_rinv_s = cf_matmul(cf_transpose(coeffs.S), rinv_s)
-    q_til = cf_add(coeffs.Q, cf_scale(st_rinv_s, -1.0))
-    q_til.symmetrize = True
+    q_til = cf_sym(cf_add(coeffs.Q, cf_scale(st_rinv_s, -1.0)))
     reduced = PeriodicCoefficientSet(
         tau=coeffs.tau,
         n=coeffs.n,
@@ -175,8 +175,7 @@ def _policy_gain(reduced: PeriodicCoefficientSet, k_fn: CoefficientFn) -> Coeffi
 def _policy_problem(reduced: PeriodicCoefficientSet, theta: CoefficientFn):
     a_cl = cf_add(reduced.A, cf_matmul(reduced.B, theta))
     penalty = cf_matmul(cf_transpose(theta), cf_matmul(reduced.R, theta))
-    lam = cf_add(reduced.Q, penalty)
-    lam.symmetrize = True
+    lam = cf_sym(cf_add(reduced.Q, penalty))
     return a_cl, lam
 
 

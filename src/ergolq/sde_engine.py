@@ -270,13 +270,13 @@ class PathBundle:
     def _table(self, fn: CoefficientFn, tables: dict) -> np.ndarray:
         """A path-free coefficient's value (constant) or (steps_per_period, *shape)
         table: leaves evaluated once per phase on a zero partial sum, compositions
-        combined and finished once over their operands' tables; each operand
+        combined once over their operands' tables; each operand
         is tabulated once per ``tables`` memo, however often it occurs."""
         if fn in tables:
             return tables[fn]
         if fn.parts is not None:
             combine, operands = fn.parts
-            table = fn.finish(combine(*(self._table(f, tables) for f in operands)))
+            table = combine(*(self._table(f, tables) for f in operands))
         else:
             zero = np.zeros(1)
             phases = [0] if fn.kind == "constant" else range(self.steps_per_period)
@@ -303,7 +303,7 @@ class PathBundle:
                 return lambda node: fn.eval_batch(self.phase(node), self.partial_sum(node))
             combine, operands = fn.parts
             operands_at = [self.bind(f, tables) for f in operands]
-            return lambda node: fn.finish(combine(*(at(node) for at in operands_at)))
+            return lambda node: combine(*(at(node) for at in operands_at))
         table = self._table(fn, tables)
         if fn.kind == "constant":
             return lambda node: table

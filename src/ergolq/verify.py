@@ -228,7 +228,7 @@ def check_a1_moment_decay(ctx: AcceptanceContext):
 def check_a2_bsde_vs_ode(ctx: AcceptanceContext):
     """Matrix equation with unit source against the periodic ODE oracle."""
     scen = ctx.scenarios["planar-deterministic-periodic"]
-    lam = constant_coeff(np.eye(scen.n), scen.tau, symmetrize=True)
+    lam = constant_coeff(np.eye(scen.n), scen.tau)
     bundle = PathBundle.undrawn(
         derive_seed(ctx.seed, "a2"), 20_000, 64, 1, tau=scen.tau, antithetic=True
     )

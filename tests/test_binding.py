@@ -14,6 +14,7 @@ from ergolq.coefficients import (
     builtin_scenarios,
     cf_add,
     cf_matmul,
+    cf_sym,
     constant_coeff,
     harmonic_coeff,
     perturbed_feedback,
@@ -280,7 +281,8 @@ def _harmonic_policy_problem():
     """Theta = -R^{-1} B'K, A + B Theta and Q + Theta'R Theta on a 2x2 problem
     whose R, A and Q vary with the phase and whose K is a harmonic stand-in;
     R is not diagonal, so an inverse and a solve differ in the last bits, and
-    Q and sym(K + A) carry an asymmetry that their symmetrization records."""
+    Q + Theta'R Theta and sym(K + A) are the symmetric parts of asymmetric
+    sums (Q itself is asymmetric)."""
     tau, zero2, zero = 1.0, np.zeros((2, 2)), np.zeros(2)
     scen = PeriodicCoefficientSet(
         tau=tau, n=2, m=2,
@@ -301,52 +303,43 @@ def _harmonic_policy_problem():
     k = harmonic_coeff(tau, [[0.8, 0.3], [0.2, 0.6]], sin_terms={1: [[0.1, 0.05], [0.0, 0.2]]})
     theta = _policy_gain(scen, k)
     a_cl, lam = _policy_problem(scen, theta)
-    sym = cf_add(k, scen.A)
-    sym.symmetrize = True
+    sym = cf_sym(cf_add(k, scen.A))
     return {"theta": theta, "A+B theta": a_cl, "Q+theta'R theta": lam, "sym(K+A)": sym}
-
-
-def _tree(fn):
-    """fn and every recorded operand below it, depth first."""
-    yield fn
-    for op in fn.parts[1] if fn.parts is not None else ():
-        yield from _tree(op)
 
 
 def test_bound_path_free_compositions_equal_per_phase_evaluation():
     # a path-free tree bound from its operands' tables returns at every node
     # the bits of evaluating the whole tree there, R^{-1} included, and its
-    # symmetrizations record the asymmetry that evaluation records
-    bound, evaluated = _harmonic_policy_problem(), _harmonic_policy_problem()
+    # symmetric parts are symmetric where their operands are not
+    trees = _harmonic_policy_problem()
     bundle = PathBundle.generate(47, 8, SP, 2)
-    for label, fn in bound.items():
+    for label, fn in trees.items():
         assert fn.kind == "deterministic-periodic"
         at = bundle.bind(fn)
-        direct = evaluated[label]
         for k in range(bundle.n_steps + 1):
             np.testing.assert_array_equal(
-                at(k), direct.eval_batch(bundle.phase(k), bundle.partial_sum(k)),
+                at(k), fn.eval_batch(bundle.phase(k), bundle.partial_sum(k)),
                 err_msg=f"{label} at node {k}",
             )
-    for label in bound:
-        got = [f.diagnostics for f in _tree(bound[label])]
-        want = [f.diagnostics for f in _tree(evaluated[label])]
-        assert got == want, label
-    assert bound["sym(K+A)"].diagnostics["max_asymmetry"] > 0.05
-    assert bound["Q+theta'R theta"].parts[1][0].diagnostics["max_asymmetry"] > 0.05
+    for label in ("sym(K+A)", "Q+theta'R theta"):
+        at, sum_at = bundle.bind(trees[label]), bundle.bind(trees[label].parts[1][0])
+        asymmetry = max(np.abs(sum_at(k) - sum_at(k).T).max() for k in range(SP))
+        assert asymmetry > 0.05, label
+        for k in range(SP):
+            np.testing.assert_array_equal(at(k), at(k).T, err_msg=f"{label} at node {k}")
 
 
 def test_bound_path_functional_composition_is_symmetrized():
-    # a flagged composition symmetrizes its walked value and records the
-    # asymmetry, as a direct evaluation does
+    # a symmetric part walked over the bundle is symmetric where its
+    # operand is not, and it is the bits of a direct evaluation
     tau = 1.0
     skew = tanh_sum_coeff(tau, [[1.0, 0.5], [0.0, 1.0]], [[0.1, 0.3], [-0.2, 0.1]])
-    lam = cf_add(skew, constant_coeff(np.eye(2), tau))
-    lam.symmetrize = True
+    lam = cf_sym(cf_add(skew, constant_coeff(np.eye(2), tau)))
     bundle = PathBundle.generate(5, 16, SP, 1)
     at = bundle.bind(lam)
     walked = [at(k) for k in range(bundle.n_steps + 1)]
-    assert lam.diagnostics["max_asymmetry"] > 0.25
+    operand = lam.parts[1][0].eval_batch(bundle.phase(3), bundle.partial_sum(3))
+    assert np.abs(operand - np.swapaxes(operand, -1, -2)).max() > 0.25
     for k, got in enumerate(walked):
         np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
         np.testing.assert_array_equal(

@@ -399,7 +399,7 @@ def test_path_free_solve_draws_nothing_and_stores_one_row():
     # it sweeps one noise-free path, draws nothing, allocates no path axis,
     # and stores that one row
     scen = builtin_scenarios()["planar-deterministic-periodic"]
-    lam = constant_coeff(np.eye(2), scen.tau, symmetrize=True)
+    lam = constant_coeff(np.eye(2), scen.tau)
     bundle = PathBundle.undrawn(3, 20_000, 64, 1, tau=scen.tau, antithetic=True)
     tracemalloc.start()
     try:
@@ -420,7 +420,7 @@ def test_planar_solution_stays_symmetric():
     scen = builtin_scenarios()["planar-deterministic-periodic"]
     bundle = PathBundle.generate(9, 128, 32, 1, antithetic=True)
     sol = solve_linear_matrix_bsde(
-        scen.A, scen.C, constant_coeff(np.eye(2), scen.tau, symmetrize=True),
+        scen.A, scen.C, constant_coeff(np.eye(2), scen.tau),
         bundle,
     )
     values = sol.stored[0]

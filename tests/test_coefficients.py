@@ -14,6 +14,7 @@ from ergolq.coefficients import (
     cf_matmul,
     cf_rinv_mul,
     cf_scale,
+    cf_sym,
     cf_transpose,
     check_positivity,
     constant_coeff,
@@ -88,11 +89,12 @@ def test_phase_domain_is_half_open():
         fn.eval_batch(-0.01, np.zeros(1))
 
 
-def test_symmetrize_records_asymmetry():
-    fn = constant_coeff([[1.0, 0.5], [0.0, 1.0]], TAU, symmetrize=True)
-    out = fn.eval_batch(0.0, np.zeros(1))
+def test_cf_sym_is_the_symmetric_part():
+    leaf = constant_coeff([[1.0, 0.5], [0.0, 1.0]], TAU)
+    out = cf_sym(leaf).eval_batch(0.0, np.zeros(1))
     np.testing.assert_allclose(out, [[1.0, 0.25], [0.25, 1.0]])
-    assert fn.diagnostics["max_asymmetry"] == pytest.approx(0.5)
+    # the operand is a value: composing and evaluating leave it as it was
+    np.testing.assert_array_equal(leaf.eval_batch(0.0, np.zeros(1)), [[1.0, 0.5], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def test_algebra_kind_promotion_and_shape_checks():
 
 def test_rinv_mul_solves_batched_systems():
     rng = np.random.default_rng(7)
-    r = tanh_sum_coeff(TAU, 2.0 * np.eye(2), 0.3 * np.eye(2), scale=0.5, symmetrize=True)
+    r = cf_sym(tanh_sum_coeff(TAU, 2.0 * np.eye(2), 0.3 * np.eye(2), scale=0.5))
     g = constant_coeff(rng.normal(size=(2, 1)), TAU)
     sums = random_partial_sums(rng, 6, 10)
     phase = 10 / 64
@@ -170,6 +172,38 @@ def test_builtin_scenarios_positivity_and_names():
         assert scen.name == name
         report = check_positivity(scen)
         assert report.passed, f"{name}: margin {report.margin}"
+
+
+def _planar_with(**fields):
+    scen = builtin_scenarios()["planar-deterministic-periodic"]
+    kwargs = {k: getattr(scen, k) for k in
+              ("tau", "n", "m", "A", "B", "C", "b", "sigma", "Q", "S", "R", "q", "rho")}
+    return PeriodicCoefficientSet(**{**kwargs, **fields})
+
+
+def test_a_shared_leaf_keeps_its_values_in_every_set():
+    # a set uses its coefficients as given, so building a second set that
+    # reads an asymmetric A leaf as its R leaves the first set's A alone
+    tau, skew = 1.0, [[1.0, 0.3], [0.0, 1.0]]
+    leaf = constant_coeff(skew, tau)
+    first = _planar_with(A=leaf)
+    zero2 = constant_coeff(np.zeros((2, 2)), tau)
+    PeriodicCoefficientSet(
+        tau=tau, n=2, m=2, A=leaf, B=constant_coeff(np.eye(2), tau), C=zero2,
+        b=first.b, sigma=first.sigma, Q=first.Q, S=zero2, R=leaf, q=first.q,
+        rho=constant_coeff(np.zeros(2), tau),
+    )
+    for phase in (0.0, 0.5):
+        np.testing.assert_array_equal(first.A.eval_batch(phase, np.zeros(1)), skew)
+
+
+def test_check_positivity_rejects_an_asymmetric_sample():
+    skew = constant_coeff([[1.0, 1e-3], [0.0, 1.0]], TAU)
+    with pytest.raises(CoefficientError, match="asymmetric sample: max asymmetry 1.000e-03"):
+        check_positivity(_planar_with(Q=skew))
+    # a singular R is reported first
+    with pytest.raises(CoefficientError, match="singular R sample"):
+        check_positivity(_planar_with(Q=skew, R=constant_coeff([[0.0]], TAU)))
 
 
 def test_check_positivity_flags_indefinite_cost():

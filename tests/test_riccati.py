@@ -9,7 +9,9 @@ from ergolq.bsde_engine import ConvergenceError
 from ergolq.coefficients import (
     PeriodicCoefficientSet,
     builtin_scenarios,
+    check_positivity,
     constant_coeff,
+    harmonic_coeff,
 )
 from ergolq.ergodic import optimal_feedback, value_function
 from ergolq.oracle import periodic_riccati_ode
@@ -27,6 +29,20 @@ SQRT2_M1 = math.sqrt(2.0) - 1.0
 
 def solve_bundle(seed, n_paths=2048, sp=64):
     return PathBundle.generate(seed, n_paths, sp, 1, antithetic=True)
+
+
+def test_positivity_verdict_does_not_depend_on_earlier_solves():
+    # Q's skew part vanishes on the audit's 64-step phases but not on a
+    # 48-step grid; a solve there evaluates Q and changes no later verdict
+    scen = builtin_scenarios()["planar-deterministic-periodic"]
+    kwargs = {k: getattr(scen, k) for k in
+              ("tau", "n", "m", "A", "B", "C", "b", "sigma", "S", "R", "q", "rho")}
+    skew = [[0.0, 0.01], [-0.01, 0.0]]
+    kwargs["Q"] = harmonic_coeff(scen.tau, np.eye(2), sin_terms={32: skew})
+    coeffs = PeriodicCoefficientSet(**kwargs)
+    before = check_positivity(coeffs)
+    solve_stochastic_riccati(coeffs, solve_bundle(3, n_paths=64, sp=48))
+    assert check_positivity(coeffs) == before
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ Prints one line per command, with each checkout's peak resident set size
 output differs, else 0.  Under each differing ``summary.json`` it lists
 every number that moved, by its key path, as old -> new with the relative
 change |new - old| / |old|; under each differing CSV file it lists them the
-same way by data row and column, as ``[3].mean_c0``.
+same way by data row and column, as ``[3].mean_c0``.  The child environment
+and the diff of two JSON values are those of ``tools/golden.py``.
 A speed change that claims to leave every result alone needs this proof.
 Takes about 3 minutes on a 2-core VM.
 """
@@ -34,15 +35,15 @@ import csv
 import importlib.util
 import io
 import json
-import math
 import os
 import subprocess
 import sys
 import tempfile
 
+from golden import child_env, moved_values
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS_PY = os.path.join(HERE, os.pardir, "perfbench", "workloads.py")
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CLI = "import sys; from ergolq.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -58,19 +59,11 @@ def workload_commands() -> dict:
     return {name: list(w.argv) for name, w in module.WORKLOADS.items()}
 
 
-def _env(checkout: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.abspath(checkout), "src")
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    for key in BLAS_ENV:
-        env[key] = "1"
-    return env
-
-
 def catalog(checkout: str) -> list:
     code = "from ergolq.coefficients import builtin_scenarios; print(*sorted(builtin_scenarios()))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=_env(checkout), check=True, capture_output=True, text=True
+        [sys.executable, "-c", code], env=child_env(checkout), check=True, capture_output=True,
+        text=True,
     )
     return out.stdout.split()
 
@@ -92,23 +85,6 @@ def _content(rel: str, path: str):
     manifest = json.loads(data)
     manifest.get("config", {}).pop("out", None)
     return manifest
-
-
-def moved_numbers(old, new, key: str = "") -> list:
-    """'key: old -> new (rel r)' for every number that differs between two
-    JSON values, found where both hold a dict key or list index; key paths
-    read like ``checks.S6.metrics.delta`` and ``k0[0][1]``."""
-    if isinstance(old, dict) and isinstance(new, dict):
-        pairs = [(f"{key}.{k}" if key else str(k), old[k], new[k]) for k in old if k in new]
-    elif isinstance(old, list) and isinstance(new, list):
-        pairs = [(f"{key}[{i}]", x, y) for i, (x, y) in enumerate(zip(old, new))]
-    else:
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
-        if not numbers or old == new or (math.isnan(old) and math.isnan(new)):
-            return []
-        rel = abs(new - old) / abs(old) if old else math.inf
-        return [f"{key}: {old!r} -> {new!r} (rel {rel:.2e})"]
-    return [line for path, x, y in pairs for line in moved_numbers(x, y, path)]
 
 
 def _number(cell: str):
@@ -135,9 +111,9 @@ def differences(left: str, right: str) -> list:
         if old != new:
             problems.append(f"{rel}: differs")
             if os.path.basename(rel) == "summary.json":
-                problems += ["  " + line for line in moved_numbers(json.loads(old), json.loads(new))]
+                problems += ["  " + line for line in moved_values(json.loads(old), json.loads(new))]
             elif rel.endswith(".csv"):
-                problems += ["  " + line for line in moved_numbers(csv_rows(old), csv_rows(new))]
+                problems += ["  " + line for line in moved_values(csv_rows(old), csv_rows(new))]
     return problems
 
 
@@ -157,7 +133,7 @@ def run_pair(checkouts: tuple, argv: list, workdir: str) -> tuple:
                 open(os.path.join(workdir, f"{tag}.stderr"), "wb") as stderr:
             procs.append(subprocess.Popen(
                 [sys.executable, "-c", CLI, *argv, "--out", out],
-                env=_env(checkout), cwd=workdir, stdout=stdout, stderr=stderr,
+                env=child_env(checkout), cwd=workdir, stdout=stdout, stderr=stderr,
             ))
         outs.append(out)
     codes, peaks = [], []

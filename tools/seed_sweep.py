@@ -25,8 +25,9 @@ delta moves over the seeds only with the solved law; on
 
     PYTHONPATH=src python3 tools/seed_sweep.py
 
-Takes about 6 minutes (17 s a seed) on a 2-core x86-64 VM.  Not part of
-the test suite.
+Takes 4 to 11 minutes on a shared 2-core x86-64 VM whose speed drifts:
+242 s (12 s a seed) with OPENBLAS_NUM_THREADS=1 on a quiet box, about
+11 minutes (34 s a seed) on a busy one.  Not part of the test suite.
 """
 
 from __future__ import annotations
